@@ -13,6 +13,7 @@ with a 4-byte magic so a wrong file fails fast instead of parsing garbage:
 
 import json
 import struct
+import warnings
 
 import numpy as np
 
@@ -40,22 +41,26 @@ _SPLITS = ("train", "val", "test")
 def load_edge_list(path, n=None, *, undirected=True, add_self_loops=False) -> Graph:
     """Read a ``src<TAB>dst`` edge list (0-based ids, ``#`` comments allowed).
 
-    When ``n`` is omitted it is inferred as max endpoint + 1.
+    The whole file is parsed in one ``np.loadtxt`` pass; any whitespace
+    separates the two endpoints. A non-integer id, an id past int64, or a
+    row without exactly two fields raises ``DataError`` naming the file
+    (and numpy's row and column for a bad field). When ``n`` is omitted it
+    is inferred as max endpoint + 1.
     """
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer endpoint") from exc
-    arr = np.asarray(edges, dtype=np.int64) if edges else np.zeros((0, 2), np.int64)
+    try:
+        with warnings.catch_warnings():
+            # an empty or comment-only file is reported below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+                             encoding="utf-8")
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed edge list: {exc}") from exc
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.shape[1] != 2:
+        raise DataError(f"{path}: expected 'src<TAB>dst' rows, got {arr.shape[1]} "
+                        f"column(s)")
     if n is None:
         if arr.size == 0:
             raise DataError(f"{path}: empty edge list and no node count given")
@@ -70,10 +75,10 @@ def save_edge_list(path, g: Graph) -> None:
     if g.undirected:
         keep = rows <= cols
         rows, cols = rows[keep], cols[keep]
+    pairs = np.column_stack([rows, cols]).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes: {g.n}\n")
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{i}\t{j}\n")
+        fh.write("%d\t%d\n" * rows.size % tuple(pairs))
 
 
 def _check_finite(x: np.ndarray, what: str) -> np.ndarray:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, DataError, save_edge_list, save_features,
-                      save_labels, validate_config)
+from diffbank import (ConfigError, DataError, generate, save_edge_list,
+                      save_features, save_labels, validate_config)
 from diffbank.experiment import (_thread_count, build_bank, prepare_dataset,
                                  run_ablation, run_experiment, run_seed,
                                  summarize)
@@ -167,6 +167,20 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("DIFFBANK_THREADS", "many")
     with pytest.raises(ConfigError):
         _thread_count()
+
+
+def test_thread_count_does_not_change_the_numbers(monkeypatch):
+    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 2}, seeds=[0, 1, 2, 3])
+    generate.cache_clear()  # the threads draw concurrently and share the memo
+    monkeypatch.setenv("DIFFBANK_THREADS", "2")
+    threaded = run_experiment(cfg)["runs"]
+    monkeypatch.setenv("DIFFBANK_THREADS", "1")
+    serial = run_experiment(cfg)["runs"]
+    for t, s in zip(threaded, serial, strict=True):
+        assert t["seed"] == s["seed"]
+        assert t["data"] == s["data"]
+        assert t["test_metric"] == s["test_metric"]
+        assert t["val_metric"] == s["val_metric"]
 
 
 def test_ablation_arms_share_seeds_and_differ_in_plan():

@@ -38,15 +38,28 @@ def test_edge_list_comments_and_blank_lines(tmp_path):
 
 def test_edge_list_errors(tmp_path):
     p = tmp_path / "bad.tsv"
-    p.write_text("0\t1\t2\n")
-    with pytest.raises(DataError):
-        load_edge_list(p, 3)
-    p.write_text("0\tx\n")
-    with pytest.raises(DataError):
-        load_edge_list(p, 3)
+    for text in ["0\t1\t2\n",                   # one row too wide
+                 "0\t1\t2\n1\t2\t0\n",            # every row too wide
+                 "0\n1\n",                        # single column
+                 "0\tx\n",
+                 "1.0\t2\n",                      # float endpoint
+                 "99999999999999999999\t1\n"]:    # past int64
+        p.write_text(text)
+        with pytest.raises(DataError, match="bad.tsv"):
+            load_edge_list(p, 3)
     p.write_text("# only comments\n")
     with pytest.raises(DataError):
         load_edge_list(p)  # no node count to fall back on
+
+
+def test_edge_list_save_bytes(tmp_path):
+    # undirected edges are written once each, smaller endpoint first
+    g = build_graph(np.array([[2, 0], [0, 1], [3, 2], [2, 2]]), 4)
+    p = tmp_path / "g.tsv"
+    save_edge_list(p, g)
+    assert p.read_bytes() == b"# nodes: 4\n0\t1\n0\t2\n2\t2\n2\t3\n"
+    save_edge_list(p, build_graph(np.zeros((0, 2), np.int64), 3))
+    assert p.read_bytes() == b"# nodes: 3\n"
 
 
 def test_features_round_trip(tmp_path):
