@@ -8,10 +8,11 @@ that over the config's seed list and reports mean and sample std.
 ``run_ablation`` runs three arms on shared seeds so the deltas isolate each
 ingredient: plain power-iteration features on the random-walk-symmetric
 operator, the configured robust basis without staging, and the full staged
-plan. All arms of one seed reuse the same dataset draw: ``synth.generate``
-memoizes draws per (spec, seed) process-wide and returns them read-only,
-so the second and third arm, and any thread running the same seed, get
-the first arm's arrays without drawing again.
+plan. All arms of one seed draw the same dataset, and on a spectral-signal
+dataset they share its dense eigendecomposition: ``synth`` memoizes it per
+(spec, seed) process-wide for the 64 most recent specs, so for up to 64
+seeds the second and third arm, and any thread running the same seed, do
+not decompose again.
 
 SpMM counts come from the module-global counter in ``graph``, so per-phase
 attribution assumes seeds run one at a time. ``DIFFBANK_THREADS`` (default

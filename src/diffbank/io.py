@@ -52,9 +52,12 @@ def load_edge_list(path, n=None, *, undirected=True, add_self_loops=False) -> Gr
             # an empty or comment-only file is reported below, not warned about
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
+            # numpy 1.x parses a float field such as "1.0" as an integer with a
+            # DeprecationWarning; numpy 2 raises ValueError. Both are bad input.
+            warnings.simplefilter("error", DeprecationWarning)
             arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
                              encoding="utf-8")
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         raise DataError(f"{path}: malformed edge list: {exc}") from exc
     if arr.size == 0:
         arr = arr.reshape(0, 2)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, DataError, generate, save_edge_list,
-                      save_features, save_labels, validate_config)
+from diffbank import (ConfigError, DataError, save_edge_list, save_features,
+                      save_labels, validate_config)
+from diffbank import synth
 from diffbank.experiment import (_thread_count, build_bank, prepare_dataset,
                                  run_ablation, run_experiment, run_seed,
                                  summarize)
@@ -170,8 +171,10 @@ def test_thread_count_env(monkeypatch):
 
 
 def test_thread_count_does_not_change_the_numbers(monkeypatch):
-    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 2}, seeds=[0, 1, 2, 3])
-    generate.cache_clear()  # the threads draw concurrently and share the memo
+    cfg = tiny_cfg(dataset={"synthetic": {"generator": "spectral-signal", "n": 60,
+                                          "feature_dim": 3}},
+                   hrp={"stages": 2, "epochs": 2}, seeds=[0, 1, 2, 3])
+    synth._spectrum_slot.cache_clear()  # the threads fill the spectrum memo
     monkeypatch.setenv("DIFFBANK_THREADS", "2")
     threaded = run_experiment(cfg)["runs"]
     monkeypatch.setenv("DIFFBANK_THREADS", "1")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ def test_edge_list_errors(tmp_path):
     p.write_text("# only comments\n")
     with pytest.raises(DataError):
         load_edge_list(p)  # no node count to fall back on
+
+
+def test_edge_list_float_field_warning_is_an_error(tmp_path, monkeypatch):
+    # numpy 1.x loads "1.0" into an integer column with only a warning
+    def loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([[1, 2]])
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    p = tmp_path / "float.tsv"
+    p.write_text("1.0\t2\n")
+    with pytest.raises(DataError, match="float.tsv"):
+        load_edge_list(p, 3)
 
 
 def test_edge_list_save_bytes(tmp_path):

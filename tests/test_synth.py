@@ -1,22 +1,16 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
 from diffbank import (ConfigError, DataError, NumericalError, SyntheticSpec,
                       edge_homophily, generate, graph_hash, make_operator,
-                      random_regular_graph, validate_config)
+                      random_regular_graph, synth, validate_config)
 from diffbank.experiment import run_ablation
 
 
 def test_generate_is_deterministic_per_seed():
     spec = SyntheticSpec(generator="sbm", n=60, seed=3)
-    generate.cache_clear()
     g1, x1, lv1 = generate(spec)
-    generate.cache_clear()  # two cold draws, not one draw and its memo
     g2, x2, lv2 = generate(spec)
-    assert x2 is not x1
     assert graph_hash(g1) == graph_hash(g2)
     assert np.array_equal(x1, x2)
     assert np.array_equal(lv1.labels, lv2.labels)
@@ -25,44 +19,46 @@ def test_generate_is_deterministic_per_seed():
     assert graph_hash(g3) != graph_hash(g1) or not np.array_equal(x3, x1)
 
 
-def test_generate_memo_is_bit_equal_and_read_only():
+def _draw_bytes(spec):
+    g, x, lv = generate(spec)
+    return graph_hash(g), x.tobytes(), lv.labels.tobytes(), lv.train_mask.tobytes(), \
+        lv.val_mask.tobytes(), lv.test_mask.tobytes()
+
+
+def test_spectrum_memo_is_bit_equal_to_cold_draws():
     spec = SyntheticSpec(generator="spectral-signal", n=80, feature_dim=3, seed=5)
-    generate.cache_clear()
-    g1, x1, lv1 = generate(spec)
-    hits = generate.cache_info().hits
-    g2, x2, lv2 = generate(SyntheticSpec(generator="spectral-signal", n=80,
-                                         feature_dim=3, seed=5))
-    assert generate.cache_info().hits == hits + 1
-    assert graph_hash(g2) == graph_hash(g1)
-    assert x2.tobytes() == x1.tobytes()
-    for a, b in [(lv1.labels, lv2.labels), (lv1.train_mask, lv2.train_mask),
-                 (lv1.val_mask, lv2.val_mask), (lv1.test_mask, lv2.test_mask)]:
-        assert np.array_equal(a, b)
-    for arr in (x2, lv2.labels, lv2.train_mask, lv2.val_mask, lv2.test_mask):
+    synth._spectrum_slot.cache_clear()
+    cold = _draw_bytes(spec)
+    synth._spectrum_slot.cache_clear()
+    assert _draw_bytes(spec) == cold  # two cold draws
+    g, x, lv = generate(SyntheticSpec(generator="spectral-signal", n=80,
+                                      feature_dim=3, seed=5))
+    assert synth._spectrum_slot.cache_info().hits == 1
+    x[:] = 0.0  # each draw owns its arrays; the memo holds only eigenvectors
+    lv.labels[:] = 0
+    assert _draw_bytes(spec) == cold
+    u_hi, lo = synth._signal_modes(spec, None)  # a hit needs no operator
+    for arr in (u_hi, lo):
         with pytest.raises(ValueError):
-            arr[0] = arr[1]
+            arr[0] = 1.0
     with pytest.raises(AttributeError):
         spec.seed = 6  # frozen: a spec cannot change under its memo entry
 
 
-def test_generate_memo_under_concurrent_callers():
-    specs = [SyntheticSpec(generator="sbm", n=30, seed=s) for s in range(20)]
-    generate.cache_clear()
-    cold = [generate(s)[1].tobytes() for s in specs]
-    generate.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(generate, specs[i % 20]) for i in range(200)]
-            drawn = [f.result(timeout=60)[1].tobytes() for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert drawn == [cold[i % 20] for i in range(200)]
-    assert generate.cache_info().currsize == 16
+def test_spectrum_memo_keeps_the_most_recent_specs():
+    specs = [SyntheticSpec(generator="spectral-signal", n=12, blocks=1,
+                           p_intra=0.5, feature_dim=1, confounder_modes=1, seed=s)
+             for s in range(synth.SPECTRA_KEPT + 1)]
+    synth._spectrum_slot.cache_clear()
+    for spec in specs:
+        generate(spec)
+    generate(specs[-1])
+    assert synth._spectrum_slot.cache_info().hits == 1
+    generate(specs[0])  # the oldest entry made room for the last spec
+    assert synth._spectrum_slot.cache_info().misses == synth.SPECTRA_KEPT + 2
 
 
-def test_ablation_draws_each_seed_once():
+def test_ablation_decomposes_each_seed_once():
     cfg = validate_config({
         "dataset": {"synthetic": {"generator": "spectral-signal", "n": 60,
                                   "feature_dim": 2}},
@@ -71,11 +67,11 @@ def test_ablation_draws_each_seed_once():
         "hrp": {"stages": 2, "epochs": 1},
         "seeds": [0, 1],
     })
-    generate.cache_clear()
+    synth._spectrum_slot.cache_clear()
     run_ablation(cfg)
-    info = generate.cache_info()
+    info = synth._spectrum_slot.cache_info()
     assert info.misses == 2
-    assert info.hits == 4  # the second and third arm reuse both draws
+    assert info.hits == 4  # the second and third arm reuse both decompositions
 
 
 def test_generate_shapes_and_dtypes():
