@@ -56,6 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.trunk = tuple(self.trunk)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -142,14 +142,10 @@ def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
 
 
 def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
-                alpha: float, beta: float, *, row_scale: bool = False,
+                alpha: float, beta: float, *,
                 _basis_tag: str = "jacobi", _rescale: np.ndarray | None = None) -> HopBank:
-    """Jacobi polynomial bank on the shifted operator.
-
-    ``row_scale=True`` L2-normalizes each slab's rows after building, a
-    diagnostic knob that is off by default because it destroys the exact
-    polynomial semantics the oracle tests rely on.
-    """
+    """Jacobi polynomial bank on the shifted operator: slab k is exactly
+    P_k^(alpha, beta)(S) X, rounded to float32."""
     if op.kind != "shifted":
         raise ValueError(f"jacobi banks require the 'shifted' operator, got {op.kind!r}")
     _check_budget(hops)
@@ -172,22 +168,16 @@ def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
         scaled = cur if _rescale is None else cur / _rescale[k + 1]
         slabs[k + 1] = scaled.astype(np.float32)
 
-    if row_scale:
-        for k in range(1, hops + 1):
-            norms = np.linalg.norm(slabs[k], axis=1, keepdims=True)
-            np.divide(slabs[k], norms, out=slabs[k], where=norms > 0)
     return HopBank(hops=hops, slabs=slabs,
-                   provenance=_provenance(op, _basis_tag, hops, alpha=alpha, beta=beta,
-                                          row_scale=row_scale))
+                   provenance=_provenance(op, _basis_tag, hops, alpha=alpha, beta=beta))
 
 
-def legendre_bank(op: SparseOperator, x: np.ndarray, hops: int, **kw) -> HopBank:
+def legendre_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     """Jacobi bank at weights (0, 0)."""
-    bank = jacobi_bank(op, x, hops, 0.0, 0.0, _basis_tag="legendre", **kw)
-    return bank
+    return jacobi_bank(op, x, hops, 0.0, 0.0, _basis_tag="legendre")
 
 
-def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int, **kw) -> HopBank:
+def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     """First-kind Chebyshev bank: slab k equals T_k(S) X.
 
     Built as the Jacobi (-1/2, -1/2) bank with each slab divided by the
@@ -195,7 +185,7 @@ def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int, **kw) -> HopBan
     """
     rescale = jacobi_endpoint_values(hops, -0.5, -0.5)
     return jacobi_bank(op, x, hops, -0.5, -0.5, _basis_tag="chebyshev",
-                       _rescale=rescale, **kw)
+                       _rescale=rescale)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ Subcommands mirror the pipeline phases::
     diffbank diagnose    conditioning and Ritz diagnostics for a saved bank
     diffbank experiment  multi-seed run or ablation from a config file
 
+Options restate no library default: an option the user leaves out is
+absent from the parsed arguments (``argparse.SUPPRESS``), so the
+dataclass, ``calibrate`` or config default applies. An option's ``dest``
+names where its value goes, with dots for nesting: ``preprocess --gamma``
+sets ``calibration.gamma`` of a config that ``validate_config`` checks like
+any config file.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Anything else is a bug.
 """
@@ -25,10 +32,11 @@ from . import io as dio
 from .backbone import TrainConfig
 from .banks import bank_report
 from .calibration import calibrate
-from .config import (config_hash, load_config, to_stage_plan, to_synthetic_spec,
-                     to_train_config)
+from .config import (CONFIG_SCHEMA, config_hash, load_config, to_stage_plan,
+                     to_train_config, validate_config)
 from .errors import ConfigError, DataError, DiffbankError, NumericalError
-from .experiment import build_bank, prepare_dataset, run_ablation, run_experiment
+from .experiment import (build_bank, load_feature_file, load_graph,
+                         prepare_dataset, run_ablation, run_experiment)
 from .graph import make_operator
 from .hrp import build_model, evaluate_split, run_hrp_training
 from .krylov import batched_lanczos, ritz_bank, ritz_triples
@@ -36,50 +44,45 @@ from .synth import SyntheticSpec, generate
 
 __all__ = ["main"]
 
+# checkpoint config keys that describe the model
+_MODEL_KEYS = ("backbone", "num_classes", "trunk", "state_dim", "readout")
+
+
+def _given(args) -> dict:
+    """The options the user passed, nested at the dots of their ``dest``."""
+    given = {}
+    for name, value in vars(args).items():
+        if name in ("command", "func"):
+            continue
+        *parents, leaf = name.split(".")
+        node = given
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return given
+
 
 def _cmd_generate(args) -> int:
-    spec = SyntheticSpec(generator=args.generator, n=args.nodes, blocks=args.blocks,
-                         p_intra=args.p_intra, p_inter=args.p_inter,
-                         feature_dim=args.feature_dim, snr=args.snr,
-                         noise=args.noise, homophily=args.homophily,
-                         signal_quantile=args.signal_quantile, seed=args.seed)
-    g, x, lv = generate(spec)
-    os.makedirs(args.out, exist_ok=True)
-    dio.save_edge_list(os.path.join(args.out, "edges.tsv"), g)
-    dio.save_features(os.path.join(args.out, "features.fmx"), x)
-    dio.save_labels(os.path.join(args.out, "labels.tsv"), lv)
+    given = _given(args)
+    out = given.pop("out")
+    g, x, lv = generate(SyntheticSpec(**given))
+    os.makedirs(out, exist_ok=True)
+    dio.save_edge_list(os.path.join(out, "edges.tsv"), g)
+    dio.save_features(os.path.join(out, "features.fmx"), x)
+    dio.save_labels(os.path.join(out, "labels.tsv"), lv)
     print(f"wrote {g.n} nodes, {g.num_edges} edges, {x.shape[1]} feature "
-          f"channels to {args.out}")
+          f"channels to {out}")
     return 0
 
 
-def _load_graph_features(args):
-    g = dio.load_edge_list(args.edges, args.nodes, undirected=not args.directed,
-                           add_self_loops=args.self_loops)
-    if args.features.endswith(".fmx"):
-        x = dio.load_features(args.features)
-    else:
-        x = dio.load_features_csv(args.features)
-    if x.shape[0] != g.n:
-        raise DataError(f"feature rows ({x.shape[0]}) do not match the graph "
-                        f"({g.n} nodes)")
-    return g, x
-
-
 def _cmd_preprocess(args) -> int:
-    g, x = _load_graph_features(args)
-    cfg = {
-        "basis": args.basis, "hops": args.hops, "operator": args.operator,
-        "row_scale": args.row_scale,
-        "jacobi": {"alpha": args.alpha, "beta": args.beta},
-        "calibration": {"order": args.cheb_order, "probes": args.probes,
-                        "grid": 512, "gamma": args.gamma,
-                        "probe_kind": "gaussian", "exact": args.exact,
-                        "seed": args.seed},
-        "krylov": {"order": args.krylov_order, "reorth": args.reorth},
-    }
+    raw = _given(args)
+    out = raw.pop("out")
+    cfg = validate_config(raw)
+    g = load_graph(cfg["dataset"])
+    x = load_feature_file(cfg["dataset"]["features"], g.n)
     bank, details = build_bank(cfg, g, x)
-    dio.save_bank_file(args.out, bank)
+    dio.save_bank_file(out, bank)
     print(f"bank: {bank.hops} hops x {bank.n} nodes x {bank.width} channels "
           f"({details['spmm']} sparse products, {details['seconds']:.2f}s)")
     if "calibration" in details:
@@ -90,12 +93,10 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    g = dio.load_edge_list(args.edges, args.nodes, undirected=not args.directed,
-                           add_self_loops=args.self_loops)
-    op = make_operator(g, "shifted")
-    weights, density, moments = calibrate(
-        op, order=args.cheb_order, probes=args.probes, gamma=args.gamma,
-        seed=args.seed, exact=args.exact)
+    given = _given(args)
+    out = given.pop("out", None)
+    op = make_operator(load_graph(given.pop("dataset")), "shifted")
+    weights, density, moments = calibrate(op, **given)
     payload = {
         "delta": weights.delta,
         "alpha": weights.alpha,
@@ -108,10 +109,10 @@ def _cmd_calibrate(args) -> int:
         },
     }
     text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"wrote calibration to {args.out} "
+        print(f"wrote calibration to {out} "
               f"(delta {weights.delta:+.4f} -> alpha {weights.alpha:.4f}, "
               f"beta {weights.beta:.4f})")
     else:
@@ -170,9 +171,12 @@ def _cmd_evaluate(args) -> int:
     params, model_cfg = dio.load_checkpoint(args.model)
     bank = dio.load_bank_file(args.bank)
     lv = dio.load_labels(args.labels, bank.n)
-    tcfg = TrainConfig(trunk=tuple(model_cfg.get("trunk", (256, 256))),
-                       state_dim=model_cfg.get("state_dim", 64),
-                       readout=model_cfg.get("readout", "last"))
+    missing = [k for k in _MODEL_KEYS if k not in model_cfg]
+    if missing:
+        raise DataError(f"{args.model}: checkpoint config lacks {', '.join(missing)}")
+    tcfg = TrainConfig(trunk=model_cfg["trunk"], state_dim=model_cfg["state_dim"],
+                       readout=model_cfg["readout"],
+                       metric=getattr(args, "metric", TrainConfig.metric))
     model = build_model(model_cfg["backbone"], bank.hops, bank.width,
                         model_cfg["num_classes"], tcfg)
     got = {k: v.shape for k, v in params.items()}
@@ -184,7 +188,7 @@ def _cmd_evaluate(args) -> int:
     for split, mask in (("train", lv.train_mask), ("val", lv.val_mask),
                         ("test", lv.test_mask)):
         if mask.any():
-            out[split] = evaluate_split(model, params, bank, lv, mask, args.metric)
+            out[split] = evaluate_split(model, params, bank, lv, mask, tcfg.metric)
     print(json.dumps(out, indent=2))
     return 0
 
@@ -205,10 +209,12 @@ def _cmd_diagnose(args) -> int:
     if len(rep.zero_norm_channels):
         print(f"zero-norm channels: {list(rep.zero_norm_channels)}")
 
-    if args.edges and args.features:
-        g, x = _load_graph_features(args)
+    ds = _given(args).get("dataset", {})
+    if "edges" in ds and "features" in ds:
+        g = load_graph(ds)
+        x = load_feature_file(ds["features"], g.n)
         op = make_operator(g, "shifted")
-        fact = batched_lanczos(op, x, args.krylov_order, reorth="full")
+        fact = batched_lanczos(op, x, args.krylov_order)
         rb = ritz_bank(fact, n=g.n)
         ritz_path = os.path.join(args.out, "ritz.csv")
         with open(ritz_path, "w", encoding="utf-8") as fh:
@@ -240,15 +246,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_graph_args(p, features=True):
-    p.add_argument("--edges", required=True, help="tab-separated edge list")
+def _add_graph_args(p, features=True, required=True):
+    p.add_argument("--edges", dest="dataset.edges", metavar="PATH",
+                   required=required, help="tab-separated edge list")
     if features:
-        p.add_argument("--features", required=True,
+        p.add_argument("--features", dest="dataset.features", metavar="PATH",
+                       required=required,
                        help="feature matrix (.fmx binary or delimited text)")
-    p.add_argument("--nodes", type=int, default=None,
+    p.add_argument("--nodes", dest="dataset.num_nodes", metavar="N", type=int,
                    help="node count (default: inferred from the edge list)")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--self-loops", dest="self_loops", action="store_true")
+    p.add_argument("--directed", dest="dataset.undirected", action="store_false")
+    p.add_argument("--self-loops", dest="dataset.add_self_loops", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,53 +264,51 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="sparse diffusion feature banks "
                                              "and staged training")
     sub = ap.add_subparsers(dest="command", required=True)
+    schema = CONFIG_SCHEMA["properties"]
 
-    g = sub.add_parser("generate", help="write a synthetic dataset")
-    g.add_argument("--generator", choices=["sbm", "spectral-signal"], default="sbm")
-    g.add_argument("--nodes", type=int, default=400)
-    g.add_argument("--blocks", type=int, default=2)
-    g.add_argument("--p-intra", type=float, default=0.05)
-    g.add_argument("--p-inter", type=float, default=0.05)
-    g.add_argument("--feature-dim", type=int, default=8)
-    g.add_argument("--snr", type=float, default=1.0)
-    g.add_argument("--noise", type=float, default=1.0)
-    g.add_argument("--homophily", action=argparse.BooleanOptionalAction, default=None)
-    g.add_argument("--signal-quantile", type=float, default=0.9)
-    g.add_argument("--seed", type=int, default=0)
+    def add(name, **kw):
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
+
+    g = add("generate", help="write a synthetic dataset")
+    g.add_argument("--generator", choices=["sbm", "spectral-signal"])
+    g.add_argument("--nodes", dest="n", type=int)
+    g.add_argument("--blocks", type=int)
+    g.add_argument("--p-intra", type=float)
+    g.add_argument("--p-inter", type=float)
+    g.add_argument("--feature-dim", type=int)
+    g.add_argument("--snr", type=float)
+    g.add_argument("--noise", type=float)
+    g.add_argument("--homophily", action=argparse.BooleanOptionalAction)
+    g.add_argument("--signal-quantile", type=float)
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("preprocess", help="build and save a hop bank")
+    p = add("preprocess", help="build and save a hop bank")
     _add_graph_args(p)
-    p.add_argument("--basis", choices=["monomial", "chebyshev", "legendre",
-                                       "jacobi", "auto", "krylov"],
-                   default="legendre")
-    p.add_argument("--operator", choices=["dad", "da", "lap", "shifted"],
-                   default="shifted")
-    p.add_argument("--hops", type=int, default=6)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--row-scale", dest="row_scale", action="store_true")
-    p.add_argument("--cheb-order", type=int, default=20)
-    p.add_argument("--probes", type=int, default=64)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--exact", action="store_true",
+    p.add_argument("--basis", choices=schema["basis"]["enum"])
+    p.add_argument("--operator", choices=schema["operator"]["enum"])
+    p.add_argument("--hops", type=int)
+    p.add_argument("--alpha", dest="jacobi.alpha", type=float)
+    p.add_argument("--beta", dest="jacobi.beta", type=float)
+    p.add_argument("--cheb-order", dest="calibration.order", type=int)
+    p.add_argument("--probes", dest="calibration.probes", type=int)
+    p.add_argument("--gamma", dest="calibration.gamma", type=float)
+    p.add_argument("--exact", dest="calibration.exact", action="store_true",
                    help="dense trace moments (small graphs only)")
-    p.add_argument("--krylov-order", type=int, default=None)
-    p.add_argument("--reorth", choices=["full", "selective", "none"],
-                   default="full")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--krylov-order", dest="krylov.order", type=int)
+    p.add_argument("--seed", dest="calibration.seed", type=int)
     p.add_argument("--out", required=True, help="output bank file (.hbk)")
     p.set_defaults(func=_cmd_preprocess)
 
-    c = sub.add_parser("calibrate", help="spectral density and Jacobi weights")
+    c = add("calibrate", help="spectral density and Jacobi weights")
     _add_graph_args(c, features=False)
-    c.add_argument("--cheb-order", type=int, default=20)
-    c.add_argument("--probes", type=int, default=64)
-    c.add_argument("--gamma", type=float, default=0.5)
+    c.add_argument("--cheb-order", dest="order", type=int)
+    c.add_argument("--probes", type=int)
+    c.add_argument("--gamma", type=float)
     c.add_argument("--exact", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", default=None, help="JSON output path (default stdout)")
+    c.add_argument("--seed", type=int)
+    c.add_argument("--out", help="JSON output path (default stdout)")
     c.set_defaults(func=_cmd_calibrate)
 
     t = sub.add_parser("train", help="staged training from a config file")
@@ -312,20 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="output directory")
     t.set_defaults(func=_cmd_train)
 
-    e = sub.add_parser("evaluate", help="score a saved model on all splits")
+    e = add("evaluate", help="score a saved model on all splits")
     e.add_argument("--model", required=True, help="checkpoint file (.mdl)")
     e.add_argument("--bank", required=True, help="bank file (.hbk)")
     e.add_argument("--labels", required=True)
-    e.add_argument("--metric", choices=["accuracy", "roc_auc"], default="accuracy")
+    e.add_argument("--metric", choices=schema["metric"]["enum"])
     e.set_defaults(func=_cmd_evaluate)
 
-    d = sub.add_parser("diagnose", help="conditioning and Ritz diagnostics")
+    d = add("diagnose", help="conditioning and Ritz diagnostics")
     d.add_argument("--bank", required=True)
-    d.add_argument("--edges", default=None)
-    d.add_argument("--features", default=None)
-    d.add_argument("--nodes", type=int, default=None)
-    d.add_argument("--directed", action="store_true")
-    d.add_argument("--self-loops", dest="self_loops", action="store_true")
+    _add_graph_args(d, required=False)
     d.add_argument("--krylov-order", type=int, default=8)
     d.add_argument("--out", required=True, help="output directory")
     d.set_defaults(func=_cmd_diagnose)

@@ -5,26 +5,35 @@ fail loudly instead of silently running the default. Numeric budgets (hop
 count, Lanczos steps) are checked here as well as at the point of use, so a
 bad config dies before any graph is loaded.
 
+The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
+onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
+and a key the user leaves out takes the dataclass default; the calibration
+defaults are those of ``calibration.calibrate``. Each default has that one
+home, and ``DEFAULTS`` holds only the top-level choices.
+
 ``config_hash`` is the sha256 of the canonical re-serialization (sorted
 keys, no whitespace), so formatting and key order do not change identity.
 """
 
 import copy
 import hashlib
+import inspect
 import json
 
 import jsonschema
 
 from .backbone import TrainConfig
 from .banks import MAX_HOPS
+from .calibration import calibrate
 from .errors import ConfigError
 from .hrp import StagePlan
 from .krylov import MAX_LANCZOS_STEPS
 from .synth import SyntheticSpec
 
 __all__ = [
-    "CONFIG_SCHEMA", "DEFAULTS", "load_config", "validate_config",
-    "config_hash", "to_train_config", "to_stage_plan", "to_synthetic_spec",
+    "CONFIG_SCHEMA", "DEFAULTS", "HRP_FIELDS", "CALIBRATION_ARGS", "load_config",
+    "validate_config", "config_hash", "to_train_config", "to_stage_plan",
+    "to_synthetic_spec",
 ]
 
 _OPERATORS = ["dad", "da", "lap", "shifted"]
@@ -67,7 +76,6 @@ CONFIG_SCHEMA = {
         "operator": {"enum": _OPERATORS},
         "basis": {"enum": _BASES},
         "hops": {"type": "integer", "minimum": 0},
-        "row_scale": {"type": "boolean"},
         "jacobi": {
             "type": "object",
             "additionalProperties": False,
@@ -94,7 +102,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "order": {"type": "integer", "minimum": 1},
-                "reorth": {"enum": ["full", "selective", "none"]},
             },
         },
         "backbone": {"enum": ["mlp", "gru"]},
@@ -155,18 +162,25 @@ CONFIG_SCHEMA = {
     "required": ["dataset"],
 }
 
+# hrp config key -> StagePlan field, where the two differ
+HRP_FIELDS = {"family": "hrp_family", "operator": "hrp_operator"}
+# calibration config key -> calibrate() keyword, where the two differ
+CALIBRATION_ARGS = {"grid": "grid_points"}
+
+_CALIBRATE_PARAMS = inspect.signature(calibrate).parameters
+
 DEFAULTS = {
     "operator": "shifted",
     "basis": "auto",
     "hops": 6,
-    "row_scale": False,
     "jacobi": {"alpha": 0.0, "beta": 0.0},
-    "calibration": {"order": 20, "probes": 64, "grid": 512, "gamma": 0.5,
-                    "probe_kind": "gaussian", "exact": False, "seed": 0},
-    "krylov": {"order": None, "reorth": "full"},
+    "calibration": {
+        key: _CALIBRATE_PARAMS[CALIBRATION_ARGS.get(key, key)].default
+        for key in CONFIG_SCHEMA["properties"]["calibration"]["properties"]},
+    "krylov": {"order": None},
     "backbone": "mlp",
     "train": {},
-    "hrp": {"stages": 1, "epochs": 100},
+    "hrp": {},
     "metric": "accuracy",
     "seeds": [0],
     "label_diffusion": False,
@@ -197,32 +211,24 @@ def validate_config(raw: dict) -> dict:
     if "synthetic" in ds:
         if "edges" in ds or "features" in ds or "labels" in ds:
             raise ConfigError("dataset must be either synthetic or file-based, not both")
-    else:
-        missing = [k for k in ("edges", "labels") if k not in ds]
-        if missing:
-            raise ConfigError(f"file-based dataset is missing {', '.join(missing)}")
+    elif "edges" not in ds:
+        raise ConfigError("file-based dataset is missing edges")
 
     if cfg["hops"] > MAX_HOPS:
         raise ConfigError(f"hop count {cfg['hops']} exceeds the fixed hop budget "
                           f"of {MAX_HOPS}")
-    k_order = cfg["krylov"].get("order")
-    if k_order is not None and k_order > MAX_LANCZOS_STEPS:
-        raise ConfigError(f"lanczos order {k_order} exceeds the fixed step budget "
-                          f"of {MAX_LANCZOS_STEPS}")
-    hrp_m = cfg["hrp"].get("lanczos_order")
-    if hrp_m is not None and hrp_m > MAX_LANCZOS_STEPS:
-        raise ConfigError(f"lanczos order {hrp_m} exceeds the fixed step budget "
-                          f"of {MAX_LANCZOS_STEPS}")
-    if cfg["basis"] == "krylov" and cfg["operator"] != "shifted":
-        raise ConfigError("the krylov basis runs on the shifted operator only")
-    if cfg["basis"] == "auto" and cfg["operator"] != "shifted":
-        raise ConfigError("calibrated weights need the shifted operator")
+    for k_order in (cfg["krylov"]["order"], cfg["hrp"].get("lanczos_order")):
+        if k_order is not None and k_order > MAX_LANCZOS_STEPS:
+            raise ConfigError(f"lanczos order {k_order} exceeds the fixed step "
+                              f"budget of {MAX_LANCZOS_STEPS}")
+    if cfg["basis"] in ("krylov", "auto") and cfg["operator"] != "shifted":
+        raise ConfigError(f"the {cfg['basis']} basis runs on the shifted operator only")
     if not (0.0 < cfg["calibration"]["gamma"] < 1.0):
         raise ConfigError("calibration gamma must lie in (0, 1)")
-    # the merged hrp section always carries the default epoch budget, so the
-    # fallback to the train budget keys off what the user actually wrote
-    if cfg["train"].get("epochs") is not None and "epochs" not in raw.get("hrp", {}):
-        cfg["hrp"]["epochs"] = cfg["train"]["epochs"]
+    # the staged plan inherits the train budgets it does not set itself
+    for key in ("epochs", "patience"):
+        if key in cfg["train"]:
+            cfg["hrp"].setdefault(key, cfg["train"][key])
     return cfg
 
 
@@ -245,57 +251,12 @@ def config_hash(cfg: dict) -> str:
 
 
 def to_train_config(cfg: dict, seed: int) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        lr=t.get("lr", 0.01),
-        weight_decay=t.get("weight_decay", 0.0),
-        batch_size=t.get("batch_size", 512),
-        epochs=t.get("epochs", 100),
-        trunk=tuple(t.get("trunk", (256, 256))),
-        state_dim=t.get("state_dim", 64),
-        dropout=t.get("dropout", 0.0),
-        input_dropout=t.get("input_dropout", 0.0),
-        readout=t.get("readout", "last"),
-        metric=cfg["metric"],
-        patience=t.get("patience", 50),
-        seed=seed,
-    )
+    return TrainConfig(**cfg["train"], metric=cfg["metric"], seed=seed)
 
 
 def to_stage_plan(cfg: dict) -> StagePlan:
-    h = cfg["hrp"]
-    return StagePlan(
-        stages=h.get("stages", 1),
-        epochs=h.get("epochs", cfg["train"].get("epochs", 100)),
-        lambda0=h.get("lambda0", 0.5),
-        schedule=h.get("schedule", "cosine"),
-        alpha_vectors=h.get("alpha_vectors"),
-        hrp_family=h.get("family", "same"),
-        hrp_operator=h.get("operator", "shifted"),
-        jacobi_alpha=h.get("jacobi_alpha", 0.0),
-        jacobi_beta=h.get("jacobi_beta", 0.0),
-        lanczos_order=h.get("lanczos_order"),
-        checkpoint_policy=h.get("checkpoint_policy", "best-val"),
-        warm_start=h.get("warm_start", True),
-        patience=h.get("patience", cfg["train"].get("patience", 50)),
-        screen_epochs=h.get("screen_epochs", 10),
-    )
+    return StagePlan(**{HRP_FIELDS.get(k, k): v for k, v in cfg["hrp"].items()})
 
 
 def to_synthetic_spec(cfg: dict, seed: int) -> SyntheticSpec:
-    s = cfg["dataset"]["synthetic"]
-    return SyntheticSpec(
-        generator=s.get("generator", "sbm"),
-        n=s.get("n", 400),
-        blocks=s.get("blocks", 2),
-        p_intra=s.get("p_intra", 0.05),
-        p_inter=s.get("p_inter", 0.05),
-        feature_dim=s.get("feature_dim", 8),
-        snr=s.get("snr", 1.0),
-        noise=s.get("noise", 1.0),
-        homophily=s.get("homophily"),
-        signal_quantile=s.get("signal_quantile", 0.9),
-        confounder_modes=s.get("confounder_modes", 4),
-        confounder_scale=s.get("confounder_scale", 3.0),
-        seed=seed,
-    )
+    return SyntheticSpec(**cfg["dataset"]["synthetic"], seed=seed)

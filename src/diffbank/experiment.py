@@ -14,10 +14,11 @@ dataset they share its dense eigendecomposition: ``synth`` memoizes it per
 seeds the second and third arm, and any thread running the same seed, do
 not decompose again.
 
-SpMM counts come from the module-global counter in ``graph``, so per-phase
-attribution assumes seeds run one at a time. ``DIFFBANK_THREADS`` (default
-1) raises the fan-out for wall-clock speed when exact per-phase counts do
-not matter; totals stay correct either way.
+Seeds always run on a thread pool of ``DIFFBANK_THREADS`` workers (default
+1, which runs them one after another). SpMM counts come from the
+module-global counter in ``graph``, so per-phase attribution is exact only
+with one worker; totals and every reported metric are the same at any
+thread count.
 """
 
 import hashlib
@@ -31,7 +32,8 @@ import numpy as np
 from .backbone import label_features
 from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
 from .calibration import calibrate
-from .config import config_hash, to_stage_plan, to_synthetic_spec, to_train_config
+from .config import (CALIBRATION_ARGS, config_hash, to_stage_plan,
+                     to_synthetic_spec, to_train_config)
 from .errors import ConfigError, DataError
 from .graph import graph_hash, make_operator, spmm_call_count
 from .hrp import evaluate_split, run_hrp_training
@@ -39,8 +41,8 @@ from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 from .synth import generate
 
-__all__ = ["prepare_dataset", "build_bank", "run_seed", "run_experiment",
-           "run_ablation", "summarize"]
+__all__ = ["prepare_dataset", "load_graph", "load_feature_file", "build_bank",
+           "run_seed", "run_experiment", "run_ablation", "summarize"]
 
 
 def _array_hash(a: np.ndarray) -> str:
@@ -50,28 +52,37 @@ def _array_hash(a: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def load_graph(ds: dict):
+    """The graph of a file-based ``dataset`` section."""
+    return load_edge_list(ds["edges"], ds.get("num_nodes"),
+                          undirected=ds.get("undirected", True),
+                          add_self_loops=ds.get("add_self_loops", False))
+
+
+def load_feature_file(path: str, n: int) -> np.ndarray:
+    """An ``.fmx`` or delimited-text feature matrix with one row per node."""
+    x = load_features(path) if path.endswith(".fmx") else load_features_csv(path)
+    if x.shape[0] != n:
+        raise DataError(f"feature rows ({x.shape[0]}) do not match the graph "
+                        f"({n} nodes)")
+    return x
+
+
 def prepare_dataset(cfg: dict, seed: int):
     """Return (graph, features, labels, info). Synthetic specs draw from the
-    seed; file datasets are seed-independent."""
+    seed; file datasets are seed-independent and need a ``labels`` file."""
     ds = cfg["dataset"]
     if "synthetic" in ds:
-        g, x, lv = generate(to_synthetic_spec(cfg, seed))
-        info = {"source": "synthetic",
-                "generator": ds["synthetic"].get("generator", "sbm")}
+        spec = to_synthetic_spec(cfg, seed)
+        g, x, lv = generate(spec)
+        info = {"source": "synthetic", "generator": spec.generator}
     else:
-        undirected = ds.get("undirected", True)
-        g = load_edge_list(ds["edges"], ds.get("num_nodes"), undirected=undirected,
-                           add_self_loops=ds.get("add_self_loops", False))
+        if "labels" not in ds:
+            raise ConfigError("file-based dataset is missing labels")
+        g = load_graph(ds)
         lv = load_labels(ds["labels"], g.n)
         if "features" in ds:
-            path = ds["features"]
-            if path.endswith(".fmx"):
-                x = load_features(path)
-            else:
-                x = load_features_csv(path)
-            if x.shape[0] != g.n:
-                raise DataError(f"feature rows ({x.shape[0]}) do not match the "
-                                f"graph ({g.n} nodes)")
+            x = load_feature_file(ds["features"], g.n)
         else:
             x = label_features(lv)
         info = {"source": "files", "edges": ds["edges"]}
@@ -88,51 +99,44 @@ def build_bank(cfg: dict, graph, x):
     """Construct the hop bank named by the config.
 
     Returns (bank, details) where details carries the calibration result
-    for the ``auto`` basis and skipped-channel info for ``krylov``.
+    for the ``auto`` basis and skipped-channel info for ``krylov``. Every
+    basis but ``monomial`` runs on the shifted operator.
     """
     basis = cfg["basis"]
     hops = cfg["hops"]
     details = {"basis": basis}
+    if basis != "monomial" and cfg["operator"] != "shifted":
+        raise ConfigError(f"the {basis} basis runs on the shifted operator, "
+                          f"config says {cfg['operator']!r}")
     spmm0 = spmm_call_count()
     t0 = time.perf_counter()
+    op = make_operator(graph, cfg["operator"])
 
     if basis == "monomial":
-        op = make_operator(graph, cfg["operator"])
         bank = monomial_bank(op, x, hops)
-    elif basis in ("chebyshev", "legendre", "jacobi", "auto"):
-        op = make_operator(graph, "shifted")
-        if cfg["operator"] != "shifted":
-            raise ConfigError(f"the {basis} basis runs on the shifted operator, "
-                              f"config says {cfg['operator']!r}")
-        if basis == "chebyshev":
-            bank = chebyshev_bank(op, x, hops, row_scale=cfg["row_scale"])
-        elif basis == "legendre":
-            bank = legendre_bank(op, x, hops, row_scale=cfg["row_scale"])
-        elif basis == "jacobi":
-            j = cfg["jacobi"]
-            bank = jacobi_bank(op, x, hops, j["alpha"], j["beta"],
-                               row_scale=cfg["row_scale"])
-        else:
-            cal = cfg["calibration"]
-            weights, density, moments = calibrate(
-                op, order=cal["order"], probes=cal["probes"],
-                grid_points=cal["grid"], gamma=cal["gamma"],
-                probe_kind=cal["probe_kind"], exact=cal["exact"],
-                seed=cal["seed"])
-            details["calibration"] = {
-                "delta": weights.delta, "alpha": weights.alpha,
-                "beta": weights.beta, "gamma": weights.gamma,
-                "moments": [float(m) for m in moments.values],
-            }
-            bank = jacobi_bank(op, x, hops, weights.alpha, weights.beta,
-                               row_scale=cfg["row_scale"])
+    elif basis == "chebyshev":
+        bank = chebyshev_bank(op, x, hops)
+    elif basis == "legendre":
+        bank = legendre_bank(op, x, hops)
+    elif basis == "jacobi":
+        bank = jacobi_bank(op, x, hops, cfg["jacobi"]["alpha"], cfg["jacobi"]["beta"])
+    elif basis == "auto":
+        weights, density, moments = calibrate(
+            op, **{CALIBRATION_ARGS.get(k, k): v for k, v in cfg["calibration"].items()})
+        details["calibration"] = {
+            "delta": weights.delta, "alpha": weights.alpha,
+            "beta": weights.beta, "gamma": weights.gamma,
+            "moments": [float(m) for m in moments.values],
+        }
+        bank = jacobi_bank(op, x, hops, weights.alpha, weights.beta)
     elif basis == "krylov":
-        op = make_operator(graph, "shifted")
-        order = cfg["krylov"]["order"] or hops + 1
+        order = cfg["krylov"]["order"]
+        if order is None:
+            order = hops + 1
         if order < hops + 1:
             raise ConfigError(f"krylov order {order} cannot cover {hops} hops; "
                               f"need at least hops + 1 = {hops + 1}")
-        fact = batched_lanczos(op, x, order, reorth=cfg["krylov"]["reorth"])
+        fact = batched_lanczos(op, x, order)
         rb = ritz_bank(fact, n=graph.n)
         bank = ritz_bank_as_hopbank(rb, hops, raw_hop0=x)
         details["skipped_channels"] = list(fact.skipped)
@@ -146,16 +150,14 @@ def build_bank(cfg: dict, graph, x):
     return bank, details
 
 
-def run_seed(cfg: dict, seed: int, *, workdir=None, history_sink=None) -> dict:
+def run_seed(cfg: dict, seed: int, *, workdir=None) -> dict:
     """One complete run for one seed; returns a flat report dict."""
     g, x, lv, data_info = prepare_dataset(cfg, seed)
     bank, bank_info = build_bank(cfg, g, x)
     plan = to_stage_plan(cfg)
     tcfg = to_train_config(cfg, seed)
     result = run_hrp_training(plan, bank, g, lv, tcfg,
-                              model_kind=cfg["backbone"], workdir=workdir,
-                              history_sink=history_sink,
-                              diagnostics=cfg["hrp"].get("diagnostics", False))
+                              model_kind=cfg["backbone"], workdir=workdir)
     test = evaluate_split(result.model, result.params, result.bank, lv,
                           lv.test_mask, cfg["metric"])
     diffusion = result.report["total_diffusion_spmm"]
@@ -197,16 +199,10 @@ def _thread_count() -> int:
         raise ConfigError(f"DIFFBANK_THREADS must be an integer, got {raw!r}")
 
 
-def run_experiment(cfg: dict, *, workdir=None, history_sink=None) -> dict:
+def run_experiment(cfg: dict, *, workdir=None) -> dict:
     seeds = cfg["seeds"]
-    threads = _thread_count()
-    if threads == 1:
-        rows = [run_seed(cfg, s, workdir=workdir, history_sink=history_sink)
-                for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda s: run_seed(cfg, s, workdir=workdir),
-                                 seeds))
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        rows = list(pool.map(lambda s: run_seed(cfg, s, workdir=workdir), seeds))
     return {
         "config_hash": config_hash(cfg),
         "metric": cfg["metric"],
@@ -224,7 +220,7 @@ def _arm_config(cfg: dict, *, basis=None, operator=None, stages=None) -> dict:
         arm["operator"] = operator
     if stages is not None:
         arm["hrp"]["stages"] = stages
-        eps = arm["hrp"].get("epochs", arm["train"].get("epochs", 100))
+        eps = arm["hrp"].get("epochs")
         if isinstance(eps, list):
             arm["hrp"]["epochs"] = eps[:stages] if len(eps) >= stages else eps[0]
     return arm

@@ -20,9 +20,9 @@ training reproduces it bit for bit.
 Checkpoint selection is best-validation by default. The screening policy
 keeps the three earliest epochs plus the two best as candidates, ranks
 them with a cheap proxy (a fresh model trained briefly on a 2-hop blend),
-re-trains only the winner at full budget, and breaks metric ties toward
-the candidate whose hidden states sit farthest from the raw features in
-moment-signature distance.
+and breaks proxy ties toward the candidate whose hidden states sit
+farthest from the raw features in moment-signature distance. The winner's
+own checkpoint continues; nothing is retrained at full budget.
 """
 
 import copy
@@ -63,10 +63,17 @@ FAMILIES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
 
 @dataclass
 class StagePlan:
-    """Stage schedule and re-propagation recipe."""
+    """Stage schedule and re-propagation recipe.
 
-    stages: int
-    epochs: list
+    ``diagnostics=True`` additionally records early-epoch hidden snapshots
+    and the spectral distance between the selected hidden states and the
+    raw features. Those cost extra sparse products, booked separately from
+    the re-propagation itself so the report's diffusion share stays a
+    statement about HRP proper.
+    """
+
+    stages: int = 1
+    epochs: int | list = TrainConfig.epochs
     lambda0: float = 0.5
     schedule: str = "cosine"
     alpha_vectors: list | None = None
@@ -77,16 +84,16 @@ class StagePlan:
     lanczos_order: int | None = None
     checkpoint_policy: str = "best-val"
     warm_start: bool = True
-    patience: int = 50
+    patience: int = TrainConfig.patience
     screen_epochs: int = 10
-    max_stages: int = MAX_STAGES
+    diagnostics: bool = False
 
     def __post_init__(self):
         if self.stages < 1:
             raise ConfigError("stage count must be >= 1")
-        if self.stages > self.max_stages:
+        if self.stages > MAX_STAGES:
             raise ConfigError(f"stage count {self.stages} exceeds the supported "
-                              f"maximum of {self.max_stages}")
+                              f"maximum of {MAX_STAGES}")
         if isinstance(self.epochs, int):
             self.epochs = [self.epochs] * self.stages
         self.epochs = [int(e) for e in self.epochs]
@@ -255,7 +262,7 @@ def moment_signature(x: np.ndarray, lap_op, max_power: int = 4):
     return sig, keep
 
 
-def _js_divergence(p, q):
+def _jensen_shannon(p, q):
     m = 0.5 * (p + q)
 
     def kl(a, b):
@@ -265,32 +272,24 @@ def _js_divergence(p, q):
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
-def spectral_distance(x: np.ndarray, y: np.ndarray, lap_op, max_power: int = 4,
-                      divergence: str = "js") -> float:
-    """Mean per-channel divergence between moment signatures of two matrices."""
+def spectral_distance(x: np.ndarray, y: np.ndarray, lap_op, max_power: int = 4) -> float:
+    """Mean per-channel Jensen-Shannon distance, in nats, between the moment
+    signatures of two matrices."""
     if x.shape[1] != y.shape[1]:
         raise ValueError("channel counts differ")
-    if divergence not in ("l1", "js"):
-        raise ConfigError(f"unknown divergence {divergence!r}")
     sx, cx = moment_signature(x, lap_op, max_power)
     sy, cy = moment_signature(y, lap_op, max_power)
     common, ix, iy = np.intersect1d(cx, cy, return_indices=True)
     if common.size == 0:
         raise NumericalError("no channel is nonzero in both matrices")
-    total = 0.0
-    for a, b in zip(sx[ix], sy[iy]):
-        total += float(np.sum(np.abs(a - b))) if divergence == "l1" else _js_divergence(a, b)
+    total = sum(_jensen_shannon(a, b) for a, b in zip(sx[ix], sy[iy]))
     return total / common.size
 
 
-def screen_checkpoints(candidates, evaluate_small, evaluate_full, diversity,
-                       tie_eps: float = 1e-9):
-    """Two-stage candidate selection.
-
-    Ranks candidates by ``evaluate_small``; near-ties (within ``tie_eps``)
-    are broken toward higher ``diversity``. Only the winner is re-evaluated
-    with ``evaluate_full``. Returns (winner, detail dict).
-    """
+def screen_checkpoints(candidates, evaluate_small, diversity, tie_eps: float = 1e-9):
+    """Rank candidates by ``evaluate_small``; near-ties (within ``tie_eps``)
+    are broken toward higher ``diversity``, then toward the earlier
+    candidate. Returns (winner, detail dict)."""
     if not candidates:
         raise ValueError("no candidates to screen")
     small = [float(evaluate_small(c)) for c in candidates]
@@ -301,12 +300,7 @@ def screen_checkpoints(candidates, evaluate_small, evaluate_full, diversity,
         winner_idx = max(tied, key=lambda i: (divs[i], -i))
     else:
         winner_idx = tied[0]
-    full = float(evaluate_full(candidates[winner_idx]))
-    return candidates[winner_idx], {
-        "small_scores": small,
-        "winner_index": winner_idx,
-        "full_score": full,
-    }
+    return candidates[winner_idx], {"small_scores": small, "winner_index": winner_idx}
 
 
 def _metric_fn(metric):
@@ -481,24 +475,13 @@ def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec
                           seed=cfg.seed + 104729, patience=plan.screen_epochs)
         return res["best"]["val"]
 
-    def eval_full(cand):
-        ht = repropagate(graph, cand["hidden"], stage_bank.hops, **reprop_spec)
-        b = blend(stage_bank, ht, blend_alphas(plan, s, stage_bank.hops))
-        m = build_model(model_kind, stage_bank.hops, b.width, lv.num_classes, cfg)
-        p = m.init(seed=cfg.seed, dtype=np.float32)
-        st = init_adam(p)
-        res = train_stage(m, p, st, b, lv, cfg, stage=s,
-                          epochs=plan.epochs[s - 1], seed=cfg.seed + 104729,
-                          patience=plan.patience)
-        return res["best"]["val"]
-
     def diversity(cand):
         try:
             return spectral_distance(cand["hidden"], base_x, lap_op)
         except NumericalError:
             return -np.inf
 
-    winner, _ = screen_checkpoints(candidates, eval_small, eval_full, diversity)
+    winner, _ = screen_checkpoints(candidates, eval_small, diversity)
     hist = {row["epoch"]: row["val_metric"] for row in out["history"]}
     return {"epoch": winner["epoch"], "val": hist[winner["epoch"]],
             "params": winner["ckpt"]["params"], "adam": winner["ckpt"]["adam"]}
@@ -506,8 +489,7 @@ def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec
 
 def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                      cfg: TrainConfig, *, model_kind: str = "mlp",
-                     workdir=None, history_sink=None,
-                     diagnostics: bool = False) -> RunResult:
+                     workdir=None, history_sink=None) -> RunResult:
     """Full staged run.
 
     Returns the globally best checkpoint across stages together with the
@@ -515,12 +497,6 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     the bank it trained on) and per-stage reports with diffusion costs.
     ``graph`` may be None only for single-stage plans, where no
     re-propagation happens.
-
-    ``diagnostics=True`` additionally records early-epoch hidden snapshots
-    and the spectral distance between the selected hidden states and the
-    raw features. Those cost extra sparse products, booked separately from
-    the re-propagation itself so the report's diffusion share stays a
-    statement about HRP proper.
     """
     if plan.stages > 1 and graph is None:
         raise ConfigError("multi-stage plans need the graph for re-propagation")
@@ -560,7 +536,7 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         diff_spmm = 0
         if s < plan.stages:
             hidden = extract_hidden(model, selected["params"], stage_bank)
-            if diagnostics:
+            if plan.diagnostics:
                 pre = spmm_call_count()
                 if lap_op is not None:
                     try:

@@ -9,16 +9,22 @@ with a 4-byte magic so a wrong file fails fast instead of parsing garbage:
 ``MDL1``  model checkpoint: magic, u64 blob length, config JSON blob,
           u64 block count, then per block a u32-length-prefixed UTF-8 name,
           u64 ndim, u64 dims, float32 payload
+
+Readers check every size a header states against the length of the file
+before they allocate or read by it, so a truncated or corrupt file raises
+``DataError`` instead of a parse error or a huge allocation.
 """
 
 import json
+import math
+import os
 import struct
 import warnings
 
 import numpy as np
 
 from .errors import DataError
-from .banks import HopBank
+from .banks import MAX_HOPS, HopBank
 from .graph import Graph, LabelVector, build_graph
 
 __all__ = [
@@ -90,15 +96,21 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _check_size(path, fh, want: int, what: str) -> None:
+    got = os.fstat(fh.fileno()).st_size
+    if got != want:
+        raise DataError(f"{path}: the {what} header gives a file of {want} bytes, "
+                        f"the file has {got}")
+
+
 def load_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(20)
         if len(head) < 20 or head[:4] != b"FMX1":
             raise DataError(f"{path}: not an FMX1 feature file")
         n, d = struct.unpack("<QQ", head[4:])
+        _check_size(path, fh, 20 + 4 * n * d, "FMX1")
         payload = np.fromfile(fh, dtype="<f4", count=n * d)
-    if payload.size != n * d:
-        raise DataError(f"{path}: truncated feature payload")
     return _check_finite(payload.reshape(n, d).astype(np.float32), path)
 
 
@@ -187,13 +199,16 @@ def load_bank_file(path) -> HopBank:
         if len(head) < 36 or head[:4] != b"HBK1":
             raise DataError(f"{path}: not an HBK1 bank file")
         n, d, k1, blob_len = struct.unpack("<QQQQ", head[4:])
+        if not 1 <= k1 <= MAX_HOPS + 1:
+            raise DataError(f"{path}: {k1} slabs, a bank has 1 to {MAX_HOPS + 1}")
+        _check_size(path, fh, 36 + blob_len + 4 * k1 * n * d, "HBK1")
         try:
             provenance = json.loads(fh.read(blob_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}: corrupt provenance blob") from exc
+        if not isinstance(provenance, dict):
+            raise DataError(f"{path}: provenance blob is not a JSON object")
         payload = np.fromfile(fh, dtype="<f4", count=k1 * n * d)
-    if payload.size != k1 * n * d:
-        raise DataError(f"{path}: truncated bank payload")
     slabs = payload.reshape(k1, n, d).astype(np.float32)
     return HopBank(hops=k1 - 1, slabs=slabs, provenance=provenance)
 
@@ -219,18 +234,38 @@ def save_checkpoint(path, params: dict, config: dict) -> None:
 def load_checkpoint(path):
     """Return (params, config) from an MDL1 file."""
     with open(path, "rb") as fh:
-        if fh.read(4) != b"MDL1":
-            raise DataError(f"{path}: not an MDL1 checkpoint")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        config = json.loads(fh.read(blob_len).decode("utf-8"))
-        (count,) = struct.unpack("<Q", fh.read(8))
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<Q", fh.read(8))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * size), dtype="<f4", count=size)
-            params[name] = data.reshape(shape).astype(np.float32)
+        raw = fh.read()
+    if raw[:4] != b"MDL1":
+        raise DataError(f"{path}: not an MDL1 checkpoint")
+    pos = 4
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if size > len(raw) - pos:
+            raise DataError(f"{path}: checkpoint truncated at byte {len(raw)}, "
+                            f"a field at byte {pos} needs {size} bytes")
+        pos += size
+        return raw[pos - size:pos]
+
+    (blob_len,) = struct.unpack("<Q", take(8))
+    try:
+        config = json.loads(take(blob_len).decode("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: corrupt config blob") from exc
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: config blob is not a JSON object")
+    (count,) = struct.unpack("<Q", take(8))
+    params = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: parameter name is not UTF-8") from exc
+        (ndim,) = struct.unpack("<Q", take(8))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+        params[name] = data.reshape(shape).astype(np.float32)
+    if pos != len(raw):
+        raise DataError(f"{path}: {len(raw) - pos} bytes after the last block")
     return params, config

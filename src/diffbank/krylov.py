@@ -84,10 +84,10 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     """Run ``order`` Lanczos steps on every nonzero feature column.
 
     One sparse product per step over the active columns, ``order`` products
-    total unless every column breaks down first. ``reorth`` is ``full``
-    (re-project against the whole basis twice per step, the default and the
-    right choice for order <= 15), ``selective`` (re-project only when the
-    residual lost more than half its norm), or ``none``.
+    total unless every column breaks down first. Each step re-projects the
+    residual against the channel's whole basis twice; at the fixed budget
+    of 15 steps that full reorthogonalization costs little, and ``full`` is
+    the only ``reorth`` mode.
     """
     if op.kind != "shifted":
         raise ValueError(f"Lanczos banks require the 'shifted' operator, got {op.kind!r}")
@@ -96,7 +96,7 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     if order > MAX_LANCZOS_STEPS:
         raise ConfigError(f"Lanczos order {order} exceeds the fixed hop budget "
                           f"of {MAX_LANCZOS_STEPS}")
-    if reorth not in ("full", "selective", "none"):
+    if reorth != "full":
         raise ConfigError(f"unknown reorthogonalization mode {reorth!r}")
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != op.n:
@@ -135,14 +135,9 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
             st["alphas"].append(aj)
             if len(st["alphas"]) == order:
                 continue
-            pre_norm = np.linalg.norm(r)
-            if reorth == "full":
-                qmat = np.column_stack(st["basis"])
-                r -= qmat @ (qmat.T @ r)
-                r -= qmat @ (qmat.T @ r)
-            elif reorth == "selective" and np.linalg.norm(r) < 0.5 * pre_norm:
-                qmat = np.column_stack(st["basis"])
-                r -= qmat @ (qmat.T @ r)
+            qmat = np.column_stack(st["basis"])
+            r -= qmat @ (qmat.T @ r)
+            r -= qmat @ (qmat.T @ r)
             bj = float(np.linalg.norm(r))
             if bj < breakdown_rtol * norms[c]:
                 st["breakdown"] = True

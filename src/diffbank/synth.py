@@ -14,8 +14,8 @@ Two generators share the same graph machinery:
     feature channel mixes three parts: a smooth confounder drawn from the
     low end of the spectrum, the label-carrying eigenvector scaled by
     ``snr``, and white noise. Smoothing diffusion suppresses exactly the
-    band that predicts the labels, which is what separates band-selective
-    feature banks from plain power iterations on this family.
+    band that predicts the labels, which is what separates feature banks
+    that can weight one band from plain power iterations on this family.
 
 Splits are node-level 50/25/25 train/val/test, drawn from the seed.
 

@@ -148,21 +148,6 @@ def test_dad_operator_rejected_for_polynomial_family(k3):
         jacobi_bank(make_operator(k3, "dad"), x, hops=2, alpha=0.0, beta=0.0)
 
 
-def test_row_scale_preserves_hop_zero(star5):
-    x = seeded_features(star5, 3, 2)
-    op = make_operator(star5, "shifted")
-    plain = legendre_bank(op, x, hops=4)
-    scaled = legendre_bank(op, x, hops=4, row_scale=True)
-    assert np.array_equal(scaled.slabs[0], plain.slabs[0])
-    for k in range(1, 5):
-        norms = np.linalg.norm(scaled.slabs[k], axis=1)
-        ref = np.linalg.norm(plain.slabs[k], axis=1)
-        live = ref > 0
-        assert np.allclose(norms[live], 1.0, atol=1e-5)
-        assert np.all(norms[~live] == 0.0)
-    assert scaled.provenance["row_scale"] is True
-
-
 def test_spmm_cost_is_exactly_hops():
     rng = rng_for(5, "cost")
     g = random_graph(rng, 20)

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import load_bank_file
+from diffbank import (SyntheticSpec, generate, load_bank_file, save_edge_list,
+                      save_features, save_labels)
 from diffbank.cli import main
 
 
@@ -58,6 +59,47 @@ def test_preprocess_builds_bank(dataset, tmp_path, capsys):
     kry = load_bank_file(str(tmp_path / "kry.hbk"))
     assert kry.provenance["basis"] == "krylov"
     assert kry.provenance["order"] == 5
+
+
+def test_preprocess_validates_like_a_config_file(dataset, tmp_path, capsys):
+    common = ["preprocess", "--edges", str(dataset / "edges.tsv"),
+              "--features", str(dataset / "features.fmx")]
+    out = ["--out", str(tmp_path / "b.hbk")]
+    rc = main(common + ["--basis", "krylov", "--operator", "dad"] + out)
+    assert rc == 2
+    assert "shifted" in capsys.readouterr().err
+    rc = main(common + ["--basis", "krylov", "--krylov-order", "0"] + out)
+    assert rc == 2
+    assert "krylov.order" in capsys.readouterr().err
+    assert not (tmp_path / "b.hbk").exists()
+    # without --basis the config default (calibrated Jacobi) applies
+    rc = main(common + ["--hops", "2", "--exact"] + out)
+    assert rc == 0
+    assert "calibrated weights" in capsys.readouterr().out
+    assert load_bank_file(str(tmp_path / "b.hbk")).provenance["basis"] == "jacobi"
+
+
+def test_generate_defaults_are_the_spec_defaults(tmp_path, capsys):
+    rc = main(["generate", "--out", str(tmp_path / "cli")])
+    assert rc == 0
+    g, x, lv = generate(SyntheticSpec())
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    save_edge_list(str(ref / "edges.tsv"), g)
+    save_features(str(ref / "features.fmx"), x)
+    save_labels(str(ref / "labels.tsv"), lv)
+    for name in ("edges.tsv", "features.fmx", "labels.tsv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_train_honours_hrp_diagnostics(tmp_path, capsys):
+    cfg = write_config(tmp_path, hrp={"stages": 2, "diagnostics": True})
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
+    assert rc == 0
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["total_diagnostic_spmm"] > 0
+    assert report["stages"][0]["spectral_distance_to_x"] is not None
 
 
 def test_calibrate_emits_json(dataset, tmp_path, capsys):

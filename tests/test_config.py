@@ -1,9 +1,15 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from diffbank import ConfigError, config_hash, load_config, validate_config
-from diffbank.config import to_stage_plan, to_synthetic_spec, to_train_config
+from diffbank import (CONFIG_SCHEMA, ConfigError, StagePlan, SyntheticSpec,
+                      TrainConfig, calibrate, config_hash, load_config,
+                      validate_config)
+from diffbank.config import (CALIBRATION_ARGS, HRP_FIELDS, to_stage_plan,
+                             to_synthetic_spec, to_train_config)
+from diffbank.experiment import prepare_dataset
 
 
 def minimal():
@@ -17,8 +23,7 @@ def test_defaults_fill_in():
     assert cfg["hops"] == 6
     assert cfg["calibration"]["order"] == 20
     assert cfg["calibration"]["gamma"] == 0.5
-    assert cfg["krylov"]["reorth"] == "full"
-    assert cfg["hrp"]["stages"] == 1
+    assert to_stage_plan(cfg).stages == 1  # StagePlan holds the hrp defaults
     assert cfg["seeds"] == [0]
     assert cfg["label_diffusion"] is False
 
@@ -46,8 +51,13 @@ def test_dataset_exclusivity_and_required_files():
                        "labels": "l.tsv"}}
     with pytest.raises(ConfigError, match="not both"):
         validate_config(raw)
-    with pytest.raises(ConfigError, match="missing"):
-        validate_config({"dataset": {"edges": "e.tsv"}})
+    with pytest.raises(ConfigError, match="missing edges"):
+        validate_config({"dataset": {"labels": "l.tsv"}})
+    # only the dataset loader reads labels, so it checks for them, before
+    # it opens any file (e.tsv does not exist)
+    cfg = validate_config({"dataset": {"edges": "e.tsv"}})
+    with pytest.raises(ConfigError, match="missing labels"):
+        prepare_dataset(cfg, 0)
     cfg = validate_config({"dataset": {"edges": "e.tsv", "labels": "l.tsv"}})
     assert cfg["dataset"]["edges"] == "e.tsv"
 
@@ -136,3 +146,23 @@ def test_adapters():
     spec = to_synthetic_spec(cfg, seed=4)
     assert spec.n == 50 and spec.snr == 2.5 and spec.seed == 4
     assert spec.homophily is False
+
+
+def test_schema_sections_are_the_dataclass_fields():
+    props = CONFIG_SCHEMA["properties"]
+
+    def fields(cls, *skip):
+        return {f.name for f in dataclasses.fields(cls)} - set(skip)
+
+    assert set(props["train"]["properties"]) == fields(TrainConfig, "metric", "seed")
+    assert {HRP_FIELDS.get(k, k) for k in props["hrp"]["properties"]} == fields(StagePlan)
+    synthetic = props["dataset"]["properties"]["synthetic"]["properties"]
+    assert set(synthetic) == fields(SyntheticSpec, "seed")
+    calibration = {CALIBRATION_ARGS.get(k, k) for k in props["calibration"]["properties"]}
+    assert calibration <= set(inspect.signature(calibrate).parameters)
+
+
+def test_removed_knobs_are_config_errors():
+    for over in ({"row_scale": True}, {"krylov": {"reorth": "full"}}):
+        with pytest.raises(ConfigError):
+            validate_config({**minimal(), **over})

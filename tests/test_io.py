@@ -212,3 +212,65 @@ def test_checkpoint_reject_wrong_magic(tmp_path):
     p.write_bytes(b"MDLX" + b"\x00" * 16)
     with pytest.raises(DataError):
         load_checkpoint(p)
+
+
+def _binary_files(tmp_path):
+    """One small file of each binary format, with the byte offset and width
+    of every size field in its header."""
+    x = rng_for(5, "iobin").normal(size=(3, 2)).astype(np.float32)
+    fmx = tmp_path / "x.fmx"
+    save_features(fmx, x)
+    hbk = tmp_path / "b.hbk"
+    save_bank_file(hbk, HopBank(hops=1, slabs=np.stack([x, 2 * x]),
+                                provenance={"basis": "legendre"}))
+    mdl = tmp_path / "m.mdl"
+    save_checkpoint(mdl, {"w": x}, {"backbone": "mlp"})
+    blob = len(b'{"backbone": "mlp"}')
+    name = 4 + 8 + blob + 8  # offset of the parameter block's name length
+    return [
+        (fmx, load_features, [(4, 8), (12, 8)]),
+        (hbk, load_bank_file, [(4, 8), (12, 8), (20, 8), (28, 8)]),
+        (mdl, load_checkpoint, [(4, 8), (4 + 8 + blob, 8), (name, 4),
+                                (name + 5, 8), (name + 13, 8), (name + 21, 8)]),
+    ]
+
+
+def test_binary_files_reject_every_truncation(tmp_path):
+    for path, load, _ in _binary_files(tmp_path):
+        raw = path.read_bytes()
+        load(path)
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError):
+                load(path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(DataError):
+            load(path)
+
+
+@pytest.mark.parametrize("value", [0, 1, 2**31, 2**40, 2**63 - 1])
+def test_binary_files_reject_lying_size_fields(tmp_path, value):
+    # a wrong size must fail against the file length before anything is
+    # allocated by it: 2**40 float32 values would be 4 TiB
+    for path, load, fields in _binary_files(tmp_path):
+        raw = path.read_bytes()
+        for offset, width in fields:
+            packed = value.to_bytes(8, "little")[:width]
+            if value >= 256 ** width or raw[offset:offset + width] == packed:
+                continue
+            path.write_bytes(raw[:offset] + packed + raw[offset + width:])
+            with pytest.raises(DataError):
+                load(path)
+        path.write_bytes(raw)
+
+
+def test_binary_files_reject_non_object_blobs(tmp_path):
+    p = tmp_path / "m.mdl"
+    save_checkpoint(p, {}, [1, 2])
+    with pytest.raises(DataError, match="JSON object"):
+        load_checkpoint(p)
+    p = tmp_path / "b.hbk"
+    save_bank_file(p, HopBank(hops=0, slabs=np.ones((1, 2, 2), np.float32),
+                              provenance=[1]))
+    with pytest.raises(DataError, match="JSON object"):
+        load_bank_file(p)

@@ -86,13 +86,12 @@ def test_basis_orthonormal_with_full_reorth():
             assert np.max(np.abs(qtq - np.eye(cf.q.shape[1]))) < 1e-8
 
 
-@pytest.mark.parametrize("reorth", ["full", "selective", "none"])
-def test_components_sum_to_input(reorth):
+def test_components_sum_to_input():
     # sum_i z_i = |x| Q U U^T e_1 = |x| q_1 = x, independent of basis drift
-    rng = rng_for(4, "recon", reorth)
+    rng = rng_for(4, "recon", "full")
     g = random_graph(rng, 12)
     x = seeded_features(g, 5, 9)
-    fact = batched_lanczos(make_operator(g, "shifted"), x, order=6, reorth=reorth)
+    fact = batched_lanczos(make_operator(g, "shifted"), x, order=6)
     for cf in fact.channels:
         rc = ritz_components(cf)
         total = rc.components.sum(axis=1)
@@ -215,8 +214,9 @@ def test_argument_validation(k3):
         batched_lanczos(op, x, order=0)
     with pytest.raises(ConfigError, match="exceeds the fixed hop budget of 15"):
         batched_lanczos(op, x, order=16)
-    with pytest.raises(ConfigError):
-        batched_lanczos(op, x, order=2, reorth="partial")
+    for mode in ("selective", "none"):
+        with pytest.raises(ConfigError, match="reorthogonalization"):
+            batched_lanczos(op, x, order=2, reorth=mode)
     with pytest.raises(ValueError):
         batched_lanczos(op, x[:, 0], order=2)
     fact = batched_lanczos(op, x, order=3)
