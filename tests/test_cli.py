@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import (SyntheticSpec, generate, load_bank_file, save_edge_list,
-                      save_features, save_labels)
+from diffbank import (SyntheticSpec, generate, load_bank_file, save_checkpoint,
+                      save_edge_list, save_features, save_labels)
 from diffbank.cli import main
 
 
@@ -221,6 +221,14 @@ def test_data_error_exits_3(dataset, tmp_path, capsys):
     rc = main(["evaluate", "--model", str(run_dir / "model.mdl"),
                "--bank", str(run_dir / "bank.hbk"), "--labels", str(labels)])
     assert rc == 3
+    # a checkpoint whose config block does not describe a model
+    bare = tmp_path / "bare.mdl"
+    save_checkpoint(str(bare), {}, {"backbone": "mlp"})
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(bare), "--bank", str(run_dir / "bank.hbk"),
+               "--labels", str(run_dir.parent / "data" / "labels.tsv")])
+    assert rc == 3
+    assert "lacks num_classes" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
