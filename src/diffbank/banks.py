@@ -19,14 +19,17 @@ denominator 2(k+1)(k+a+b+1)(2k+a+b) is strictly positive whenever both
 weights exceed -1, which the calibration clamp guarantees.
 
 Every bank build issues exactly K sparse products. The recurrence runs in
-float64 working precision and slabs are stored as float32.
+float64 working precision and slabs are stored as float32. Each computed
+slab is checked as it is written: one that is not finite in float32
+(overflow at high K or with extreme Jacobi weights) raises NumericalError.
+Slab 0 is the input itself and is not checked.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .graph import SparseOperator, spmm
 
 __all__ = [
@@ -78,6 +81,11 @@ def _check_budget(hops: int) -> None:
         raise ConfigError("hop count must be nonnegative")
     if hops > MAX_HOPS:
         raise ConfigError(f"hop count {hops} exceeds the fixed hop budget of {MAX_HOPS}")
+
+
+def _check_slab(slabs: np.ndarray, k: int, basis: str) -> None:
+    if not np.isfinite(slabs[k]).all():
+        raise NumericalError(f"{basis} bank slab {k} is not finite in float32")
 
 
 def _check_features(op: SparseOperator, x: np.ndarray) -> np.ndarray:
@@ -137,7 +145,8 @@ def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     cur = x.astype(np.float64, copy=False)
     for k in range(1, hops + 1):
         cur = spmm(op, cur)
-        slabs[k] = cur.astype(np.float32)
+        slabs[k] = cur
+        _check_slab(slabs, k, "monomial")
     return HopBank(hops=hops, slabs=slabs, provenance=_provenance(op, "monomial", hops))
 
 
@@ -165,8 +174,8 @@ def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
         if k:
             prev = cur
         cur = nxt
-        scaled = cur if _rescale is None else cur / _rescale[k + 1]
-        slabs[k + 1] = scaled.astype(np.float32)
+        slabs[k + 1] = cur if _rescale is None else cur / _rescale[k + 1]
+        _check_slab(slabs, k + 1, _basis_tag)
 
     return HopBank(hops=hops, slabs=slabs,
                    provenance=_provenance(op, _basis_tag, hops, alpha=alpha, beta=beta))

@@ -221,7 +221,7 @@ def validate_config(raw: dict) -> dict:
         if k_order is not None and k_order > MAX_LANCZOS_STEPS:
             raise ConfigError(f"lanczos order {k_order} exceeds the fixed step "
                               f"budget of {MAX_LANCZOS_STEPS}")
-    if cfg["basis"] in ("krylov", "auto") and cfg["operator"] != "shifted":
+    if cfg["basis"] != "monomial" and cfg["operator"] != "shifted":
         raise ConfigError(f"the {cfg['basis']} basis runs on the shifted operator only")
     if not (0.0 < cfg["calibration"]["gamma"] < 1.0):
         raise ConfigError("calibration gamma must lie in (0, 1)")

@@ -139,9 +139,8 @@ def build_bank(cfg: dict, graph, x):
         fact = batched_lanczos(op, x, order)
         rb = ritz_bank(fact, n=graph.n)
         bank = ritz_bank_as_hopbank(rb, hops, raw_hop0=x)
-        details["skipped_channels"] = list(fact.skipped)
-        details["breakdown_channels"] = [cf.channel for cf in fact.channels
-                                         if cf.breakdown]
+        details["skipped_channels"] = fact.skipped.tolist()
+        details["breakdown_channels"] = fact.ids[fact.steps < order].tolist()
     else:
         raise ConfigError(f"unknown basis {basis!r}")
 

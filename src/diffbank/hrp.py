@@ -21,8 +21,10 @@ Checkpoint selection is best-validation by default. The screening policy
 keeps the three earliest epochs plus the two best as candidates, ranks
 them with a cheap proxy (a fresh model trained briefly on a 2-hop blend),
 and breaks proxy ties toward the candidate whose hidden states sit
-farthest from the raw features in moment-signature distance. The winner's
-own checkpoint continues; nothing is retrained at full budget.
+farthest from the raw features in moment-signature distance; the raw
+features' signature is computed once per run, on first use, and shared with
+the diagnostics. The winner's own checkpoint continues; nothing is
+retrained at full budget.
 """
 
 import copy
@@ -277,8 +279,14 @@ def spectral_distance(x: np.ndarray, y: np.ndarray, lap_op, max_power: int = 4) 
     signatures of two matrices."""
     if x.shape[1] != y.shape[1]:
         raise ValueError("channel counts differ")
-    sx, cx = moment_signature(x, lap_op, max_power)
-    sy, cy = moment_signature(y, lap_op, max_power)
+    return _signature_distance(moment_signature(x, lap_op, max_power),
+                               moment_signature(y, lap_op, max_power))
+
+
+def _signature_distance(a, b) -> float:
+    """``spectral_distance`` between two ``moment_signature`` results, so a
+    signature used against many matrices is computed once."""
+    (sx, cx), (sy, cy) = a, b
     common, ix, iy = np.intersect1d(cx, cy, return_indices=True)
     if common.size == 0:
         raise NumericalError("no channel is nonzero in both matrices")
@@ -447,13 +455,12 @@ def _stage_dict(r: StageResult) -> dict:
 
 
 def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec,
-                  s, lap_op, model):
+                  s, distance_to_x, model):
     """Diversity screening over {3 earliest, 2 best} checkpoints of a stage."""
     checkpoints = dict(out["early"])
     checkpoints.update(out["top_ckpts"])
     cand_epochs = sorted(checkpoints)
     candidates = []
-    base_x = stage_bank.slabs[0]
     screen_hops = min(2, stage_bank.hops)
     alphas_small = blend_alphas(plan, s, screen_hops)
     for e in cand_epochs:
@@ -476,10 +483,8 @@ def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec
         return res["best"]["val"]
 
     def diversity(cand):
-        try:
-            return spectral_distance(cand["hidden"], base_x, lap_op)
-        except NumericalError:
-            return -np.inf
+        dist = distance_to_x(cand["hidden"])
+        return -np.inf if dist is None else dist
 
     winner, _ = screen_checkpoints(candidates, eval_small, diversity)
     hist = {row["epoch"]: row["val_metric"] for row in out["history"]}
@@ -505,7 +510,18 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     params = model.init(seed=cfg.seed, dtype=np.float32)
     adam = init_adam(params)
     lap_op = make_operator(graph, "lap") if graph is not None else None
-    base_x = bank.slabs[0]
+    base_sig = None  # moment signature of the raw features, made on first use
+
+    def distance_to_x(hidden):
+        """Spectral distance from hop 0, which no stage changes; None when
+        no channel is nonzero in both."""
+        nonlocal base_sig
+        if base_sig is None:
+            base_sig = moment_signature(bank.slabs[0], lap_op)
+        try:
+            return _signature_distance(moment_signature(hidden, lap_op), base_sig)
+        except NumericalError:
+            return None
 
     reprop_spec = _resolve_reprop_spec(plan, bank) if plan.stages > 1 else None
     stage_results = []
@@ -525,7 +541,7 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         t1 = time.perf_counter()
         if plan.checkpoint_policy == "diversity-screened" and s < plan.stages:
             selected = _screen_stage(plan, model_kind, out, stage_bank, graph, lv,
-                                     cfg, reprop_spec, s, lap_op, model)
+                                     cfg, reprop_spec, s, distance_to_x, model)
         else:
             selected = out["best"]
         diag_spmm = spmm_call_count() - spmm0
@@ -538,11 +554,7 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
             hidden = extract_hidden(model, selected["params"], stage_bank)
             if plan.diagnostics:
                 pre = spmm_call_count()
-                if lap_op is not None:
-                    try:
-                        dist = spectral_distance(hidden, base_x, lap_op)
-                    except NumericalError:
-                        dist = None
+                dist = distance_to_x(hidden)
                 for e, snap in out["early"].items():
                     snapshots[e] = _store_hidden(
                         extract_hidden(model, snap["params"], stage_bank),

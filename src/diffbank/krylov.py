@@ -1,10 +1,15 @@
 """Per-channel Lanczos factorizations and Ritz-component feature banks.
 
-Each feature column x_c seeds its own Krylov space of the shifted operator.
-The columns advance in lockstep so that every Lanczos step issues a single
-sparse product over the still-active columns; a column drops out of the
-batch when its residual collapses (an invariant subspace was found) but the
-others keep iterating.
+Each nonzero feature column x_c seeds its own Krylov space of the shifted
+operator. The c nonzero columns share one float64 basis tensor Q of shape
+(order, n, c), and a Lanczos step is whole-block arithmetic on Q[j]: one
+sparse product over the live columns, all alphas and betas at once, and two
+batched full reorthogonalization passes against Q[:j+1]. A column whose
+residual collapses (an invariant subspace was found) leaves the live set
+with zero basis vectors after it; the others keep iterating. A Krylov bank
+holds that tensor, 8 * order * n * c bytes, plus its float32 slabs: slab k
+is Q contracted with component k's (order, c) coefficients, written
+straight into the (n, d) slab. Per-channel objects are views of the tensor.
 
 The small tridiagonal eigenproblems are solved by an implicit-shift QL
 sweep written out here rather than delegated, so the deterministic sign
@@ -29,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .banks import HopBank, _check_budget, _check_slab
+from .errors import ConfigError
 from .graph import SparseOperator, spmm
 
 __all__ = [
@@ -69,13 +75,34 @@ class ChannelFactorization:
 
 @dataclass(frozen=True)
 class LanczosFactorization:
+    """All channels' Lanczos data; entries past a channel's steps are zero."""
+
     order: int
-    channels: list
+    q: np.ndarray        # (order, n, c) float64 basis of the nonzero columns
+    alphas: np.ndarray   # (order, c) T diagonals
+    betas: np.ndarray    # (order - 1, c) T off-diagonals
+    steps: np.ndarray    # (c,) steps taken; fewer than order means breakdown
+    ids: np.ndarray      # (c,) feature column of each basis channel
+    x_norms: np.ndarray  # (c,)
     skipped: np.ndarray  # zero-norm channel ids
 
     @property
     def width(self) -> int:
-        return len(self.channels) + int(self.skipped.size)
+        return int(self.ids.size + self.skipped.size)
+
+    @property
+    def cols(self):
+        """Index of the basis channels among the feature columns."""
+        return self.ids if self.skipped.size else slice(None)
+
+    @property
+    def channels(self) -> list:
+        """Per-channel views into the basis tensor, in column order."""
+        return [ChannelFactorization(
+            channel=int(c), q=self.q[:m, :, i].T, alphas=self.alphas[:m, i],
+            betas=self.betas[:m - 1, i], x_norm=float(self.x_norms[i]),
+            breakdown=bool(m < self.order))
+            for i, (c, m) in enumerate(zip(self.ids, self.steps))]
 
 
 def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
@@ -83,11 +110,11 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
                     breakdown_rtol: float = BREAKDOWN_RTOL) -> LanczosFactorization:
     """Run ``order`` Lanczos steps on every nonzero feature column.
 
-    One sparse product per step over the active columns, ``order`` products
+    One sparse product per step over the live columns, ``order`` products
     total unless every column breaks down first. Each step re-projects the
-    residual against the channel's whole basis twice; at the fixed budget
-    of 15 steps that full reorthogonalization costs little, and ``full`` is
-    the only ``reorth`` mode.
+    residuals against the whole basis twice; at the fixed budget of 15
+    steps that full reorthogonalization costs little, and ``full`` is the
+    only ``reorth`` mode.
     """
     if op.kind != "shifted":
         raise ValueError(f"Lanczos banks require the 'shifted' operator, got {op.kind!r}")
@@ -102,65 +129,44 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     if x.ndim != 2 or x.shape[0] != op.n:
         raise ValueError("features must be an (n, d) matrix matching the operator")
 
-    n, d = x.shape
     norms = np.linalg.norm(x.astype(np.float64), axis=0)
     skipped = np.nonzero(norms == 0.0)[0]
-    active = [c for c in range(d) if norms[c] > 0.0]
+    ids = np.nonzero(norms > 0.0)[0]
+    norms = norms[ids]
+    c = ids.size
+    q = np.zeros((order, op.n, c))
+    alphas = np.zeros((order, c))
+    betas = np.zeros((order - 1, c))
+    steps = np.zeros(c, dtype=np.int64)
+    np.divide(x[:, ids], norms, out=q[0])
 
-    state = {}
-    for c in active:
-        q1 = x[:, c].astype(np.float64) / norms[c]
-        state[c] = {
-            "basis": [q1],
-            "alphas": [],
-            "betas": [],
-            "q_prev": np.zeros(n),
-            "beta_prev": 0.0,
-            "breakdown": False,
-        }
-
-    live = list(active)
-    for _ in range(order):
-        if not live:
+    live = np.arange(c)
+    for j in range(order):
+        if live.size == 0:
             break
-        block = np.column_stack([state[c]["basis"][-1] for c in live])
-        w = spmm(op, block)
-        next_live = []
-        for j, c in enumerate(live):
-            st = state[c]
-            qj = st["basis"][-1]
-            wj = w[:, j]
-            aj = float(qj @ wj)
-            r = wj - aj * qj - st["beta_prev"] * st["q_prev"]
-            st["alphas"].append(aj)
-            if len(st["alphas"]) == order:
-                continue
-            qmat = np.column_stack(st["basis"])
-            r -= qmat @ (qmat.T @ r)
-            r -= qmat @ (qmat.T @ r)
-            bj = float(np.linalg.norm(r))
-            if bj < breakdown_rtol * norms[c]:
-                st["breakdown"] = True
-                continue
-            st["betas"].append(bj)
-            st["q_prev"] = qj
-            st["beta_prev"] = bj
-            st["basis"].append(r / bj)
-            next_live.append(c)
-        live = next_live
+        # a view while every column is live, a gathered copy after a breakdown
+        cols = slice(None) if live.size == c else live
+        qj = q[j][:, cols]
+        w = spmm(op, qj)
+        a = np.einsum("nc,nc->c", qj, w)
+        alphas[j, cols] = a
+        steps[cols] += 1
+        if j == order - 1:
+            break
+        r = w - a * qj
+        if j:
+            r -= betas[j - 1, cols] * q[j - 1][:, cols]
+        basis = q[:j + 1][:, :, cols]
+        for _ in range(2):
+            r -= np.einsum("knc,kc->nc", basis, np.einsum("knc,nc->kc", basis, r))
+        b = np.linalg.norm(r, axis=0)
+        keep = b >= breakdown_rtol * norms[cols]
+        betas[j, cols] = np.where(keep, b, 0.0)
+        q[j + 1][:, cols] = r / np.where(keep, b, np.inf)
+        live = live[keep]
 
-    channels = []
-    for c in active:
-        st = state[c]
-        channels.append(ChannelFactorization(
-            channel=c,
-            q=np.column_stack(st["basis"]),
-            alphas=np.asarray(st["alphas"], dtype=np.float64),
-            betas=np.asarray(st["betas"], dtype=np.float64),
-            x_norm=float(norms[c]),
-            breakdown=st["breakdown"],
-        ))
-    return LanczosFactorization(order=order, channels=channels, skipped=skipped)
+    return LanczosFactorization(order=order, q=q, alphas=alphas, betas=betas,
+                                steps=steps, ids=ids, x_norms=norms, skipped=skipped)
 
 
 def tridiag_eig(diag, offdiag, max_sweeps: int = MAX_QL_SWEEPS):
@@ -237,6 +243,21 @@ def tridiag_eig(diag, offdiag, max_sweeps: int = MAX_QL_SWEEPS):
     return d, z
 
 
+
+
+def _combine(q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j q[j] * coeffs[j] per channel, (m, n, c) x (m, c) -> (n, c); a
+    size-1 channel axis of ``q`` broadcasts over the columns of ``coeffs``."""
+    return np.einsum("jnc,jc->nc", q, coeffs)
+
+
+def _ritz(alphas, betas, x_norm):
+    """Ritz values, weights and the (component, basis vector) coefficients."""
+    values, u = tridiag_eig(alphas, betas)
+    weights = x_norm * u[0, :]
+    return values, weights, (u * weights).T
+
+
 @dataclass(frozen=True)
 class RitzChannel:
     channel: int
@@ -247,30 +268,52 @@ class RitzChannel:
 
 @dataclass(frozen=True)
 class RitzBank:
+    """Ritz data of every channel; component k of basis channel i is
+    sum_j fact.q[j, :, i] * coeffs[k, j, i]. Entries past a channel's steps
+    are zero."""
+
     n: int
-    width: int
-    order: int
-    channels: list
-    skipped: np.ndarray
+    fact: LanczosFactorization
+    values: np.ndarray   # (order, c), ascending within each channel's steps
+    weights: np.ndarray  # (order, c)
+    coeffs: np.ndarray   # (order, order, c): component, basis vector, channel
+
+    @property
+    def width(self) -> int:
+        return self.fact.width
+
+    @property
+    def order(self) -> int:
+        return self.fact.order
+
+    @property
+    def channels(self) -> list:
+        """Per-channel Ritz data with explicit (n, m) component matrices."""
+        return [ritz_components(cf) for cf in self.fact.channels]
 
 
 def ritz_components(fact: ChannelFactorization) -> RitzChannel:
     """Ritz values, weights and components for one factorized channel."""
-    values, u = tridiag_eig(fact.alphas, fact.betas)
-    weights = fact.x_norm * u[0, :]
-    components = fact.q @ (u * weights)
+    values, weights, coeffs = _ritz(fact.alphas, fact.betas, fact.x_norm)
+    components = _combine(fact.q.T[:, :, None], coeffs.T)
     return RitzChannel(channel=fact.channel, values=values,
                        weights=weights, components=components)
 
 
 def ritz_bank(fact: LanczosFactorization, n: int | None = None) -> RitzBank:
-    channels = [ritz_components(cf) for cf in fact.channels]
+    """Solve each channel's tridiagonal eigenproblem into coefficient tensors."""
     if n is None:
-        if not channels:
+        if not fact.ids.size:
             raise ValueError("cannot infer node count from an all-zero feature matrix")
-        n = channels[0].components.shape[0]
-    return RitzBank(n=n, width=fact.width, order=fact.order,
-                    channels=channels, skipped=fact.skipped)
+        n = fact.q.shape[1]
+    values = np.zeros(fact.alphas.shape)
+    weights = np.zeros(fact.alphas.shape)
+    coeffs = np.zeros((fact.order,) + fact.alphas.shape)
+    for i, cf in enumerate(fact.channels):
+        m = cf.steps
+        values[:m, i], weights[:m, i], coeffs[:m, :m, i] = _ritz(
+            cf.alphas, cf.betas, cf.x_norm)
+    return RitzBank(n=n, fact=fact, values=values, weights=weights, coeffs=coeffs)
 
 
 def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = None):
@@ -279,26 +322,25 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
     Slab k carries each channel's (k+1)-th ascending component, so the
     K+1 slabs jointly hold components 1..K+1 and summing them channel-wise
     reconstructs the input when the order equals K+1. Passing ``raw_hop0``
-    (the pipeline default) then overwrites slab 0 with the raw features so
-    the bank keeps the unblended 0-hop contract of staged training; omit it
+    (the pipeline default) puts the raw features in slab 0 instead, so the
+    bank keeps the unblended 0-hop contract of staged training; omit it
     only for reconstruction diagnostics. Channels that broke down early pad
     their missing slabs with zeros; zero channels stay zero everywhere.
+    A slab that is not finite in float32 raises NumericalError.
     """
-    from .banks import HopBank, _check_budget
-
     _check_budget(hops)
     if hops + 1 > rb.order:
         raise ConfigError(f"bank needs {hops + 1} components per channel but the "
                           f"factorization order is {rb.order}")
+    if raw_hop0 is not None and np.shape(raw_hop0) != (rb.n, rb.width):
+        raise ValueError("raw hop-0 features do not match the bank shape")
     slabs = np.zeros((hops + 1, rb.n, rb.width), dtype=np.float32)
-    for rc in rb.channels:
-        take = min(hops + 1, rc.components.shape[1])
-        slabs[:take, :, rc.channel] = rc.components[:, :take].T.astype(np.float32)
-    if raw_hop0 is not None:
-        raw = np.asarray(raw_hop0)
-        if raw.shape != (rb.n, rb.width):
-            raise ValueError("raw hop-0 features do not match the bank shape")
-        slabs[0] = raw.astype(np.float32, copy=True)
+    for k in range(hops + 1):
+        if k == 0 and raw_hop0 is not None:
+            slabs[0] = raw_hop0
+            continue
+        slabs[k][:, rb.fact.cols] = _combine(rb.fact.q, rb.coeffs[k])
+        _check_slab(slabs, k, "krylov")
     prov = {"basis": "krylov", "operator": "shifted", "hops": hops,
             "order": rb.order, "raw_hop0": raw_hop0 is not None}
     return HopBank(hops=hops, slabs=slabs, provenance=prov)
@@ -306,19 +348,21 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
 
 def apply_spectral_response(rb: RitzBank, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate sum_i g(lam_i) z_i per channel; g(x)=1 reproduces the input."""
-    out = np.zeros((rb.n, rb.width), dtype=np.float64)
-    for rc in rb.channels:
-        gv = np.asarray(g(rc.values), dtype=np.float64)
-        if gv.shape != rc.values.shape:
+    fact = rb.fact
+    h = np.zeros(fact.alphas.shape)
+    for i, m in enumerate(fact.steps):
+        gv = np.asarray(g(rb.values[:m, i]), dtype=np.float64)
+        if gv.shape != (m,):
             raise ValueError("spectral response must return one value per Ritz value")
-        out[:, rc.channel] = rc.components @ gv
-    return out.astype(np.float32)
+        h[:m, i] = gv @ rb.coeffs[:m, :m, i]
+    out = np.zeros((rb.n, rb.width), dtype=np.float32)
+    out[:, fact.cols] = _combine(fact.q, h)
+    return out
 
 
 def ritz_triples(rb: RitzBank) -> list:
     """Flat (channel, value, weight) records for the diagnostics sidecar."""
-    rows = []
-    for rc in rb.channels:
-        for v, w in zip(rc.values.tolist(), rc.weights.tolist()):
-            rows.append({"channel": int(rc.channel), "value": v, "weight": w})
-    return rows
+    fact = rb.fact
+    return [{"channel": int(c), "value": float(v), "weight": float(w)}
+            for i, (c, m) in enumerate(zip(fact.ids, fact.steps))
+            for v, w in zip(rb.values[:m, i], rb.weights[:m, i])]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyt, eval_jacobi, eval_legendre
 
-from diffbank import (ConfigError, HopBank, bank_report, chebyshev_bank,
-                      jacobi_bank, jacobi_coefficients, legendre_bank,
-                      make_operator, monomial_bank, reset_spmm_count,
-                      spmm_call_count)
+from diffbank import (ConfigError, HopBank, NumericalError, bank_report,
+                      chebyshev_bank, jacobi_bank, jacobi_coefficients,
+                      legendre_bank, make_operator, monomial_bank,
+                      reset_spmm_count, spmm_call_count)
 from diffbank.banks import jacobi_endpoint_values
 from diffbank.rng import rng_for
 
@@ -206,3 +206,21 @@ def test_orthogonal_family_better_conditioned_than_powers():
     mono = bank_report(monomial_bank(make_operator(g, "dad"), x, hops=8))
     leg = bank_report(legendre_bank(make_operator(g, "shifted"), x, hops=8))
     assert leg.summary["mean_cond"] < mono.summary["mean_cond"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_slabs_raise_numerical_error(p2):
+    # [1, -1] is the p2 eigenvector at Laplacian eigenvalue 2, shifted 1
+    flip = np.array([[1.0], [-1.0]])
+    lap, shifted = make_operator(p2, "lap"), make_operator(p2, "shifted")
+    with pytest.raises(NumericalError, match="monomial bank slab 2 is not finite"):
+        monomial_bank(lap, (1e38 * flip).astype(np.float32), hops=2)
+    # extreme weights: P_k^(60,0)(1) = C(k+60, k) reaches 2e15 at k = 15
+    with pytest.raises(NumericalError, match="jacobi bank slab"):
+        jacobi_bank(shifted, (1e30 * flip).astype(np.float32), 15, 60.0, 0.0)
+    # float64 input past the float32 range: slab 1 is S x = x
+    with pytest.raises(NumericalError, match="legendre bank slab 1 "):
+        legendre_bank(shifted, 1e39 * flip, hops=3)
+    # at unit scale the extreme-weight bank stays finite
+    assert np.isfinite(jacobi_bank(shifted, flip.astype(np.float32), 15,
+                                   60.0, 0.0).slabs).all()

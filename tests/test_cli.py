@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import (SyntheticSpec, generate, load_bank_file, save_checkpoint,
-                      save_edge_list, save_features, save_labels)
+from diffbank import (SyntheticSpec, generate, load_bank_file, load_features,
+                      save_checkpoint, save_edge_list, save_features, save_labels)
 from diffbank.cli import main
 
 
@@ -71,6 +71,12 @@ def test_preprocess_validates_like_a_config_file(dataset, tmp_path, capsys):
     rc = main(common + ["--basis", "krylov", "--krylov-order", "0"] + out)
     assert rc == 2
     assert "krylov.order" in capsys.readouterr().err
+    # refused at validation, before the (here missing) feature file is read
+    rc = main(["preprocess", "--edges", str(dataset / "edges.tsv"),
+               "--features", str(tmp_path / "missing.fmx"), "--basis", "legendre",
+               "--operator", "dad"] + out)
+    assert rc == 2
+    assert "the legendre basis runs on the shifted operator" in capsys.readouterr().err
     assert not (tmp_path / "b.hbk").exists()
     # without --basis the config default (calibrated Jacobi) applies
     rc = main(common + ["--hops", "2", "--exact"] + out)
@@ -239,6 +245,18 @@ def test_numerical_error_exits_4(tmp_path, capsys):
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_bank_exits_4(dataset, tmp_path, capsys):
+    huge = tmp_path / "huge.fmx"
+    save_features(str(huge), 1e37 * load_features(str(dataset / "features.fmx")))
+    rc = main(["preprocess", "--edges", str(dataset / "edges.tsv"),
+               "--features", str(huge), "--basis", "monomial", "--operator", "lap",
+               "--hops", "15", "--out", str(tmp_path / "b.hbk")])
+    assert rc == 4
+    assert "monomial bank slab" in capsys.readouterr().err
+    assert not (tmp_path / "b.hbk").exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -77,6 +77,18 @@ def test_budget_errors():
         validate_config(raw)
 
 
+@pytest.mark.parametrize("basis", ["legendre", "chebyshev", "jacobi"])
+def test_polynomial_bases_need_the_shifted_operator(basis):
+    for operator in ("dad", "da", "lap"):
+        raw = minimal()
+        raw.update({"basis": basis, "operator": operator})
+        with pytest.raises(ConfigError, match=f"the {basis} basis runs on the shifted"):
+            validate_config(raw)
+    raw = minimal()
+    raw["basis"] = basis
+    assert validate_config(raw)["operator"] == "shifted"
+
+
 def test_operator_basis_compatibility():
     raw = minimal()
     raw.update({"basis": "krylov", "operator": "dad"})

@@ -9,6 +9,7 @@ from diffbank import (ConfigError, HopBank, NumericalError, StagePlan,
                       monomial_bank, repropagate, reset_spmm_count, ritz_bank,
                       ritz_bank_as_hopbank, run_hrp_training,
                       screen_checkpoints, spectral_distance, train_stage)
+from diffbank import hrp
 from diffbank.graph import LabelVector
 from diffbank.hrp import _load_hidden, _resolve_reprop_spec, build_model
 from diffbank.rng import rng_for
@@ -341,3 +342,28 @@ def test_evaluate_split_chunking_and_auc():
     assert a == b
     auc = evaluate_split(model, params, bank, lv, lv.val_mask, "roc_auc")
     assert 0.0 <= auc <= 1.0
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_raw_feature_signature_is_computed_once_per_run(monkeypatch, diagnostics):
+    g, x, bank, lv = make_case(seed=14)
+    real_screen = hrp.screen_checkpoints
+    tied = []
+
+    def all_tied(candidates, evaluate_small, diversity, **kw):
+        tied.append(len(candidates))
+        return real_screen(candidates, lambda c: 0.0, diversity, **kw)
+
+    monkeypatch.setattr(hrp, "screen_checkpoints", all_tied)
+    plan = StagePlan(stages=2, epochs=3, checkpoint_policy="diversity-screened",
+                     diagnostics=diagnostics)
+    res = run_hrp_training(plan, bank, g, lv, small_cfg(epochs=3))
+    assert tied == [3]
+    # 4 products per moment signature: three candidates plus the raw
+    # features once, and with diagnostics the selected hidden states
+    assert res.stages[0].diagnostic_spmm == (20 if diagnostics else 16)
+    if diagnostics:
+        st = res.stages[0]
+        hidden = st.hidden_snapshots[st.selected_epoch]
+        assert st.spectral_distance_to_x == spectral_distance(
+            hidden, x, make_operator(g, "lap"))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, apply_spectral_response, bank_report,
-                      batched_lanczos, build_graph, make_operator,
+from diffbank import (ConfigError, NumericalError, apply_spectral_response,
+                      bank_report, batched_lanczos, build_graph, make_operator,
                       reset_spmm_count, ritz_bank, ritz_bank_as_hopbank,
                       spmm_call_count, tridiag_eig)
 from diffbank.krylov import MAX_LANCZOS_STEPS, ritz_components, ritz_triples
@@ -234,3 +234,67 @@ def test_all_zero_features_cannot_infer_node_count(k3):
         ritz_bank(fact)
     rb = ritz_bank(fact, n=3)
     assert rb.width == 2 and len(rb.channels) == 0
+
+
+def reference_lanczos(s, col, order):
+    """One column at a time, the plain loop: dense products, two full
+    reorthogonalization passes, stop when the residual collapses."""
+    x_norm = np.linalg.norm(col)
+    q, alphas, betas = [col / x_norm], [], []
+    for j in range(order):
+        r = s @ q[-1]
+        alphas.append(q[-1] @ r)
+        if j == order - 1:
+            break
+        qmat = np.column_stack(q)
+        for _ in range(2):
+            r = r - qmat @ (qmat.T @ r)
+        if np.linalg.norm(r) < 1e-10 * x_norm:
+            break
+        betas.append(np.linalg.norm(r))
+        q.append(r / betas[-1])
+    return np.column_stack(q), np.array(alphas), np.array(betas)
+
+
+def test_mixed_batch_matches_single_column_runs():
+    rng = rng_for(12, "mixed")
+    g = random_graph(rng, 14, kind="er")
+    op = make_operator(g, "shifted")
+    _, u = np.linalg.eigh(dense_shifted(g))
+    gen = seeded_features(g, 2, 13).astype(np.float64)
+    # generic, eigenvector (breaks down after one step), zero, generic
+    x = np.column_stack([gen[:, 0], u[:, 3], np.zeros(g.n), gen[:, 1]])
+    order = 5
+    reset_spmm_count()
+    fact = batched_lanczos(op, x, order)
+    assert spmm_call_count() == order
+    assert list(fact.skipped) == [2] and list(fact.ids) == [0, 1, 3]
+    assert list(fact.steps) == [order, 1, order]
+    assert [cf.breakdown for cf in fact.channels] == [False, True, False]
+    rb = ritz_bank(fact)
+    bank = ritz_bank_as_hopbank(rb, hops=order - 1)
+    assert np.all(bank.slabs[1:, :, 1] == 0.0)
+    assert np.all(bank.slabs[:, :, 2] == 0.0)
+    for cf, rc in zip(fact.channels, rb.channels):
+        one = batched_lanczos(op, x[:, [cf.channel]], order)
+        (alone,) = one.channels
+        assert alone.steps == cf.steps
+        for a, b in ((alone.q, cf.q), (alone.alphas, cf.alphas),
+                     (alone.betas, cf.betas)):
+            assert np.max(np.abs(a - b), initial=0.0) < 1e-12
+        q, alphas, betas = reference_lanczos(dense_shifted(g), x[:, cf.channel], order)
+        for a, b in ((q, cf.q), (alphas, cf.alphas), (betas, cf.betas)):
+            assert np.max(np.abs(a - b), initial=0.0) < 1e-12
+        (rc_alone,) = ritz_bank(one).channels
+        assert np.max(np.abs(rc_alone.components - rc.components)) < 1e-12
+        assert np.max(np.abs(rc_alone.values - rc.values)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_krylov_slabs_raise_numerical_error():
+    rng = rng_for(13, "overflow")
+    g = random_graph(rng, 10)
+    x = 1e39 * seeded_features(g, 2, 4).astype(np.float64)
+    rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, order=3))
+    with pytest.raises(NumericalError, match="krylov bank slab 0 is not finite"):
+        ritz_bank_as_hopbank(rb, hops=2)
