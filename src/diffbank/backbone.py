@@ -82,7 +82,8 @@ def _dropout_mask(rng, shape, rate, dtype):
 class ConcatMLP:
     """MLP over the concatenated hop rows of each node."""
 
-    def __init__(self, hops: int, width: int, num_classes: int, trunk=(256, 256)):
+    def __init__(self, hops: int, width: int, num_classes: int,
+                 trunk=TrainConfig.trunk):
         self.hops = hops
         self.width = width
         self.num_classes = num_classes
@@ -157,7 +158,8 @@ class HopGRU:
     """Shared GRU cell scanned across hop slabs, then an affine readout."""
 
     def __init__(self, hops: int, width: int, num_classes: int,
-                 state_dim: int = 64, readout: str = "last"):
+                 state_dim: int = TrainConfig.state_dim,
+                 readout: str = TrainConfig.readout):
         if readout not in ("last", "mean"):
             raise ConfigError(f"unknown readout {readout!r}")
         self.hops = hops

@@ -5,7 +5,7 @@ Subcommands mirror the pipeline phases::
     diffbank generate    write a synthetic dataset to disk
     diffbank preprocess  build a hop bank from a graph and features
     diffbank calibrate   estimate the spectral density and Jacobi weights
-    diffbank train       run the staged trainer from a config file
+    diffbank train       one seed's run (``run_seed``) saved as artifacts
     diffbank evaluate    score a saved checkpoint on a split
     diffbank diagnose    conditioning and Ritz diagnostics for a saved bank
     diffbank experiment  multi-seed run or ablation from a config file
@@ -16,6 +16,11 @@ dataclass, ``calibrate`` or config default applies. An option's ``dest``
 names where its value goes, with dots for nesting: ``preprocess --gamma``
 sets ``calibration.gamma`` of a config that ``validate_config`` checks like
 any config file.
+
+``train`` adds nothing to the run but its files: ``model.mdl`` and
+``bank.hbk`` (the best stage's checkpoint and bank), ``report.json`` (the
+``run_seed`` report row plus ``config_hash``) and ``epochs.jsonl`` (the
+stages' epoch histories, one JSON line per epoch).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Anything else is a bug.
@@ -32,13 +37,13 @@ from . import io as dio
 from .backbone import TrainConfig
 from .banks import bank_report
 from .calibration import calibrate
-from .config import (CONFIG_SCHEMA, config_hash, load_config, to_stage_plan,
-                     to_train_config, validate_config)
+from .config import (CONFIG_SCHEMA, config_hash, load_config, to_train_config,
+                     validate_config)
 from .errors import ConfigError, DataError, DiffbankError, NumericalError
 from .experiment import (build_bank, load_feature_file, load_graph,
-                         prepare_dataset, run_ablation, run_experiment)
+                         run_ablation, run_experiment, run_seed)
 from .graph import make_operator
-from .hrp import build_model, evaluate_split, run_hrp_training
+from .hrp import build_model, evaluate_split
 from .krylov import batched_lanczos, ritz_bank, ritz_triples
 from .synth import SyntheticSpec, generate
 
@@ -124,45 +129,27 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg["seeds"][0] if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
-    g, x, lv, data_info = prepare_dataset(cfg, seed)
-    bank, bank_info = build_bank(cfg, g, x)
-    plan = to_stage_plan(cfg)
+    row, result = run_seed(cfg, seed, workdir=args.out)
+    chash = config_hash(cfg)
     tcfg = to_train_config(cfg, seed)
-
-    log_path = os.path.join(args.out, "epochs.jsonl")
-    with open(log_path, "w", encoding="utf-8") as log:
-        def sink(row):
-            log.write(json.dumps(row) + "\n")
-
-        result = run_hrp_training(plan, bank, g, lv, tcfg,
-                                  model_kind=cfg["backbone"],
-                                  workdir=args.out, history_sink=sink)
-
-    test = evaluate_split(result.model, result.params, result.bank, lv,
-                          lv.test_mask, cfg["metric"])
     model_cfg = {
         "backbone": cfg["backbone"], "hops": result.bank.hops,
-        "width": result.bank.width, "num_classes": lv.num_classes,
+        "width": result.bank.width, "num_classes": result.model.num_classes,
         "trunk": list(tcfg.trunk), "state_dim": tcfg.state_dim,
-        "readout": tcfg.readout, "config_hash": config_hash(cfg),
+        "readout": tcfg.readout, "config_hash": chash,
         "best_stage": result.best_stage, "best_epoch": result.best_epoch,
     }
     dio.save_checkpoint(os.path.join(args.out, "model.mdl"), result.params,
                         model_cfg)
     dio.save_bank_file(os.path.join(args.out, "bank.hbk"), result.bank)
-    report = {
-        "config_hash": config_hash(cfg),
-        "seed": seed,
-        "data": data_info,
-        "bank": bank_info,
-        "test_metric": float(test),
-        **result.report,
-    }
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump({"config_hash": chash, **row}, fh, indent=2)
         fh.write("\n")
-    print(f"best val {result.best_val:.4f} (stage {result.best_stage}, epoch "
-          f"{result.best_epoch}); test {cfg['metric']} {test:.4f}")
+    with open(os.path.join(args.out, "epochs.jsonl"), "w", encoding="utf-8") as fh:
+        for stage in result.stages:
+            fh.writelines(json.dumps(epoch) + "\n" for epoch in stage.history)
+    print(f"best val {row['val_metric']:.4f} (stage {row['best_stage']}, epoch "
+          f"{row['best_epoch']}); test {cfg['metric']} {row['test_metric']:.4f}")
     print(f"artifacts in {args.out}: model.mdl, bank.hbk, report.json, epochs.jsonl")
     return 0
 

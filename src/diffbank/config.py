@@ -9,7 +9,9 @@ The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
 onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
 and a key the user leaves out takes the dataclass default; the calibration
 defaults are those of ``calibration.calibrate``. Each default has that one
-home, and ``DEFAULTS`` holds only the top-level choices.
+home, and ``DEFAULTS`` holds only the top-level choices. The ``hrp``
+section sets the stage schedule only: re-propagation reuses the recipe
+that built the preprocessing bank, so it has no keys of its own.
 
 ``config_hash`` is the sha256 of the canonical re-serialization (sorted
 keys, no whitespace), so formatting and key order do not change identity.
@@ -31,7 +33,7 @@ from .krylov import MAX_LANCZOS_STEPS
 from .synth import SyntheticSpec
 
 __all__ = [
-    "CONFIG_SCHEMA", "DEFAULTS", "HRP_FIELDS", "CALIBRATION_ARGS", "load_config",
+    "CONFIG_SCHEMA", "DEFAULTS", "CALIBRATION_ARGS", "load_config",
     "validate_config", "config_hash", "to_train_config", "to_stage_plan",
     "to_synthetic_spec",
 ]
@@ -138,12 +140,6 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
                 },
-                "family": {"enum": ["same", "monomial", "chebyshev", "legendre",
-                                    "jacobi", "krylov"]},
-                "operator": {"enum": _OPERATORS},
-                "jacobi_alpha": {"type": "number"},
-                "jacobi_beta": {"type": "number"},
-                "lanczos_order": {"type": ["integer", "null"], "minimum": 1},
                 "checkpoint_policy": {"enum": ["best-val", "diversity-screened"]},
                 "warm_start": {"type": "boolean"},
                 "patience": {"type": "integer", "minimum": 1},
@@ -162,8 +158,6 @@ CONFIG_SCHEMA = {
     "required": ["dataset"],
 }
 
-# hrp config key -> StagePlan field, where the two differ
-HRP_FIELDS = {"family": "hrp_family", "operator": "hrp_operator"}
 # calibration config key -> calibrate() keyword, where the two differ
 CALIBRATION_ARGS = {"grid": "grid_points"}
 
@@ -217,10 +211,10 @@ def validate_config(raw: dict) -> dict:
     if cfg["hops"] > MAX_HOPS:
         raise ConfigError(f"hop count {cfg['hops']} exceeds the fixed hop budget "
                           f"of {MAX_HOPS}")
-    for k_order in (cfg["krylov"]["order"], cfg["hrp"].get("lanczos_order")):
-        if k_order is not None and k_order > MAX_LANCZOS_STEPS:
-            raise ConfigError(f"lanczos order {k_order} exceeds the fixed step "
-                              f"budget of {MAX_LANCZOS_STEPS}")
+    k_order = cfg["krylov"]["order"]
+    if k_order is not None and k_order > MAX_LANCZOS_STEPS:
+        raise ConfigError(f"lanczos order {k_order} exceeds the fixed step "
+                          f"budget of {MAX_LANCZOS_STEPS}")
     if cfg["basis"] != "monomial" and cfg["operator"] != "shifted":
         raise ConfigError(f"the {cfg['basis']} basis runs on the shifted operator only")
     if not (0.0 < cfg["calibration"]["gamma"] < 1.0):
@@ -255,7 +249,7 @@ def to_train_config(cfg: dict, seed: int) -> TrainConfig:
 
 
 def to_stage_plan(cfg: dict) -> StagePlan:
-    return StagePlan(**{HRP_FIELDS.get(k, k): v for k, v in cfg["hrp"].items()})
+    return StagePlan(**cfg["hrp"])
 
 
 def to_synthetic_spec(cfg: dict, seed: int) -> SyntheticSpec:

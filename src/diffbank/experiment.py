@@ -2,8 +2,11 @@
 
 One seed is one full run: build (or load) the dataset, construct the feature
 bank for the configured basis, train through the stage plan, and score the
-test split at the best-validation checkpoint. ``run_experiment`` repeats
-that over the config's seed list and reports mean and sample std.
+test split at the best-validation checkpoint. ``run_seed`` is the only
+driver of that run and the only place its report row is assembled;
+``diffbank train`` writes that row as ``report.json``. ``run_experiment``
+repeats it over the config's seed list, keeps the rows, and reports mean and
+sample std.
 
 ``run_ablation`` runs three arms on shared seeds so the deltas isolate each
 ingredient: plain power-iteration features on the random-walk-symmetric
@@ -36,7 +39,7 @@ from .config import (CALIBRATION_ARGS, config_hash, to_stage_plan,
                      to_synthetic_spec, to_train_config)
 from .errors import ConfigError, DataError
 from .graph import graph_hash, make_operator, spmm_call_count
-from .hrp import evaluate_split, run_hrp_training
+from .hrp import RunResult, StageResult, evaluate_split, run_hrp_training
 from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 from .synth import generate
@@ -149,8 +152,27 @@ def build_bank(cfg: dict, graph, x):
     return bank, details
 
 
-def run_seed(cfg: dict, seed: int, *, workdir=None) -> dict:
-    """One complete run for one seed; returns a flat report dict."""
+def _stage_dict(r: StageResult) -> dict:
+    return {
+        "stage": r.stage,
+        "selected_epoch": r.selected_epoch,
+        "val_metric": r.val_metric,
+        "epochs_run": len(r.history),
+        "stopped_early": r.stopped_early,
+        "spectral_distance_to_x": r.spectral_distance_to_x,
+        "diffusion_spmm": r.diffusion_spmm,
+        "diagnostic_spmm": r.diagnostic_spmm,
+        "train_seconds": r.train_seconds,
+        "diffusion_seconds": r.diffusion_seconds,
+    }
+
+
+def run_seed(cfg: dict, seed: int, *, workdir=None) -> tuple[dict, RunResult]:
+    """One complete run for one seed.
+
+    Returns the flat report row and the ``RunResult``, whose best model,
+    parameters and bank a caller may save.
+    """
     g, x, lv, data_info = prepare_dataset(cfg, seed)
     bank, bank_info = build_bank(cfg, g, x)
     plan = to_stage_plan(cfg)
@@ -159,10 +181,11 @@ def run_seed(cfg: dict, seed: int, *, workdir=None) -> dict:
                               model_kind=cfg["backbone"], workdir=workdir)
     test = evaluate_split(result.model, result.params, result.bank, lv,
                           lv.test_mask, cfg["metric"])
-    diffusion = result.report["total_diffusion_spmm"]
-    diagnostic = result.report["total_diagnostic_spmm"]
+    stages = result.stages
+    diffusion = sum(r.diffusion_spmm for r in stages)
+    diagnostic = sum(r.diagnostic_spmm for r in stages)
     total_spmm = bank_info["spmm"] + diffusion + diagnostic
-    return {
+    row = {
         "seed": seed,
         "test_metric": float(test),
         "val_metric": float(result.best_val),
@@ -170,15 +193,16 @@ def run_seed(cfg: dict, seed: int, *, workdir=None) -> dict:
         "best_epoch": result.best_epoch,
         "bank": bank_info,
         "data": data_info,
-        "stages": result.report["stages"],
+        "stages": [_stage_dict(r) for r in stages],
         "total_diffusion_spmm": diffusion,
         "total_diagnostic_spmm": diagnostic,
         "preprocess_spmm": bank_info["spmm"],
         "total_spmm": total_spmm,
         "hrp_spmm_share": diffusion / total_spmm if total_spmm else 0.0,
-        "train_seconds": result.report["total_train_seconds"],
-        "diffusion_seconds": result.report["total_diffusion_seconds"],
+        "train_seconds": sum(r.train_seconds for r in stages),
+        "diffusion_seconds": sum(r.diffusion_seconds for r in stages),
     }
+    return row, result
 
 
 def summarize(rows: list) -> dict:
@@ -201,7 +225,8 @@ def _thread_count() -> int:
 def run_experiment(cfg: dict, *, workdir=None) -> dict:
     seeds = cfg["seeds"]
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(lambda s: run_seed(cfg, s, workdir=workdir), seeds))
+        # keep only the row, so no bank outlives its seed
+        rows = list(pool.map(lambda s: run_seed(cfg, s, workdir=workdir)[0], seeds))
     return {
         "config_hash": config_hash(cfg),
         "metric": cfg["metric"],

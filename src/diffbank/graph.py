@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 OPERATOR_KINDS = ("dad", "da", "lap", "shifted")
+# largest node count whose CSR sort key src * n + dst fits in int64
+MAX_NODES = 3_037_000_499
 
 _SPMM_CALLS = 0
 
@@ -99,8 +101,8 @@ class LabelVector:
             raise DataError("labeled node with class id outside [0, num_classes)")
 
 
-def build_graph(edges, n, *, undirected: bool = True, add_self_loops: bool = False,
-                dedup: bool = True) -> Graph:
+def build_graph(edges, n, *, undirected: bool = True,
+                add_self_loops: bool = False) -> Graph:
     """Build a CSR graph from an edge array.
 
     Parameters
@@ -115,12 +117,15 @@ def build_graph(edges, n, *, undirected: bool = True, add_self_loops: bool = Fal
         symmetric operator kinds then refuse to build on them.
     add_self_loops : bool
         Append (i, i) for every node before deduplication.
-    dedup : bool
-        Remove duplicate entries. Leaving duplicates in place is only
-        meaningful for diagnostic multigraph experiments.
+
+    Entries are sorted by the one int64 key ``src * n + dst`` and duplicates
+    dropped, so ``n`` may not exceed ``MAX_NODES``.
     """
     if n <= 0:
         raise DataError("graph must have at least one node")
+    if n > MAX_NODES:
+        raise DataError(f"graph of {n} nodes exceeds the supported maximum of "
+                        f"{MAX_NODES}")
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:
         e = np.zeros((0, 2), dtype=np.int64)
@@ -139,12 +144,10 @@ def build_graph(edges, n, *, undirected: bool = True, add_self_loops: bool = Fal
         src = np.concatenate([src, loops])
         dst = np.concatenate([dst, loops])
 
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if dedup and src.size:
-        keep = np.ones(src.size, dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
+    key = np.sort(src * n + dst)
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    src, dst = np.divmod(key[keep], n)
 
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])

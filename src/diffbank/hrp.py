@@ -17,19 +17,26 @@ Blending at weight exactly 1 or exactly 0 copies the corresponding slab
 instead of multiplying through, so a schedule that degenerates to plain
 training reproduces it bit for bit.
 
+Re-propagation rebuilds the input bank's own recipe from its provenance:
+the same basis, operator, Jacobi weights or Lanczos order that made the
+preprocessing bank diffuse the hidden states.
+
 Checkpoint selection is best-validation by default. The screening policy
-keeps the three earliest epochs plus the two best as candidates, ranks
-them with a cheap proxy (a fresh model trained briefly on a 2-hop blend),
-and breaks proxy ties toward the candidate whose hidden states sit
-farthest from the raw features in moment-signature distance; the raw
-features' signature is computed once per run, on first use, and shared with
-the diagnostics. The winner's own checkpoint continues; nothing is
-retrained at full budget.
+keeps the three earliest epochs plus the two best (``KEEP_EARLY``,
+``KEEP_BEST``) as candidates, ranks them with a cheap proxy (a fresh model
+trained briefly on a 2-hop blend), and breaks proxy ties toward the
+candidate whose hidden states sit farthest from the raw features in
+moment-signature distance; the raw features' signature is computed once per
+run, on first use, and shared with the diagnostics. The winner's own
+checkpoint continues; nothing is retrained at full budget.
+
+With ``diagnostics`` on and a ``workdir`` given, hidden snapshots spill to
+``hidden_seed{seed}_s{stage}_e{epoch}.npy`` there.
 """
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +68,13 @@ __all__ = [
 
 MAX_STAGES = 7
 FAMILIES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
+KEEP_EARLY = 3  # checkpoints kept for screening: the earliest epochs
+KEEP_BEST = 2  # and the best by validation metric
 
 
 @dataclass
 class StagePlan:
-    """Stage schedule and re-propagation recipe.
+    """Stage schedule. Re-propagation reuses the input bank's recipe.
 
     ``diagnostics=True`` additionally records early-epoch hidden snapshots
     and the spectral distance between the selected hidden states and the
@@ -79,11 +88,6 @@ class StagePlan:
     lambda0: float = 0.5
     schedule: str = "cosine"
     alpha_vectors: list | None = None
-    hrp_family: str = "same"
-    hrp_operator: str = "shifted"
-    jacobi_alpha: float = 0.0
-    jacobi_beta: float = 0.0
-    lanczos_order: int | None = None
     checkpoint_policy: str = "best-val"
     warm_start: bool = True
     patience: int = TrainConfig.patience
@@ -108,8 +112,6 @@ class StagePlan:
         if self.schedule == "perhop":
             if self.alpha_vectors is None or len(self.alpha_vectors) != self.stages - 1:
                 raise ConfigError("perhop schedule needs stages-1 alpha vectors")
-        if self.hrp_family != "same" and self.hrp_family not in FAMILIES:
-            raise ConfigError(f"unknown re-propagation family {self.hrp_family!r}")
         if self.checkpoint_policy not in ("best-val", "diversity-screened"):
             raise ConfigError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
         if self.patience < 1:
@@ -140,7 +142,6 @@ class RunResult:
     best_epoch: int
     best_val: float
     stages: list
-    report: dict = field(default_factory=dict)
 
 
 def cosine_blend_weight(s: int, stages: int, lambda0: float) -> float:
@@ -330,8 +331,7 @@ def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accura
 
 
 def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
-                stage: int, epochs: int, seed: int, patience: int | None = None,
-                keep_early: int = 3, keep_best: int = 2, history_sink=None):
+                stage: int, epochs: int, seed: int, patience: int | None = None):
     """Train one stage in place and return its bookkeeping.
 
     The random streams for shuffling and dropout are keyed by (seed, stage,
@@ -373,9 +373,7 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
         row = {"stage": stage, "epoch": epoch,
                "train_loss": float(np.mean(losses)), "val_metric": float(val)}
         history.append(row)
-        if history_sink is not None:
-            history_sink(row)
-        if epoch <= keep_early:
+        if epoch <= KEEP_EARLY:
             early[epoch] = {"params": copy.deepcopy(params), "adam": copy.deepcopy(adam)}
         if val > best["val"]:
             best = {"epoch": epoch, "val": float(val),
@@ -384,7 +382,7 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
         else:
             since_best += 1
         tops.append((float(val), epoch))
-        tops = sorted(tops, key=lambda t: (-t[0], t[1]))[:keep_best]
+        tops = sorted(tops, key=lambda t: (-t[0], t[1]))[:KEEP_BEST]
         kept = {e for _, e in tops}
         if epoch in kept:
             top_ckpts[epoch] = {"val": float(val), "params": copy.deepcopy(params),
@@ -398,60 +396,37 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
             "stopped_early": stopped}
 
 
-def _resolve_reprop_spec(plan: StagePlan, bank: HopBank) -> dict:
-    """Turn the plan's re-propagation fields into repropagate() kwargs;
-    ``same`` inherits whatever family and weights built the input bank."""
-    if plan.hrp_family == "same":
-        prov = bank.provenance
-        family = prov.get("basis", "legendre")
-        if family not in FAMILIES:
-            raise ConfigError(f"input bank has no reusable basis ({family!r}); "
-                              "set an explicit re-propagation family")
-        return {
-            "family": family,
-            "operator": prov.get("operator", "shifted"),
-            "jacobi_alpha": float(prov.get("alpha", 0.0)),
-            "jacobi_beta": float(prov.get("beta", 0.0)),
-            "lanczos_order": prov.get("order"),
-        }
+def _resolve_reprop_spec(bank: HopBank) -> dict:
+    """The repropagate() kwargs that rebuild the input bank's recipe from its
+    provenance: its family, operator, Jacobi weights and Lanczos order."""
+    prov = bank.provenance
+    family = prov.get("basis", "legendre")
+    if family not in FAMILIES:
+        raise ConfigError(f"input bank has no reusable basis ({family!r})")
     return {
-        "family": plan.hrp_family,
-        "operator": plan.hrp_operator,
-        "jacobi_alpha": plan.jacobi_alpha,
-        "jacobi_beta": plan.jacobi_beta,
-        "lanczos_order": plan.lanczos_order,
+        "family": family,
+        "operator": prov.get("operator", "shifted"),
+        "jacobi_alpha": float(prov.get("alpha", 0.0)),
+        "jacobi_beta": float(prov.get("beta", 0.0)),
+        "lanczos_order": prov.get("order"),
     }
 
 
-def _store_hidden(hidden: np.ndarray, workdir, stage: int, epoch: int):
-    """Keep a snapshot in memory, or spill to an .npy file when a workdir
-    is given (the CLI does, to bound resident memory on long runs)."""
+def _store_hidden(hidden: np.ndarray, workdir, seed: int, stage: int, epoch: int):
+    """Keep a snapshot in memory, or spill to an .npy file named by seed,
+    stage and epoch when a workdir is given (the CLI does, to bound resident
+    memory on long runs; seeds sharing a workdir keep their own files)."""
     if workdir is None:
         return hidden
     import os
 
-    path = os.path.join(str(workdir), f"hidden_s{stage}_e{epoch}.npy")
+    path = os.path.join(str(workdir), f"hidden_seed{seed}_s{stage}_e{epoch}.npy")
     np.save(path, hidden)
     return path
 
 
 def _load_hidden(snap):
     return np.load(snap) if isinstance(snap, str) else snap
-
-
-def _stage_dict(r: StageResult) -> dict:
-    return {
-        "stage": r.stage,
-        "selected_epoch": r.selected_epoch,
-        "val_metric": r.val_metric,
-        "epochs_run": len(r.history),
-        "stopped_early": r.stopped_early,
-        "spectral_distance_to_x": r.spectral_distance_to_x,
-        "diffusion_spmm": r.diffusion_spmm,
-        "diagnostic_spmm": r.diagnostic_spmm,
-        "train_seconds": r.train_seconds,
-        "diffusion_seconds": r.diffusion_seconds,
-    }
 
 
 def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec,
@@ -494,12 +469,13 @@ def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec
 
 def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                      cfg: TrainConfig, *, model_kind: str = "mlp",
-                     workdir=None, history_sink=None) -> RunResult:
+                     workdir=None) -> RunResult:
     """Full staged run.
 
     Returns the globally best checkpoint across stages together with the
     bank of the stage it came from (a stage-s model only makes sense on
-    the bank it trained on) and per-stage reports with diffusion costs.
+    the bank it trained on) and per-stage results: epoch history, selected
+    epoch, seconds and sparse products.
     ``graph`` may be None only for single-stage plans, where no
     re-propagation happens.
     """
@@ -523,7 +499,7 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         except NumericalError:
             return None
 
-    reprop_spec = _resolve_reprop_spec(plan, bank) if plan.stages > 1 else None
+    reprop_spec = _resolve_reprop_spec(bank) if plan.stages > 1 else None
     stage_results = []
     best_overall = {"val": -np.inf, "stage": 0, "epoch": 0, "params": None}
     best_bank = bank
@@ -534,7 +510,7 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         t0 = time.perf_counter()
         out = train_stage(model, params, adam, stage_bank, lv, cfg, stage=s,
                           epochs=plan.epochs[s - 1], seed=cfg.seed,
-                          patience=plan.patience, history_sink=history_sink)
+                          patience=plan.patience)
         train_secs = time.perf_counter() - t0
 
         spmm0 = spmm_call_count()
@@ -558,9 +534,9 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                 for e, snap in out["early"].items():
                     snapshots[e] = _store_hidden(
                         extract_hidden(model, snap["params"], stage_bank),
-                        workdir, s, e)
-                snapshots[selected["epoch"]] = _store_hidden(hidden, workdir, s,
-                                                             selected["epoch"])
+                        workdir, cfg.seed, s, e)
+                snapshots[selected["epoch"]] = _store_hidden(
+                    hidden, workdir, cfg.seed, s, selected["epoch"])
                 diag_spmm += spmm_call_count() - pre
             pre = spmm_call_count()
             htilde = repropagate(graph, hidden, hops, **reprop_spec)
@@ -589,16 +565,6 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                 params = model.init(seed=cfg.seed + s, dtype=np.float32)
                 adam = init_adam(params)
 
-    report = {
-        "stages": [_stage_dict(r) for r in stage_results],
-        "best_stage": best_overall["stage"],
-        "best_epoch": best_overall["epoch"],
-        "best_val": best_overall["val"],
-        "total_diffusion_spmm": int(sum(r.diffusion_spmm for r in stage_results)),
-        "total_diagnostic_spmm": int(sum(r.diagnostic_spmm for r in stage_results)),
-        "total_train_seconds": float(sum(r.train_seconds for r in stage_results)),
-        "total_diffusion_seconds": float(sum(r.diffusion_seconds for r in stage_results)),
-    }
     return RunResult(model=model, params=best_overall["params"], bank=best_bank,
                      best_stage=best_overall["stage"], best_epoch=best_overall["epoch"],
-                     best_val=best_overall["val"], stages=stage_results, report=report)
+                     best_val=best_overall["val"], stages=stage_results)

@@ -5,11 +5,12 @@ operator. The c nonzero columns share one float64 basis tensor Q of shape
 (order, n, c), and a Lanczos step is whole-block arithmetic on Q[j]: one
 sparse product over the live columns, all alphas and betas at once, and two
 batched full reorthogonalization passes against Q[:j+1]. A column whose
-residual collapses (an invariant subspace was found) leaves the live set
-with zero basis vectors after it; the others keep iterating. A Krylov bank
-holds that tensor, 8 * order * n * c bytes, plus its float32 slabs: slab k
-is Q contracted with component k's (order, c) coefficients, written
-straight into the (n, d) slab. Per-channel objects are views of the tensor.
+residual norm falls below ``BREAKDOWN_TOL`` (an invariant subspace was
+found) leaves the live set with zero basis vectors after it; the others
+keep iterating. A Krylov bank holds that tensor, 8 * order * n * c bytes,
+plus its float32 slabs: slab k is Q contracted with component k's
+(order, c) coefficients, written straight into the (n, d) slab.
+Per-channel objects are views of the tensor.
 
 The small tridiagonal eigenproblems are solved by an implicit-shift QL
 sweep written out here rather than delegated, so the deterministic sign
@@ -54,7 +55,9 @@ __all__ = [
 MAX_LANCZOS_STEPS = 15
 MAX_QL_SIZE = 64
 MAX_QL_SWEEPS = 50
-BREAKDOWN_RTOL = 1e-10
+# Lanczos vectors have unit norm and the shifted operator norm <= 1, so a
+# residual norm is on an absolute scale, whatever the input column's norm
+BREAKDOWN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,7 @@ class LanczosFactorization:
 
 
 def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
-                    reorth: str = "full",
-                    breakdown_rtol: float = BREAKDOWN_RTOL) -> LanczosFactorization:
+                    reorth: str = "full") -> LanczosFactorization:
     """Run ``order`` Lanczos steps on every nonzero feature column.
 
     One sparse product per step over the live columns, ``order`` products
@@ -160,7 +162,7 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
         for _ in range(2):
             r -= np.einsum("knc,kc->nc", basis, np.einsum("knc,nc->kc", basis, r))
         b = np.linalg.norm(r, axis=0)
-        keep = b >= breakdown_rtol * norms[cols]
+        keep = b >= BREAKDOWN_TOL
         betas[j, cols] = np.where(keep, b, 0.0)
         q[j + 1][:, cols] = r / np.where(keep, b, np.inf)
         live = live[keep]

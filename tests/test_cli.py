@@ -7,6 +7,8 @@ import pytest
 from diffbank import (SyntheticSpec, generate, load_bank_file, load_features,
                       save_checkpoint, save_edge_list, save_features, save_labels)
 from diffbank.cli import main
+from diffbank.config import config_hash, load_config
+from diffbank.experiment import run_seed
 
 
 @pytest.fixture()
@@ -106,6 +108,32 @@ def test_train_honours_hrp_diagnostics(tmp_path, capsys):
     report = json.loads((run_dir / "report.json").read_text())
     assert report["total_diagnostic_spmm"] > 0
     assert report["stages"][0]["spectral_distance_to_x"] is not None
+
+
+def _untimed(report):
+    """A report without its wall-clock fields."""
+    out = {k: v for k, v in report.items()
+           if k not in ("train_seconds", "diffusion_seconds")}
+    out["bank"] = {k: v for k, v in report["bank"].items() if k != "seconds"}
+    out["stages"] = [{k: v for k, v in st.items()
+                      if k not in ("train_seconds", "diffusion_seconds")}
+                     for st in report["stages"]]
+    return out
+
+
+def test_train_artifacts_are_the_run_seed_results(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, seeds=[3])
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    cfg = load_config(str(cfg_path))
+    row, result = run_seed(cfg, 3)
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report.pop("config_hash") == config_hash(cfg)
+    assert list(report) == list(row)
+    assert _untimed(report) == _untimed(json.loads(json.dumps(row)))
+    lines = (run_dir / "epochs.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        epoch for stage in result.stages for epoch in stage.history]
 
 
 def test_calibrate_emits_json(dataset, tmp_path, capsys):
@@ -235,6 +263,14 @@ def test_data_error_exits_3(dataset, tmp_path, capsys):
                "--labels", str(run_dir.parent / "data" / "labels.tsv")])
     assert rc == 3
     assert "lacks num_classes" in capsys.readouterr().err
+
+
+def test_node_id_past_the_supported_maximum_exits_3(tmp_path, capsys):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("0\t1000000000000\n")
+    rc = main(["calibrate", "--edges", str(edges)])
+    assert rc == 3
+    assert "supported maximum" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -7,8 +7,9 @@ import pytest
 from diffbank import (CONFIG_SCHEMA, ConfigError, StagePlan, SyntheticSpec,
                       TrainConfig, calibrate, config_hash, load_config,
                       validate_config)
-from diffbank.config import (CALIBRATION_ARGS, HRP_FIELDS, to_stage_plan,
-                             to_synthetic_spec, to_train_config)
+from diffbank.config import (CALIBRATION_ARGS, to_stage_plan, to_synthetic_spec,
+                             to_train_config)
+from diffbank.cli import main
 from diffbank.experiment import prepare_dataset
 
 
@@ -69,10 +70,6 @@ def test_budget_errors():
         validate_config(raw)
     raw = minimal()
     raw["krylov"] = {"order": 16}
-    with pytest.raises(ConfigError, match="exceeds the fixed step budget of 15"):
-        validate_config(raw)
-    raw = minimal()
-    raw["hrp"] = {"lanczos_order": 20}
     with pytest.raises(ConfigError, match="exceeds the fixed step budget of 15"):
         validate_config(raw)
 
@@ -145,7 +142,7 @@ def test_adapters():
     raw = minimal()
     raw["train"] = {"lr": 0.2, "trunk": [32, 16], "patience": 9}
     raw["metric"] = "roc_auc"
-    raw["hrp"] = {"stages": 3, "lambda0": 0.25, "family": "chebyshev"}
+    raw["hrp"] = {"stages": 3, "lambda0": 0.25}
     raw["dataset"]["synthetic"].update({"snr": 2.5, "homophily": False})
     cfg = validate_config(raw)
     tc = to_train_config(cfg, seed=4)
@@ -153,7 +150,6 @@ def test_adapters():
     assert tc.metric == "roc_auc" and tc.patience == 9
     plan = to_stage_plan(cfg)
     assert plan.stages == 3 and plan.lambda0 == 0.25
-    assert plan.hrp_family == "chebyshev"
     assert plan.patience == 9  # falls back to the train patience
     spec = to_synthetic_spec(cfg, seed=4)
     assert spec.n == 50 and spec.snr == 2.5 and spec.seed == 4
@@ -167,14 +163,23 @@ def test_schema_sections_are_the_dataclass_fields():
         return {f.name for f in dataclasses.fields(cls)} - set(skip)
 
     assert set(props["train"]["properties"]) == fields(TrainConfig, "metric", "seed")
-    assert {HRP_FIELDS.get(k, k) for k in props["hrp"]["properties"]} == fields(StagePlan)
+    assert set(props["hrp"]["properties"]) == fields(StagePlan)
     synthetic = props["dataset"]["properties"]["synthetic"]["properties"]
     assert set(synthetic) == fields(SyntheticSpec, "seed")
     calibration = {CALIBRATION_ARGS.get(k, k) for k in props["calibration"]["properties"]}
     assert calibration <= set(inspect.signature(calibrate).parameters)
 
 
-def test_removed_knobs_are_config_errors():
-    for over in ({"row_scale": True}, {"krylov": {"reorth": "full"}}):
-        with pytest.raises(ConfigError):
+def test_removed_knobs_are_config_errors(tmp_path, capsys):
+    # re-propagation reuses the preprocessing bank's recipe, so the hrp
+    # section has no recipe keys
+    hrp_recipe = [{"hrp": {key: value}} for key, value in (
+        ("family", "chebyshev"), ("operator", "dad"), ("jacobi_alpha", 0.7),
+        ("jacobi_beta", 0.1), ("lanczos_order", 9))]
+    path = tmp_path / "config.json"
+    for over in ({"row_scale": True}, {"krylov": {"reorth": "full"}}, *hrp_recipe):
+        with pytest.raises(ConfigError, match="Additional properties"):
             validate_config({**minimal(), **over})
+        path.write_text(json.dumps({**minimal(), **over}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert not (tmp_path / "r").exists()

@@ -143,7 +143,7 @@ def test_build_bank_krylov_order_floor():
 
 def test_run_seed_report_shape():
     cfg = tiny_cfg(hrp={"stages": 2, "epochs": 2})
-    row = run_seed(cfg, 0)
+    row, result = run_seed(cfg, 0)
     assert set(row) >= {"seed", "test_metric", "val_metric", "best_stage",
                         "best_epoch", "total_diffusion_spmm", "preprocess_spmm",
                         "total_spmm", "hrp_spmm_share"}
@@ -154,6 +154,9 @@ def test_run_seed_report_shape():
     assert row["total_spmm"] == 6
     assert row["hrp_spmm_share"] == pytest.approx(0.5)
     assert len(row["stages"]) == 2
+    assert row["val_metric"] == result.best_val
+    assert [s["epochs_run"] for s in row["stages"]] == [len(s.history)
+                                                        for s in result.stages]
 
 
 def test_run_experiment_summary_and_hash():
@@ -165,6 +168,20 @@ def test_run_experiment_summary_and_hash():
     assert res["summary"]["mean"] == pytest.approx(np.mean(vals))
     assert res["summary"]["per_seed"] == vals
     assert len(res["config_hash"]) == 64
+
+
+def test_seeds_sharing_a_workdir_keep_their_own_snapshots(tmp_path):
+    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 3, "diagnostics": True},
+                   seeds=[0, 1])
+    rows = run_experiment(cfg, workdir=tmp_path)["runs"]
+    assert [r["seed"] for r in rows] == [0, 1]
+    per_seed = [sorted(tmp_path.glob(f"hidden_seed{seed}_s1_e*.npy"))
+                for seed in (0, 1)]
+    assert per_seed[0] and len(per_seed[0]) == len(per_seed[1])
+    assert len(list(tmp_path.iterdir())) == 2 * len(per_seed[0])
+    for a, b in zip(*per_seed):
+        assert a.name.replace("seed0", "seed1") == b.name
+        assert not np.array_equal(np.load(a), np.load(b))
 
 
 def test_summarize_single_row_has_zero_std():

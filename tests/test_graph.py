@@ -3,7 +3,7 @@ import pytest
 
 from diffbank import (DataError, build_graph, degrees, graph_hash,
                       make_operator, reset_spmm_count, spmm, spmm_call_count)
-from diffbank.graph import LabelVector
+from diffbank.graph import MAX_NODES, LabelVector
 
 from conftest import dense_operator, random_graph
 from diffbank.rng import rng_for
@@ -22,11 +22,6 @@ def test_build_graph_dedup_and_reversed_duplicates():
     g = build_graph(np.array([[0, 1], [1, 0], [0, 1]]), 2)
     assert g.num_edges == 2
     assert g.col_idx.tolist() == [1, 0]
-
-
-def test_build_graph_dedup_disabled_keeps_multiplicity():
-    g = build_graph(np.array([[0, 1], [0, 1]]), 2, dedup=False)
-    assert g.num_edges == 4
 
 
 def test_build_graph_self_loops_flag():
@@ -61,6 +56,26 @@ def test_build_graph_errors():
         build_graph(np.array([[-1, 0]]), 3)
     with pytest.raises(DataError):
         build_graph(np.array([[0, 1, 2]]), 3)
+    # past MAX_NODES the int64 sort key src * n + dst would overflow
+    with pytest.raises(DataError, match="supported maximum"):
+        build_graph(np.array([[0, 1]]), MAX_NODES + 1)
+
+
+def test_build_graph_matches_a_lexicographic_sort():
+    rng = rng_for(8, "keysort")
+    n = 50
+    edges = rng.integers(0, n, size=(400, 2))
+    for undirected in (True, False):
+        g = build_graph(edges, n, undirected=undirected, add_self_loops=True)
+        src, dst = edges[:, 0], edges[:, 1]
+        if undirected:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        src = np.concatenate([src, np.arange(n)])
+        dst = np.concatenate([dst, np.arange(n)])
+        pairs = sorted(set(zip(src.tolist(), dst.tolist())))
+        assert g.col_idx.tolist() == [d for _, d in pairs]
+        assert g.row_ptr.tolist() == np.searchsorted(
+            [s for s, _ in pairs], np.arange(n + 1)).tolist()
 
 
 def test_graph_arrays_immutable(k3):

@@ -290,6 +290,19 @@ def test_mixed_batch_matches_single_column_runs():
         assert np.max(np.abs(rc_alone.values - rc.values)) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e12, 1e-12])
+def test_breakdown_does_not_depend_on_the_input_scale(scale):
+    rng = rng_for(14, "scale")
+    g = random_graph(rng, 10)
+    op = make_operator(g, "shifted")
+    _, u = np.linalg.eigh(dense_shifted(g))
+    # a generic column runs all steps, an eigenvector breaks down after one
+    x = np.column_stack([seeded_features(g, 1, 5)[:, 0], u[:, 3]])
+    order = 6
+    assert list(batched_lanczos(op, x, order).steps) == [order, 1]
+    assert list(batched_lanczos(op, scale * x, order).steps) == [order, 1]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_krylov_slabs_raise_numerical_error():
     rng = rng_for(13, "overflow")
