@@ -19,8 +19,10 @@ denominator 2(k+1)(k+a+b+1)(2k+a+b) is strictly positive whenever both
 weights exceed -1, which the calibration clamp guarantees.
 
 Every bank build issues exactly K sparse products. The recurrence runs in
-float64 working precision and slabs are stored as float32. Each computed
-slab is checked as it is written: one that is not finite in float32
+float64 working precision, on float64 working slabs each build allocates
+once, and slabs are stored as float32. Each step's update runs inside the
+product's row blocks (``spmm``'s ``then``), where each block's rows of the
+new slab are stored and checked: a slab that is not finite in float32
 (overflow at high K or with extreme Jacobi weights) raises NumericalError.
 Slab 0 is the input itself and is not checked.
 """
@@ -83,8 +85,10 @@ def _check_budget(hops: int) -> None:
         raise ConfigError(f"hop count {hops} exceeds the fixed hop budget of {MAX_HOPS}")
 
 
-def _check_slab(slabs: np.ndarray, k: int, basis: str) -> None:
-    if not np.isfinite(slabs[k]).all():
+def _check_slab(slabs: np.ndarray, k: int, basis: str, rows=slice(None)) -> None:
+    # min and max carry any NaN or infinity without allocating a mask
+    part = slabs[k, rows]
+    if part.size and not (np.isfinite(part.min()) and np.isfinite(part.max())):
         raise NumericalError(f"{basis} bank slab {k} is not finite in float32")
 
 
@@ -142,11 +146,14 @@ def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     x = _check_features(op, x)
     slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
     slabs[0] = x.astype(np.float32, copy=True)
-    cur = x.astype(np.float64, copy=False)
+    cur, out = np.array(x, dtype=np.float64), np.empty(x.shape)
     for k in range(1, hops + 1):
-        cur = spmm(op, cur)
-        slabs[k] = cur
-        _check_slab(slabs, k, "monomial")
+        def step(lo, hi):
+            slabs[k, lo:hi] = out[lo:hi]
+            _check_slab(slabs, k, "monomial", slice(lo, hi))
+
+        spmm(op, cur, out=out, then=step)
+        cur, out = out, cur
     return HopBank(hops=hops, slabs=slabs, provenance=_provenance(op, "monomial", hops))
 
 
@@ -163,19 +170,32 @@ def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
 
     slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
     slabs[0] = x.astype(np.float32, copy=True)
-    prev = x.astype(np.float64, copy=False)
-    cur = None
+    # float64 working slabs; np.empty commits no memory until a step writes
+    # it, so ``scratch`` costs nothing for the b = 0 families
+    prev, cur, out, scratch = (np.empty(x.shape) for _ in range(4))
+    cur[...] = x
     for k in range(hops):
-        nxt = rc.a[k] * spmm(op, cur if k else prev)
-        if rc.b[k] != 0.0:
-            nxt += rc.b[k] * (cur if k else prev)
-        if k and rc.c[k] != 0.0:
-            nxt -= rc.c[k] * prev
-        if k:
-            prev = cur
-        cur = nxt
-        slabs[k + 1] = cur if _rescale is None else cur / _rescale[k + 1]
-        _check_slab(slabs, k + 1, _basis_tag)
+        a, b, c = rc.a[k], rc.b[k], rc.c[k]
+
+        def step(lo, hi):
+            y = out[lo:hi]
+            y *= a
+            if b != 0.0:
+                y += np.multiply(cur[lo:hi], b, out=scratch[lo:hi])
+            if c != 0.0:  # c[0] = 0, so step 0 never reads prev
+                # prev's rows take the next product, so they may be spent here
+                p = prev[lo:hi]
+                p *= c
+                y -= p
+            rows = slabs[k + 1, lo:hi]
+            if _rescale is None:
+                rows[...] = y
+            else:
+                np.divide(y, _rescale[k + 1], out=rows)
+            _check_slab(slabs, k + 1, _basis_tag, slice(lo, hi))
+
+        spmm(op, cur, out=out, then=step)
+        prev, cur, out = cur, out, prev
 
     return HopBank(hops=hops, slabs=slabs,
                    provenance=_provenance(op, _basis_tag, hops, alpha=alpha, beta=beta))

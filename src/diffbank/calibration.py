@@ -85,8 +85,9 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     """Stochastic Chebyshev trace moments of the shifted operator.
 
     Runs the three-term recurrence v_{k+1} = 2 S v_k - v_{k-1} on a block of
-    random probe vectors and averages <z, v_k> over probes. Exactly ``order``
-    sparse products are issued. m_0 concentrates near n with standard error
+    random probe vectors, each step's update fused into the product's row
+    blocks, and averages <z, v_k> over probes. Exactly ``order`` sparse
+    products are issued. m_0 concentrates near n with standard error
     about n * sqrt(2/n) / sqrt(probes) for Gaussian probes.
     """
     _require_shifted(op)
@@ -105,13 +106,17 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
         z = rng.integers(0, 2, size=(n, probes)).astype(np.float64) * 2.0 - 1.0
 
     m = np.empty(order + 1, dtype=np.float64)
-    v_prev = z
     m[0] = np.sum(z * z) / probes
-    v = spmm(op, z)
+    v_prev, v, out = z.copy(), spmm(op, z), np.empty_like(z)
     m[1] = np.sum(z * v) / probes
     for k in range(2, order + 1):
-        v_next = 2.0 * spmm(op, v) - v_prev
-        v_prev, v = v, v_next
+        def step(lo, hi):
+            y = out[lo:hi]
+            y *= 2.0
+            y -= v_prev[lo:hi]
+
+        spmm(op, v, out=out, then=step)
+        v_prev, v, out = v, out, v_prev
         m[k] = np.sum(z * v) / probes
     return MomentVector(values=m, probes=probes, seed=seed, probe_kind=probe_kind)
 

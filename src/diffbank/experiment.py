@@ -18,10 +18,17 @@ seeds the second and third arm, and any thread running the same seed, do
 not decompose again.
 
 Seeds always run on a thread pool of ``DIFFBANK_THREADS`` workers (default
-1, which runs them one after another). SpMM counts come from the
+1, which runs them one after another). Each seed's sparse products run on
+the ``graph`` kernel's threads: the usable cores divided by
+``DIFFBANK_THREADS``, at least 1, so the two pools never ask for more
+threads than there are cores. The kernel gives every row the serial sum,
+so no number depends on either thread count. SpMM counts come from the
 module-global counter in ``graph``, so per-phase attribution is exact only
-with one worker; totals and every reported metric are the same at any
-thread count.
+with one seed worker; totals and every reported metric are the same at
+any thread count.
+
+``run_experiment`` creates the ``workdir`` for hidden-state snapshots, or
+refuses an unusable one, before any seed runs.
 """
 
 import hashlib
@@ -38,7 +45,7 @@ from .calibration import calibrate
 from .config import (CALIBRATION_ARGS, config_hash, to_stage_plan,
                      to_synthetic_spec, to_train_config)
 from .errors import ConfigError, DataError
-from .graph import graph_hash, make_operator, spmm_call_count
+from .graph import check_fits, graph_hash, make_operator, seed_threads, spmm_call_count
 from .hrp import RunResult, StageResult, evaluate_split, run_hrp_training
 from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
@@ -103,7 +110,9 @@ def build_bank(cfg: dict, graph, x):
 
     Returns (bank, details) where details carries the calibration result
     for the ``auto`` basis and skipped-channel info for ``krylov``. Every
-    basis but ``monomial`` runs on the shifted operator.
+    basis but ``monomial`` runs on the shifted operator. A bank whose
+    float32 slabs, (hops + 1) * n * d * 4 bytes, would not fit in physical
+    memory raises DataError before any product.
     """
     basis = cfg["basis"]
     hops = cfg["hops"]
@@ -111,6 +120,9 @@ def build_bank(cfg: dict, graph, x):
     if basis != "monomial" and cfg["operator"] != "shifted":
         raise ConfigError(f"the {basis} basis runs on the shifted operator, "
                           f"config says {cfg['operator']!r}")
+    d = np.shape(x)[1]
+    check_fits(4 * (hops + 1) * graph.n * d,
+               f"a {hops}-hop bank of {graph.n} x {d} features")
     spmm0 = spmm_call_count()
     t0 = time.perf_counter()
     op = make_operator(graph, cfg["operator"])
@@ -214,17 +226,14 @@ def summarize(rows: list) -> dict:
     }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DIFFBANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"DIFFBANK_THREADS must be an integer, got {raw!r}")
-
-
 def run_experiment(cfg: dict, *, workdir=None) -> dict:
     seeds = cfg["seeds"]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    if workdir is not None:
+        try:
+            os.makedirs(workdir, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot use --workdir {workdir}: {exc}") from exc
+    with ThreadPoolExecutor(max_workers=seed_threads()) as pool:
         # keep only the row, so no bank outlives its seed
         rows = list(pool.map(lambda s: run_seed(cfg, s, workdir=workdir)[0], seeds))
     return {

@@ -18,17 +18,34 @@ Isolated nodes get a zero inverse square-root degree, so their ``lap``
 diagonal is 0 and their ``shifted`` diagonal is -1.
 
 Matrix products accumulate in 64-bit partial sums regardless of the input
-dtype and reduce each output row over neighbors in ascending column order,
-so results do not depend on thread count or dict ordering. Every product
-bumps a module-level counter used by cost assertions and stage reports.
+dtype and reduce each output row over neighbors in ascending column order.
+``spmm`` is the one propagation kernel. It runs each block of rows that
+``make_operator`` cut (about equal stored entries each), then an optional
+row-local update from the caller, on one persistent thread pool, the
+calling thread taking the first block. Blocks are views of the CSR arrays
+and write the caller's output rows with the routine ``csr @ dense`` calls,
+so each row is the serial product bit for bit at any thread count. Kernel
+threads are the cores this process may use over the seeds
+``DIFFBANK_THREADS`` runs at once, at least 1, so the two never
+oversubscribe the cores; a product with fewer than ``_WORK_FLOOR`` stored
+entries times columns runs as one block on the calling thread. Every
+product bumps a module-level counter, on the calling thread, used by cost
+assertions and stage reports.
+
+``build_graph`` refuses a graph whose CSR arrays would not fit in physical
+memory before it allocates them.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "Graph",
@@ -39,6 +56,7 @@ __all__ = [
     "graph_hash",
     "make_operator",
     "reset_spmm_count",
+    "seed_threads",
     "spmm",
     "spmm_call_count",
     "OPERATOR_KINDS",
@@ -50,6 +68,17 @@ MAX_NODES = 3_037_000_499
 
 _SPMM_CALLS = 0
 
+# cores this process may use; kernel threads are these over seed threads
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+# stored entries x width below which a product runs as one block on the
+# calling thread. Legendre steps on 2 cores, 2 blocks against 1 (20 pairs
+# each): 2 blocks won 1-6 pairs at 0.6M-3.8M, 8-12 at 5M-10M (a wash) and
+# all 20 at 15M and 32M, where the operands outgrow the per-core cache.
+_WORK_FLOOR = 10_000_000
+_POOL = None
+_POOL_LOCK = threading.Lock()  # seed threads may start the pool at once
+
 
 def spmm_call_count() -> int:
     """Number of sparse-times-dense products performed since the last reset."""
@@ -59,6 +88,27 @@ def spmm_call_count() -> int:
 def reset_spmm_count() -> None:
     global _SPMM_CALLS
     _SPMM_CALLS = 0
+
+
+def seed_threads() -> int:
+    """Seeds run at once, from ``DIFFBANK_THREADS`` (default 1)."""
+    raw = os.environ.get("DIFFBANK_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"DIFFBANK_THREADS must be an integer, got {raw!r}")
+
+
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_fits(nbytes: int, what: str) -> None:
+    """Raise DataError when ``what`` needs more bytes than physical memory."""
+    have = _physical_bytes()
+    if nbytes > have:
+        raise DataError(f"{what} needs {nbytes / 2**30:.1f} GiB, more than the "
+                        f"{have / 2**30:.1f} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -119,7 +169,8 @@ def build_graph(edges, n, *, undirected: bool = True,
         Append (i, i) for every node before deduplication.
 
     Entries are sorted by the one int64 key ``src * n + dst`` and duplicates
-    dropped, so ``n`` may not exceed ``MAX_NODES``.
+    dropped, so ``n`` may not exceed ``MAX_NODES``. A graph whose CSR arrays
+    would not fit in physical memory raises DataError before they exist.
     """
     if n <= 0:
         raise DataError("graph must have at least one node")
@@ -131,6 +182,9 @@ def build_graph(edges, n, *, undirected: bool = True,
         e = np.zeros((0, 2), dtype=np.int64)
     if e.ndim != 2 or e.shape[1] != 2:
         raise DataError("edges must be an (E, 2) array")
+    # row pointers and degree counts, then src, dst and sort key per entry
+    entries = 2 * e.shape[0] + (n if add_self_loops else 0)
+    check_fits(16 * (n + 1) + 24 * entries, f"a CSR graph of {n} nodes")
     if e.size and (e.min() < 0 or e.max() >= n):
         raise DataError("edge endpoint out of range [0, n)")
 
@@ -179,7 +233,8 @@ class SparseOperator:
     ``edge_weights`` aligns with ``graph.col_idx``; ``diag`` holds the
     per-node diagonal term that the adjacency part does not cover. The
     combined matrix is cached in ``_matrix`` with float64 data so products
-    accumulate in 64-bit arithmetic.
+    accumulate in 64-bit arithmetic; ``_cuts`` are the row bounds of the
+    kernel's blocks.
     """
 
     kind: str
@@ -187,6 +242,7 @@ class SparseOperator:
     edge_weights: np.ndarray
     diag: np.ndarray
     _matrix: sp.csr_matrix = field(repr=False)
+    _cuts: tuple = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -231,15 +287,40 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
     mat.sort_indices()
     w32.setflags(write=False)
     d32.setflags(write=False)
-    return SparseOperator(kind=kind, graph=g, edge_weights=w32, diag=d32, _matrix=mat)
+    return SparseOperator(kind=kind, graph=g, edge_weights=w32, diag=d32, _matrix=mat,
+                          _cuts=_row_cuts(mat.indptr, max(1, _CORES // seed_threads())))
 
 
-def spmm(op: SparseOperator, m: np.ndarray) -> np.ndarray:
+def _row_cuts(indptr: np.ndarray, blocks: int) -> tuple:
+    """Row bounds of up to ``blocks`` non-empty blocks with about equal
+    stored entries each."""
+    n = indptr.size - 1
+    inner = np.searchsorted(indptr, np.arange(1, blocks) * (indptr[-1] / blocks))
+    return tuple(int(c) for c in np.unique(np.concatenate([[0], inner, [n]])))
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=max(1, _CORES - 1),
+                                       thread_name_prefix="diffbank-spmm")
+    return _POOL
+
+
+def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
+         then=None) -> np.ndarray:
     """Multiply the operator against a dense (n, d) block.
 
     The product is computed entirely in float64 and cast back to the input
     dtype, so a float32 block still gets 64-bit partial sums. Increments
     the module SpMM counter by one regardless of block width.
+
+    ``out``, a C-contiguous float64 (n, d) array apart from ``m``, receives
+    the product and is returned as it is. ``then(lo, hi)`` runs on each row
+    block right after its product rows are in ``out``, possibly on a pool
+    thread, and may read and write rows lo:hi of the caller's arrays only;
+    an exception it raises is raised here once every block has finished.
     """
     global _SPMM_CALLS
     x = np.asarray(m)
@@ -248,8 +329,34 @@ def spmm(op: SparseOperator, m: np.ndarray) -> np.ndarray:
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
-    out = op._matrix @ x.astype(np.float64, copy=False)
+    dtype = x.dtype
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif (out.shape != x.shape or out.dtype != np.float64
+          or not out.flags.c_contiguous or np.may_share_memory(out, x)):
+        raise ValueError("out must be a C-contiguous float64 array shaped like "
+                         "the operand and apart from it")
+    mat = op._matrix
+
+    def block(lo, hi):
+        # out[lo:hi] = mat[lo:hi] @ x by the routine csr @ dense calls, on
+        # zeroed rows and a view of indptr (absolute offsets into the rest)
+        rows = out[lo:hi]
+        rows.fill(0.0)
+        _sparsetools.csr_matvecs(hi - lo, op.n, x.shape[1], mat.indptr[lo:hi + 1],
+                                 mat.indices, mat.data, x.reshape(-1), rows.reshape(-1))
+        if then is not None:
+            then(lo, hi)
+
+    cuts = op._cuts if mat.nnz * x.shape[1] >= _WORK_FLOOR else (0, op.n)
+    futures = [_pool().submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        block(cuts[0], cuts[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
     _SPMM_CALLS += 1
-    if squeeze:
-        out = out[:, 0]
-    return out.astype(x.dtype, copy=False) if x.dtype != np.float64 else out
+    res = out[:, 0] if squeeze else out
+    return res if dtype == np.float64 else res.astype(dtype)

@@ -42,6 +42,21 @@ __all__ = [
 ]
 
 _SPLITS = ("train", "val", "test")
+# one label-file row; a split name longer than 5 characters is invalid, so
+# cutting it to 8 cannot turn it into a valid one
+_LABEL_ROW = np.dtype([("node", np.int64), ("label", np.int64), ("split", "U8")])
+
+
+def _loadtxt(path, dtype, ndmin: int) -> np.ndarray:
+    """One ``np.loadtxt`` pass over a ``#``-commented, whitespace-separated
+    file. Bad input raises ValueError or DeprecationWarning."""
+    with warnings.catch_warnings():
+        # an empty or comment-only file is the caller's to report, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy 1.x parses a float field such as "1.0" as an integer with a
+        # DeprecationWarning; numpy 2 raises ValueError. Both are bad input.
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(path, dtype=dtype, comments="#", ndmin=ndmin, encoding="utf-8")
 
 
 def load_edge_list(path, n=None, *, undirected=True, add_self_loops=False) -> Graph:
@@ -54,15 +69,7 @@ def load_edge_list(path, n=None, *, undirected=True, add_self_loops=False) -> Gr
     is inferred as max endpoint + 1.
     """
     try:
-        with warnings.catch_warnings():
-            # an empty or comment-only file is reported below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            # numpy 1.x parses a float field such as "1.0" as an integer with a
-            # DeprecationWarning; numpy 2 raises ValueError. Both are bad input.
-            warnings.simplefilter("error", DeprecationWarning)
-            arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
-                             encoding="utf-8")
+        arr = _loadtxt(path, np.int64, ndmin=2)
     except (ValueError, DeprecationWarning) as exc:
         raise DataError(f"{path}: malformed edge list: {exc}") from exc
     if arr.size == 0:
@@ -142,9 +149,34 @@ def load_features_csv(path) -> np.ndarray:
 
 
 def load_labels(path, n: int, num_classes=None) -> LabelVector:
-    """Read ``node_id<TAB>label<TAB>split`` lines; split is train, val or test."""
+    """Read ``node_id<TAB>label<TAB>split`` lines; split is train, val or test.
+
+    The whole file is parsed in one ``np.loadtxt`` pass (``#`` comments and
+    blank lines allowed, any whitespace between fields). A malformed line,
+    a node id outside [0, n) or a negative class raises ``DataError``
+    naming ``path:lineno`` of the first such line.
+    """
+    try:
+        rows = _loadtxt(path, _LABEL_ROW, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        raise _bad_label_line(path, n) from None
+    node, lab, split = rows["node"], rows["label"], rows["split"]
+    if not (np.all((node >= 0) & (node < n) & (lab >= 0))
+            and np.all(np.isin(split, _SPLITS))):
+        raise _bad_label_line(path, n)
     labels = np.full(n, -1, dtype=np.int64)
     masks = {s: np.zeros(n, dtype=bool) for s in _SPLITS}
+    labels[node] = lab
+    for s, mask in masks.items():
+        mask[node[split == s]] = True
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
+    return LabelVector(labels=labels, train_mask=masks["train"], val_mask=masks["val"],
+                       test_mask=masks["test"], num_classes=num_classes)
+
+
+def _bad_label_line(path, n: int) -> DataError:
+    """The error for the first line of a label file that breaks its format."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -152,30 +184,25 @@ def load_labels(path, n: int, num_classes=None) -> LabelVector:
                 continue
             parts = line.split()
             if len(parts) != 3 or parts[2] not in _SPLITS:
-                raise DataError(f"{path}:{lineno}: expected 'node<TAB>label<TAB>"
-                                f"{{train|val|test}}', got {raw!r}")
+                return DataError(f"{path}:{lineno}: expected 'node<TAB>label<TAB>"
+                                 f"{{train|val|test}}', got {raw!r}")
             try:
                 node, lab = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer field") from exc
+            except ValueError:
+                return DataError(f"{path}:{lineno}: non-integer field")
             if not (0 <= node < n):
-                raise DataError(f"{path}:{lineno}: node id {node} out of range")
+                return DataError(f"{path}:{lineno}: node id {node} out of range")
             if lab < 0:
-                raise DataError(f"{path}:{lineno}: negative class id")
-            labels[node] = lab
-            masks[parts[2]][node] = True
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
-    return LabelVector(labels=labels, train_mask=masks["train"], val_mask=masks["val"],
-                       test_mask=masks["test"], num_classes=num_classes)
+                return DataError(f"{path}:{lineno}: negative class id")
+    return DataError(f"{path}: malformed label file")
 
 
 def save_labels(path, lv: LabelVector) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for split in _SPLITS:
-            mask = getattr(lv, f"{split}_mask")
-            for node in np.nonzero(mask)[0].tolist():
-                fh.write(f"{node}\t{int(lv.labels[node])}\t{split}\n")
+            nodes = np.nonzero(getattr(lv, f"{split}_mask"))[0]
+            pairs = np.column_stack([nodes, lv.labels[nodes]]).ravel().tolist()
+            fh.write(f"%d\t%d\t{split}\n" * nodes.size % tuple(pairs))
 
 
 def save_bank_file(path, bank: HopBank) -> None:

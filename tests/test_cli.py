@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import (SyntheticSpec, generate, load_bank_file, load_features,
+from diffbank import (SyntheticSpec, generate, graph, load_bank_file, load_features,
                       save_checkpoint, save_edge_list, save_features, save_labels)
 from diffbank.cli import main
 from diffbank.config import config_hash, load_config
@@ -271,6 +271,45 @@ def test_node_id_past_the_supported_maximum_exits_3(tmp_path, capsys):
     rc = main(["calibrate", "--edges", str(edges)])
     assert rc == 3
     assert "supported maximum" in capsys.readouterr().err
+
+
+def test_graph_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # the patch fails first where build_graph has no preflight, so this
+    # never reaches the 32 GB of row pointers an id of 2e9 would size
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 2**30)
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("0\t2000000000\n")
+    rc = main(["calibrate", "--edges", str(edges)])
+    assert rc == 3
+    assert "physical memory" in capsys.readouterr().err
+
+
+def _spill_config(tmp_path):
+    return write_config(tmp_path, train={"epochs": 2, "batch_size": 16, "trunk": [8],
+                                         "lr": 0.05},
+                        hrp={"stages": 2, "epochs": 2, "diagnostics": True})
+
+
+def test_experiment_creates_a_missing_workdir(tmp_path, capsys):
+    work = tmp_path / "spill" / "deeper"
+    rc = main(["experiment", "--config", str(_spill_config(tmp_path)),
+               "--workdir", str(work)])
+    assert rc == 0
+    assert sorted(work.glob("hidden_seed0_s1_e*.npy"))
+
+
+def test_experiment_refuses_an_unusable_workdir_before_training(tmp_path, capsys,
+                                                                monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a seed ran before the workdir was checked")
+
+    monkeypatch.setattr("diffbank.experiment.run_seed", no_training)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    rc = main(["experiment", "--config", str(_spill_config(tmp_path)),
+               "--workdir", str(blocker / "spill")])
+    assert rc == 3
+    assert "workdir" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,10 +5,10 @@ import pytest
 
 from diffbank import (ConfigError, DataError, save_edge_list, save_features,
                       save_labels, validate_config)
-from diffbank import hrp, synth
-from diffbank.experiment import (_thread_count, build_bank, prepare_dataset,
-                                 run_ablation, run_experiment, run_seed,
-                                 summarize)
+from diffbank import graph, hrp, synth
+from diffbank.experiment import (build_bank, prepare_dataset, run_ablation,
+                                 run_experiment, run_seed, summarize)
+from diffbank.graph import seed_threads, spmm_call_count
 
 
 def tiny_cfg(**over):
@@ -116,6 +116,19 @@ def test_build_bank_dispatch_and_spmm_accounting():
     assert bank.provenance["basis"] == "jacobi"
 
 
+def test_build_bank_refuses_a_bank_past_physical_memory(monkeypatch):
+    cfg = tiny_cfg(hops=3)
+    g, x, _, _ = prepare_dataset(cfg, 0)
+    need = 4 * 4 * g.n * x.shape[1]
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need - 1)
+    before = spmm_call_count()
+    with pytest.raises(DataError, match="physical memory"):
+        build_bank(cfg, g, x)
+    assert spmm_call_count() == before
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need)
+    assert build_bank(cfg, g, x)[1]["spmm"] == 3
+
+
 def test_krylov_bank_details_are_json():
     cfg = tiny_cfg(basis="krylov")
     g, x, lv, _ = prepare_dataset(cfg, 0)
@@ -191,14 +204,14 @@ def test_summarize_single_row_has_zero_std():
 
 def test_thread_count_env(monkeypatch):
     monkeypatch.delenv("DIFFBANK_THREADS", raising=False)
-    assert _thread_count() == 1
+    assert seed_threads() == 1
     monkeypatch.setenv("DIFFBANK_THREADS", "4")
-    assert _thread_count() == 4
+    assert seed_threads() == 4
     monkeypatch.setenv("DIFFBANK_THREADS", "0")
-    assert _thread_count() == 1
+    assert seed_threads() == 1
     monkeypatch.setenv("DIFFBANK_THREADS", "many")
     with pytest.raises(ConfigError):
-        _thread_count()
+        seed_threads()
 
 
 def assert_threads_match_serial(monkeypatch, cfg):

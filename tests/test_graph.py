@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffbank import (DataError, build_graph, degrees, graph_hash,
+from diffbank import (DataError, build_graph, degrees, graph, graph_hash,
                       make_operator, reset_spmm_count, spmm, spmm_call_count)
 from diffbank.graph import MAX_NODES, LabelVector
 
@@ -59,6 +59,19 @@ def test_build_graph_errors():
     # past MAX_NODES the int64 sort key src * n + dst would overflow
     with pytest.raises(DataError, match="supported maximum"):
         build_graph(np.array([[0, 1]]), MAX_NODES + 1)
+
+
+def test_build_graph_refuses_what_cannot_fit_before_allocating(monkeypatch):
+    # the patch fails first where build_graph has no preflight, so this
+    # never reaches the 32 GB of row pointers n = 2e9 + 1 would size
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 2**30)
+    with pytest.raises(DataError, match="physical memory"):
+        build_graph(np.array([[0, 2_000_000_000]]), 2_000_000_001)
+    # self-loops count: 16 bytes of pointers and 24 per entry
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 16 * 11 + 24 * 12)
+    build_graph(np.array([[0, 1]]), 10, add_self_loops=True)
+    with pytest.raises(DataError, match="physical memory"):
+        build_graph(np.array([[0, 1]]), 11, add_self_loops=True)
 
 
 def test_build_graph_matches_a_lexicographic_sort():

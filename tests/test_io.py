@@ -166,6 +166,53 @@ def test_labels_errors(tmp_path):
         load_labels(p, 3)
 
 
+def _labels_by_line(path, n):
+    """Reference reader: the per-line loop the one-pass reader replaced."""
+    labels = np.full(n, -1, dtype=np.int64)
+    masks = {s: np.zeros(n, dtype=bool) for s in ("train", "val", "test")}
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            labels[int(parts[0])] = int(parts[1])
+            masks[parts[2]][int(parts[0])] = True
+    return labels, masks
+
+
+def test_labels_match_a_line_by_line_reader(tmp_path):
+    rng = rng_for(4, "iolabref")
+    n = 300
+    nodes = rng.permutation(n)[:250]
+    splits = rng.choice(["train", "val", "test"], size=nodes.size)
+    lines = [f"{i}{sep}{rng.integers(0, 7)}{sep}{s}{tail}\n"
+             for i, s, sep, tail in zip(nodes, splits,
+                                         rng.choice(["\t", " ", " \t "], nodes.size),
+                                         rng.choice(["", "  # note", "\t"], nodes.size))]
+    for at in sorted(rng.integers(0, len(lines), 20), reverse=True):
+        lines.insert(at, rng.choice(["\n", "# comment\n", "   \n"]))
+    lines.append(f"{nodes[0]}\t5\t{splits[0]}\n")  # a repeat: the last one wins
+    p = tmp_path / "y.tsv"
+    p.write_text("".join(lines))
+    lv = load_labels(p, n)
+    labels, masks = _labels_by_line(p, n)
+    assert np.array_equal(lv.labels, labels)
+    for split, mask in masks.items():
+        assert np.array_equal(getattr(lv, f"{split}_mask"), mask)
+
+
+def test_label_errors_name_the_first_bad_line(tmp_path):
+    p = tmp_path / "y.tsv"
+    good = "# header\n0\t1\ttrain\n\n1\t0\tval\n"
+    for bad, why in [("2\t1\n", "expected"), ("x\t1\ttest\n", "non-integer"),
+                     ("7\t1\ttest\n", "out of range"), ("2\t-1\ttest\n", "negative")]:
+        p.write_text(good + bad + "7\t1\tdev\n")
+        with pytest.raises(DataError, match=f"y.tsv:5: .*{why}"):
+            load_labels(p, 3)
+    # a class id past int64 fails the parse but no per-line check
+    p.write_text(good + "2\t99999999999999999999\ttest\n")
+    with pytest.raises(DataError, match="malformed label file"):
+        load_labels(p, 3)
+
+
 def test_bank_round_trip(tmp_path):
     slabs = rng_for(3, "iobank").normal(size=(4, 9, 3)).astype(np.float32)
     bank = HopBank(hops=3, slabs=slabs, provenance={"basis": "legendre", "hops": 3})
