@@ -6,6 +6,8 @@ batch and returns ``(logits, hidden, cache)``, and ``backward`` consumes
 the cache with the logits gradient and returns a gradient dict with the
 same keys as the parameters. Everything is plain numpy; float32 is the
 training dtype and float64 is used for finite-difference verification.
+The bank rows are inputs, not parameters, so ``backward`` never forms a
+gradient with respect to them (nor to the GRU's zero initial state).
 
 ``ConcatMLP`` flattens the K+1 hop rows of each node into one vector and
 runs it through a ReLU trunk. ``HopGRU`` feeds the hop rows in order
@@ -109,7 +111,8 @@ class ConcatMLP:
         if slabs.shape[0] != self.hops + 1:
             raise ValueError(f"bank has {slabs.shape[0] - 1} hops, model expects {self.hops}")
         dtype = params["cls.w"].dtype
-        x = slabs[:, ids, :].transpose(1, 0, 2).reshape(len(ids), -1).astype(dtype)
+        x = slabs[:, ids, :].transpose(1, 0, 2).reshape(len(ids), -1).astype(
+            dtype, copy=False)
         cache = {"inputs": [], "masks": [], "x_mask": None}
         if train and input_dropout > 0.0:
             m = _dropout_mask(rng, x.shape, input_dropout, dtype)
@@ -142,15 +145,18 @@ class ConcatMLP:
         dh = dlogits @ params["cls.w"].T
         grads["pre.w"] = cache["pre_in"].T @ dh
         grads["pre.b"] = dh.sum(axis=0)
-        dh = dh @ params["pre.w"].T
+        # each layer pulls dh through the weights above it, so the gradient
+        # with respect to the bank rows is never formed
+        upper = "pre.w"
         for i in reversed(range(len(self.trunk))):
+            dh = dh @ params[upper].T
+            upper = f"trunk{i}.w"
             if cache["masks"][i] is not None:
                 dh = dh * cache["masks"][i]
             inp = cache["inputs"][i]
             dh = dh * cache["gates"][i]
             grads[f"trunk{i}.w"] = inp.T @ dh
             grads[f"trunk{i}.b"] = dh.sum(axis=0)
-            dh = dh @ params[f"trunk{i}.w"].T
         return grads
 
 
@@ -192,7 +198,7 @@ class HopGRU:
         steps = []
         states = [s]
         for k in range(self.hops + 1):
-            x = slabs[k][ids].astype(dtype)
+            x = slabs[k][ids].astype(dtype, copy=False)
             xm = None
             if train and input_dropout > 0.0:
                 xm = _dropout_mask(rng, x.shape, input_dropout, dtype)
@@ -246,26 +252,28 @@ class HopGRU:
             x, s_prev, r, z, c = st["x"], st["s_prev"], st["r"], st["z"], st["c"]
             dz = ds * (s_prev - c)
             dc = ds * (1.0 - z)
-            ds_prev = ds * z
             dc_pre = dc * (1.0 - c * c)
             grads["gru.wc"] += x.T @ dc_pre
             grads["gru.uc"] += (r * s_prev).T @ dc_pre
             grads["gru.bc"] += dc_pre.sum(axis=0)
             drs = dc_pre @ params["gru.uc"].T
             dr = drs * s_prev
-            ds_prev += drs * r
             dz_pre = dz * z * (1.0 - z)
             grads["gru.wz"] += x.T @ dz_pre
             grads["gru.uz"] += s_prev.T @ dz_pre
             grads["gru.bz"] += dz_pre.sum(axis=0)
-            ds_prev += dz_pre @ params["gru.uz"].T
             dr_pre = dr * r * (1.0 - r)
             grads["gru.wr"] += x.T @ dr_pre
             grads["gru.ur"] += s_prev.T @ dr_pre
             grads["gru.br"] += dr_pre.sum(axis=0)
+            if k == 0:
+                break  # the initial state is a constant and takes no gradient
+            ds_prev = ds * z
+            ds_prev += drs * r
+            ds_prev += dz_pre @ params["gru.uz"].T
             ds_prev += dr_pre @ params["gru.ur"].T
             ds = ds_prev
-            if per_step is not None and k > 0:
+            if per_step is not None:
                 ds = ds + per_step
         return grads
 
@@ -320,7 +328,9 @@ def adam_step(params, grads, state, lr, *, weight_decay=0.0,
 
     The decay term subtracts lr * weight_decay * p computed from the
     pre-update parameter, so a zero gradient still shrinks weights by
-    exactly (1 - lr * weight_decay) per step.
+    exactly (1 - lr * weight_decay) per step. Each tensor's update runs the
+    textbook expression's operations in its order, writing into one
+    two-slot scratch buffer, so it is bit-identical to that expression.
     """
     state["t"] += 1
     t = state["t"]
@@ -330,14 +340,21 @@ def adam_step(params, grads, state, lr, *, weight_decay=0.0,
         g = grads[k].astype(p.dtype, copy=False)
         m = state["m"][k]
         v = state["v"][k]
+        scratch, update = np.empty((2,) + p.shape, dtype=p.dtype)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=scratch)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / b1c) / (np.sqrt(v / b2c) + eps)
+        np.multiply(1.0 - beta2, g, out=scratch)
+        v += np.multiply(scratch, g, out=scratch)
+        np.divide(m, b1c, out=update)
+        np.divide(v, b2c, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        update /= scratch
         if weight_decay:
-            update = update + weight_decay * p
-        p -= (lr * update).astype(p.dtype, copy=False)
+            update += np.multiply(weight_decay, p, out=scratch)
+        update *= lr
+        p -= update
     return state
 
 

@@ -26,8 +26,9 @@ keeps the three earliest epochs plus the two best (``KEEP_EARLY``,
 ``KEEP_BEST``) as candidates, ranks them with a cheap proxy (a fresh model
 trained briefly on a 2-hop blend), and breaks proxy ties toward the
 candidate whose hidden states sit farthest from the raw features in
-moment-signature distance; the raw features' signature is computed once per
-run, on first use, and shared with the diagnostics. The winner's own
+moment-signature distance; the Laplacian and the raw features' signature are
+computed once per run, on first use, and shared with the diagnostics, so a
+run that measures no distance builds neither. The winner's own
 checkpoint continues; nothing is retrained at full budget.
 
 With ``diagnostics`` on and a ``workdir`` given, hidden snapshots spill to
@@ -182,7 +183,7 @@ def extract_hidden(model, params, bank: HopBank, chunk: int = 8192) -> np.ndarra
     for lo in range(0, n, chunk):
         ids = np.arange(lo, min(lo + chunk, n))
         _, hidden, _ = model.forward(params, bank.slabs, ids, train=False)
-        out[lo:lo + len(ids)] = hidden.astype(np.float32)
+        out[lo:lo + len(ids)] = hidden.astype(np.float32, copy=False)
     return out
 
 
@@ -236,7 +237,8 @@ def blend(bank: HopBank, htilde: HopBank, alphas) -> HopBank:
             slabs[k] = htilde.slabs[k]
         else:
             a32 = np.float32(a)
-            slabs[k] = a32 * bank.slabs[k] + (np.float32(1.0) - a32) * htilde.slabs[k]
+            np.multiply(a32, bank.slabs[k], out=slabs[k])
+            slabs[k] += (np.float32(1.0) - a32) * htilde.slabs[k]
     prov = dict(bank.provenance)
     prov["blended"] = {"alphas": alphas.tolist(), "source": htilde.provenance}
     return HopBank(hops=bank.hops, slabs=slabs, provenance=prov)
@@ -336,7 +338,8 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
 
     The random streams for shuffling and dropout are keyed by (seed, stage,
     epoch), never shared with bank construction, so a stage retrains
-    identically whether or not re-propagation ran before it.
+    identically whether or not re-propagation ran before it. A batch's
+    dropout stream is only made when a dropout rate is nonzero.
 
     Returns a dict with the epoch history, the best checkpoint (params and
     optimizer state are deep copies), deep-copied early/top checkpoints for
@@ -346,6 +349,7 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
     if train_ids.size == 0:
         raise ValueError("no training nodes")
     eff_patience = min(patience if patience is not None else cfg.patience, epochs)
+    drops = cfg.dropout > 0.0 or cfg.input_dropout > 0.0
     best = {"epoch": 0, "val": -np.inf, "params": None, "adam": None}
     tops = []
     top_ckpts = {}
@@ -358,7 +362,7 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
         losses = []
         for bi, lo in enumerate(range(0, order.size, cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
-            drop_rng = rng_for(seed, "dropout", stage, epoch, bi)
+            drop_rng = rng_for(seed, "dropout", stage, epoch, bi) if drops else None
             logits, _, cache = model.forward(
                 params, bank.slabs, batch, train=True, dropout=cfg.dropout,
                 input_dropout=cfg.input_dropout, rng=drop_rng)
@@ -485,14 +489,15 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     model = build_model(model_kind, hops, bank.width, lv.num_classes, cfg)
     params = model.init(seed=cfg.seed, dtype=np.float32)
     adam = init_adam(params)
-    lap_op = make_operator(graph, "lap") if graph is not None else None
-    base_sig = None  # moment signature of the raw features, made on first use
+    # the Laplacian and the raw features' moment signature, made on first use
+    lap_op = base_sig = None
 
     def distance_to_x(hidden):
         """Spectral distance from hop 0, which no stage changes; None when
         no channel is nonzero in both."""
-        nonlocal base_sig
+        nonlocal lap_op, base_sig
         if base_sig is None:
+            lap_op = make_operator(graph, "lap")
             base_sig = moment_signature(bank.slabs[0], lap_op)
         try:
             return _signature_distance(moment_signature(hidden, lap_op), base_sig)

@@ -206,8 +206,9 @@ def save_labels(path, lv: LabelVector) -> None:
 
 
 def save_bank_file(path, bank: HopBank) -> None:
-    """Write a hop bank with its provenance dict."""
-    slabs = np.ascontiguousarray(bank.slabs, dtype=np.float32)
+    """Write a hop bank with its provenance dict, one slab at a time, so a
+    little-endian float32 bank is written without a copy."""
+    slabs = np.asarray(bank.slabs)
     if slabs.ndim != 3:
         raise DataError("bank slabs must have shape (hops + 1, n, d)")
     blob = json.dumps(bank.provenance, sort_keys=True).encode("utf-8")
@@ -216,7 +217,8 @@ def save_bank_file(path, bank: HopBank) -> None:
         fh.write(b"HBK1")
         fh.write(struct.pack("<QQQQ", n, d, k1, len(blob)))
         fh.write(blob)
-        fh.write(slabs.astype("<f4").tobytes())
+        for slab in slabs:
+            fh.write(np.ascontiguousarray(slab, "<f4"))
 
 
 def load_bank_file(path) -> HopBank:
@@ -236,7 +238,7 @@ def load_bank_file(path) -> HopBank:
         if not isinstance(provenance, dict):
             raise DataError(f"{path}: provenance blob is not a JSON object")
         payload = np.fromfile(fh, dtype="<f4", count=k1 * n * d)
-    slabs = payload.reshape(k1, n, d).astype(np.float32)
+    slabs = payload.reshape(k1, n, d).astype(np.float32, copy=False)
     return HopBank(hops=k1 - 1, slabs=slabs, provenance=provenance)
 
 

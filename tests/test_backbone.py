@@ -189,6 +189,143 @@ def test_adam_matches_reference_loop():
         assert np.allclose(params["w"], ref, atol=1e-12)
 
 
+def reference_adam_step(params, grads, state, lr, *, weight_decay=0.0,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written with a fresh array per operation; the in-place update
+    must reproduce it bit for bit."""
+    state["t"] += 1
+    t = state["t"]
+    b1c = 1.0 - beta1 ** t
+    b2c = 1.0 - beta2 ** t
+    for k, p in params.items():
+        g = grads[k].astype(p.dtype, copy=False)
+        m = state["m"][k]
+        v = state["v"][k]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / b1c) / (np.sqrt(v / b2c) + eps)
+        if weight_decay:
+            update = update + weight_decay * p
+        p -= (lr * update).astype(p.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.02])
+def test_adam_step_is_bit_identical_to_the_allocating_update(dtype, weight_decay):
+    rng = rng_for(2, "adambits")
+    shapes = {"w": (7, 5), "b": (5,)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    state, ref_state = init_adam(params), init_adam(ref)
+    for _ in range(6):
+        # float64 gradients spanning many magnitudes, cast like a mixed run's
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3, size=s)
+                 for k, s in shapes.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+        reference_adam_step(ref, kept, ref_state, lr=0.01, weight_decay=weight_decay)
+        for k in shapes:
+            assert np.array_equal(grads[k], kept[k])  # gradients are not scratch
+            assert params[k].dtype == dtype
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(state["m"][k], ref_state["m"][k])
+            assert np.array_equal(state["v"][k], ref_state["v"][k])
+    assert state["t"] == ref_state["t"] == 6
+
+
+def reference_concat_backward(params, cache, dlogits, depth):
+    """ConcatMLP's backward pass carried down to the bank rows: returns the
+    parameter gradients and the input gradient the model never forms."""
+    grads = {"cls.w": cache["hidden"].T @ dlogits, "cls.b": dlogits.sum(axis=0)}
+    dh = dlogits @ params["cls.w"].T
+    grads["pre.w"] = cache["pre_in"].T @ dh
+    grads["pre.b"] = dh.sum(axis=0)
+    dh = dh @ params["pre.w"].T
+    for i in reversed(range(depth)):
+        if cache["masks"][i] is not None:
+            dh = dh * cache["masks"][i]
+        dh = dh * cache["gates"][i]
+        grads[f"trunk{i}.w"] = cache["inputs"][i].T @ dh
+        grads[f"trunk{i}.b"] = dh.sum(axis=0)
+        dh = dh @ params[f"trunk{i}.w"].T
+    return grads, dh
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_concat_mlp_backward_matches_reference_with_input_gradient(dropout):
+    slabs, labels, ids = rand_instance(hops=3, width=4, n=40, seed=5)
+    slabs = slabs.astype(np.float32)
+    model = ConcatMLP(hops=3, width=4, num_classes=3, trunk=(16, 8))
+    params = model.init(seed=1)
+    logits, _, cache = model.forward(params, slabs, ids, train=dropout > 0,
+                                     dropout=dropout, input_dropout=dropout,
+                                     rng=np.random.default_rng(0))
+    _, dlogits = softmax_xent(logits, labels[ids])
+    grads = model.backward(params, cache, dlogits)
+    want, dx = reference_concat_backward(params, cache, dlogits, depth=2)
+    assert dx.shape == (len(ids), model.in_dim)
+    assert grads.keys() == want.keys() == params.keys()
+    for k in want:
+        assert grads[k].dtype == want[k].dtype == np.float32
+        assert np.array_equal(grads[k], want[k]), k
+
+
+def reference_gru_scan_backward(params, cache, dpool, readout):
+    """HopGRU's backward scan carried down to the zero initial state:
+    returns the GRU gradients and the initial-state gradient the model never
+    forms."""
+    grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("gru.")}
+    steps = cache["steps"]
+    ds = dpool if readout == "last" else dpool / len(steps)
+    for k in reversed(range(len(steps))):
+        st = steps[k]
+        x, s_prev, r, z, c = st["x"], st["s_prev"], st["r"], st["z"], st["c"]
+        dz = ds * (s_prev - c)
+        dc = ds * (1.0 - z)
+        ds_prev = ds * z
+        dc_pre = dc * (1.0 - c * c)
+        grads["gru.wc"] += x.T @ dc_pre
+        grads["gru.uc"] += (r * s_prev).T @ dc_pre
+        grads["gru.bc"] += dc_pre.sum(axis=0)
+        drs = dc_pre @ params["gru.uc"].T
+        dr = drs * s_prev
+        ds_prev += drs * r
+        dz_pre = dz * z * (1.0 - z)
+        grads["gru.wz"] += x.T @ dz_pre
+        grads["gru.uz"] += s_prev.T @ dz_pre
+        grads["gru.bz"] += dz_pre.sum(axis=0)
+        ds_prev += dz_pre @ params["gru.uz"].T
+        dr_pre = dr * r * (1.0 - r)
+        grads["gru.wr"] += x.T @ dr_pre
+        grads["gru.ur"] += s_prev.T @ dr_pre
+        grads["gru.br"] += dr_pre.sum(axis=0)
+        ds_prev += dr_pre @ params["gru.ur"].T
+        ds = ds_prev
+        if readout == "mean" and k > 0:
+            ds = ds + dpool / len(steps)
+    return grads, ds
+
+
+@pytest.mark.parametrize("readout", ["last", "mean"])
+def test_hop_gru_backward_matches_reference_with_state_gradient(readout):
+    slabs, labels, ids = rand_instance(hops=3, width=4, n=30, seed=6)
+    slabs = slabs.astype(np.float32)
+    model = HopGRU(hops=3, width=4, num_classes=3, state_dim=5, readout=readout)
+    params = model.init(seed=2)
+    logits, _, cache = model.forward(params, slabs, ids, train=True, dropout=0.2,
+                                     input_dropout=0.1, rng=np.random.default_rng(1))
+    _, dlogits = softmax_xent(logits, labels[ids])
+    grads = model.backward(params, cache, dlogits)
+    dpool = (dlogits @ params["cls.w"].T) @ params["pre.w"].T * cache["pm"]
+    want, ds0 = reference_gru_scan_backward(params, cache, dpool, readout)
+    assert ds0.shape == (len(ids), model.state_dim)
+    for k in want:
+        assert grads[k].dtype == np.float32
+        assert np.array_equal(grads[k], want[k]), k
+
+
 def test_accuracy_hand_case():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 1, 1, 1])

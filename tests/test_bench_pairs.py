@@ -1,0 +1,110 @@
+"""tools/bench_pairs.py against two stub checkouts whose perfbench/run.py
+prints canned env and result lines and logs each call."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+# prints what perfbench/run.py prints: progress, an env line, one JSON result
+FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+here = Path.cwd()
+canned = json.loads((here / "canned.json").read_text())
+with open(canned["log"], "a") as fh:
+    fh.write(f"{here.name} {args['--workload']} {args['--seed']} {args['--seconds']}\\n")
+run = canned["runs"][args["--seed"]]
+print("train_s          1.0 s")
+print("env " + json.dumps({"git_sha": canned["sha"]}))
+print(json.dumps({"correct": run["failed"] == 0, "attempted": 2, "failed": run["failed"],
+                  "metrics": {k: {"value": v, "unit": "-"}
+                              for k, v in run["metrics"].items()}}))
+"""
+
+# pair i runs seed 100 + i; run_s is printed but not in the stub BENCHMARK.json
+CANNED = {
+    "parent": {"train_s": [4.0, 5.0, 6.0, 7.0], "test_acc": [0.9, 0.9, 0.9, 0.9],
+               "failed": [0, 0, 0, 0]},
+    "change": {"train_s": [3.0, 5.0, 7.0, 6.5], "test_acc": [0.9, 0.95, 0.85, 0.9],
+               "failed": [0, 1, 0, 0]},
+}
+SPEC = {"end_to_end": [{"name": "train_s", "better": "lower"},
+                       {"name": "test_acc", "better": "higher"}]}
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN) -> Path:
+    co = root / side
+    (co / "perfbench").mkdir(parents=True)
+    (co / "perfbench" / "run.py").write_text(script)
+    (co / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    c = CANNED[side]
+    runs = {str(100 + i): {"failed": c["failed"][i],
+                           "metrics": {"train_s": c["train_s"][i],
+                                       "test_acc": c["test_acc"][i], "run_s": 9.0}}
+            for i in range(4)}
+    (co / "canned.json").write_text(json.dumps(
+        {"log": str(log), "sha": f"sha-{side}", "runs": runs}))
+    return co
+
+
+def test_bench_pairs_alternates_and_summarises(tmp_path):
+    log = tmp_path / "calls.log"
+    parent = make_checkout(tmp_path, "parent", log)
+    change = make_checkout(tmp_path, "change", log)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = load_tool().main(["--parent", str(parent), "--change", str(change),
+                           "--workload", "w1", "--pairs", "4", "--seconds", "3",
+                           "--seed", "100", "--out", str(out_dir)])
+    assert rc == 0
+    # the parent goes first in even pairs, the change in odd ones
+    assert log.read_text().splitlines() == [
+        "parent w1 100 3.0", "change w1 100 3.0",
+        "change w1 101 3.0", "parent w1 101 3.0",
+        "parent w1 102 3.0", "change w1 102 3.0",
+        "change w1 103 3.0", "parent w1 103 3.0"]
+
+    res = json.loads((out_dir / "BENCH_w1.json").read_text())
+    assert (res["workload"], res["pairs"], res["seconds"]) == ("w1", 4, 3.0)
+    assert res["seeds"] == [100, 101, 102, 103]
+    assert res["cores"] >= 1
+    assert res["parent"]["checkout"] == "parent"
+    assert res["parent"]["git_sha"] == "sha-parent"
+    assert res["change"]["git_sha"] == "sha-change"
+    # only the metrics BENCHMARK.json declares are summarised
+    assert set(res["parent"]["metrics"]) == {"train_s", "test_acc"}
+    # exclusive quartiles: the (n + 1) * j / 4-th order statistic, interpolated
+    assert res["parent"]["metrics"]["train_s"] == {
+        "median": 5.5, "q1": 4.25, "q3": 6.75, "runs": [4.0, 5.0, 6.0, 7.0]}
+    assert res["change"]["metrics"]["train_s"] == {
+        "median": 5.75, "q1": 3.5, "q3": 6.875, "runs": [3.0, 5.0, 7.0, 6.5]}
+    # pairs 0 and 3 won, pair 1 tied, pair 2 lost; test_acc: one win, two ties
+    assert res["change_wins"] == {"train_s": 2, "test_acc": 1}
+    assert res["parent"]["fail_rate"] == 0.0
+    assert res["change"]["fail_rate"] == 1 / 8
+
+
+def test_bench_pairs_stops_when_a_run_prints_no_result(tmp_path):
+    log = tmp_path / "calls.log"
+    parent = make_checkout(tmp_path, "parent", log)
+    change = make_checkout(tmp_path, "change", log,
+                           script="import sys\nsys.exit('crashed')\n")
+    with pytest.raises(SystemExit, match="printed no result"):
+        load_tool().main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "w1", "--pairs", "1", "--seed", "100",
+                          "--out", str(tmp_path)])
+    assert log.read_text().splitlines() == ["parent w1 100 40"]
+    assert not (tmp_path / "BENCH_w1.json").exists()

@@ -1,14 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
 from diffbank import (ConfigError, HopBank, NumericalError, StagePlan,
-                      TrainConfig, batched_lanczos, blend, blend_alphas,
+                      TrainConfig, adam_step, batched_lanczos, blend, blend_alphas,
                       build_graph, chebyshev_bank, cosine_blend_weight,
-                      evaluate_split, extract_hidden, jacobi_bank,
+                      evaluate_split, extract_hidden, init_adam, jacobi_bank,
                       legendre_bank, make_operator, moment_signature,
                       monomial_bank, repropagate, reset_spmm_count, ritz_bank,
                       ritz_bank_as_hopbank, run_hrp_training,
-                      screen_checkpoints, spectral_distance, train_stage)
+                      screen_checkpoints, softmax_xent, spectral_distance,
+                      train_stage)
 from diffbank import hrp
 from diffbank.graph import LabelVector
 from diffbank.hrp import _load_hidden, _resolve_reprop_spec, build_model
@@ -360,3 +363,79 @@ def test_raw_feature_signature_is_computed_once_per_run(monkeypatch, diagnostics
         hidden = st.hidden_snapshots[st.selected_epoch]
         assert st.spectral_distance_to_x == spectral_distance(
             hidden, x, make_operator(g, "lap"))
+
+
+def test_train_stage_without_dropout_draws_only_shuffles(monkeypatch):
+    g, x, bank, lv = make_case(seed=15)
+    keys = []
+
+    def counting(*key):
+        keys.append(key)
+        return rng_for(*key)
+
+    monkeypatch.setattr(hrp, "rng_for", counting)
+    cfg = small_cfg(epochs=3, batch_size=4)
+    model = build_model("mlp", bank.hops, bank.width, 2, cfg)
+    params = model.init(seed=0)
+    out = train_stage(model, params, init_adam(params), bank, lv, cfg,
+                      stage=2, epochs=3, seed=5)
+    assert len(out["history"]) == 3
+    # three batches per epoch, yet one stream per epoch: its shuffle
+    assert keys == [(5, "shuffle", 2, e) for e in (1, 2, 3)]
+
+
+def test_train_stage_dropout_masks_keyed_by_stage_epoch_and_batch():
+    g, x, bank, lv = make_case(seed=16)
+    cfg = small_cfg(epochs=3, batch_size=5, dropout=0.3, input_dropout=0.2)
+    model = build_model("mlp", bank.hops, bank.width, 2, cfg)
+    p0 = model.init(seed=0)
+    params = copy.deepcopy(p0)
+    got = train_stage(model, params, init_adam(params), bank, lv, cfg,
+                      stage=2, epochs=3, seed=4)["history"]
+
+    params = copy.deepcopy(p0)
+    adam = init_adam(params)
+    train_ids = np.nonzero(lv.train_mask)[0]
+    want = []
+    for epoch in (1, 2, 3):
+        order = rng_for(4, "shuffle", 2, epoch).permutation(train_ids)
+        losses = []
+        for bi, lo in enumerate(range(0, order.size, cfg.batch_size)):
+            batch = order[lo:lo + cfg.batch_size]
+            logits, _, cache = model.forward(
+                params, bank.slabs, batch, train=True, dropout=0.3,
+                input_dropout=0.2, rng=rng_for(4, "dropout", 2, epoch, bi))
+            loss, dlogits = softmax_xent(logits, lv.labels[batch])
+            losses.append(loss)
+            adam_step(params, model.backward(params, cache, dlogits), adam, cfg.lr)
+        val = evaluate_split(model, params, bank, lv, lv.val_mask)
+        want.append({"stage": 2, "epoch": epoch, "train_loss": float(np.mean(losses)),
+                     "val_metric": float(val)})
+    assert got == want
+    plain = small_cfg(epochs=3, batch_size=5)
+    params = copy.deepcopy(p0)
+    undropped = train_stage(model, params, init_adam(params), bank, lv, plain,
+                            stage=2, epochs=3, seed=4)["history"]
+    assert [r["train_loss"] for r in undropped] != [r["train_loss"] for r in got]
+
+
+@pytest.mark.parametrize("diagnostics, laplacians", [(False, 0), (True, 1)])
+def test_laplacian_is_built_only_to_measure_distances(monkeypatch, diagnostics,
+                                                      laplacians):
+    g, x, bank, lv = make_case(seed=17)
+    kinds = []
+    real = hrp.make_operator
+
+    def counting(graph, kind):
+        kinds.append(kind)
+        return real(graph, kind)
+
+    monkeypatch.setattr(hrp, "make_operator", counting)
+    plan = StagePlan(stages=3, epochs=2, diagnostics=diagnostics)
+    res = run_hrp_training(plan, bank, g, lv, small_cfg(epochs=2))
+    # with diagnostics both re-propagating stages measure a distance, on one
+    # Laplacian
+    assert [s.spectral_distance_to_x is not None for s in res.stages] == \
+        [diagnostics, diagnostics, False]
+    assert kinds.count("lap") == laplacians
+    assert kinds.count("shifted") == 2  # one per re-propagation

@@ -1,3 +1,6 @@
+import json
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -222,6 +225,49 @@ def test_bank_round_trip(tmp_path):
     assert back.hops == 3
     assert np.array_equal(back.slabs, slabs)
     assert back.provenance == bank.provenance
+
+
+def reference_bank_bytes(bank) -> bytes:
+    """An HBK1 file made in one piece: header, blob, whole payload."""
+    slabs = np.ascontiguousarray(bank.slabs, dtype=np.float32)
+    blob = json.dumps(bank.provenance, sort_keys=True).encode("utf-8")
+    k1, n, d = slabs.shape
+    return (b"HBK1" + struct.pack("<QQQQ", n, d, k1, len(blob)) + blob
+            + slabs.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("layout", ["float32", "float64", "strided", "big-endian"])
+def test_bank_file_bytes_match_a_whole_array_writer(tmp_path, layout):
+    slabs = rng_for(4, "iobank").normal(size=(3, 11, 10))
+    slabs = {"float32": slabs.astype(np.float32), "float64": slabs,
+             "strided": slabs.astype(np.float32)[:, ::2, 1::3],
+             "big-endian": slabs.astype(">f4")}[layout]
+    bank = HopBank(hops=2, slabs=slabs, provenance={"basis": "legendre", "n": 11})
+    p = tmp_path / "b.hbk"
+    save_bank_file(p, bank)
+    assert p.read_bytes() == reference_bank_bytes(bank)
+    back = load_bank_file(p)
+    assert back.slabs.dtype == np.float32
+    assert np.array_equal(back.slabs, slabs.astype(np.float32))
+
+
+def test_bank_file_io_copies_at_most_the_payload(tmp_path):
+    slabs = np.ones((4, 5000, 16), dtype=np.float32)
+    slabs *= np.arange(4, dtype=np.float32)[:, None, None]
+    bank = HopBank(hops=3, slabs=slabs, provenance={"basis": "legendre"})
+    p = tmp_path / "b.hbk"
+    tracemalloc.start()
+    try:
+        save_bank_file(p, bank)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_bank_file(p)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak < slabs[0].nbytes
+    assert load_peak < slabs.nbytes + slabs[0].nbytes
+    assert np.array_equal(back.slabs, slabs)
 
 
 def test_bank_reject_wrong_magic_and_truncation(tmp_path):
