@@ -7,38 +7,20 @@ a small dense model on the concatenated slabs, and optionally re-diffuse the
 model's own hidden states for a few further training stages.
 """
 
-from .backbone import (ConcatMLP, HopGRU, TrainConfig, accuracy, adam_step,
-                       init_adam, label_features, model_scores, roc_auc,
-                       softmax_xent)
-from .banks import (MAX_HOPS, ConditioningReport, HopBank, bank_report,
-                    chebyshev_bank, jacobi_bank, jacobi_coefficients,
-                    legendre_bank, monomial_bank)
-from .calibration import (JacobiWeights, MomentVector, SpectralDensity,
-                          calibrate, calibrate_jacobi, estimate_moments,
-                          exact_moments, jackson_coefficients,
-                          reconstruct_density, spectral_imbalance)
-from .config import CONFIG_SCHEMA, config_hash, load_config, validate_config
+from .backbone import ConcatMLP, HopGRU, TrainConfig, init_adam, softmax_xent
+from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
+from .calibration import (SpectralDensity, calibrate, calibrate_jacobi,
+                          exact_moments, spectral_imbalance)
+from .config import validate_config
 from .errors import ConfigError, DataError, DiffbankError, NumericalError
-from .experiment import (build_bank, prepare_dataset, run_ablation,
-                         run_experiment, run_seed)
-from .graph import (OPERATOR_KINDS, Graph, LabelVector, SparseOperator,
-                    build_graph, degrees, graph_hash, make_operator,
-                    reset_spmm_count, spmm, spmm_call_count)
-from .hrp import (RunResult, StagePlan, StageResult, blend, blend_alphas,
-                  build_model, cosine_blend_weight, evaluate_split,
-                  extract_hidden, moment_signature, repropagate,
-                  run_hrp_training, screen_checkpoints, spectral_distance,
-                  train_stage)
-from .io import (load_bank_file, load_edge_list, load_features,
-                 load_features_csv, load_labels, load_checkpoint,
-                 save_bank_file, save_checkpoint, save_edge_list,
-                 save_features, save_labels)
-from .krylov import (MAX_LANCZOS_STEPS, LanczosFactorization, RitzBank,
-                     apply_spectral_response, batched_lanczos, ritz_bank,
-                     ritz_bank_as_hopbank, ritz_components, ritz_triples,
-                     tridiag_eig)
-from .rng import rng_for
-from .synth import SyntheticSpec, edge_homophily, generate, random_regular_graph
+from .experiment import run_ablation, run_experiment
+from .graph import make_operator, reset_spmm_count, spmm_call_count
+from .hrp import (StagePlan, blend, blend_alphas, build_model,
+                  cosine_blend_weight, extract_hidden, repropagate,
+                  run_hrp_training, train_stage)
+from .io import load_bank_file, save_bank_file
+from .krylov import batched_lanczos, ritz_components
+from .synth import SyntheticSpec, generate
 
 __version__ = "0.1.0"
 
@@ -46,40 +28,20 @@ __all__ = [
     "__version__",
     # errors
     "DiffbankError", "ConfigError", "DataError", "NumericalError",
-    # graph core
-    "Graph", "LabelVector", "SparseOperator", "OPERATOR_KINDS", "build_graph",
-    "degrees", "graph_hash", "make_operator", "spmm", "spmm_call_count",
+    # data, operators and product counts
+    "SyntheticSpec", "generate", "make_operator", "spmm_call_count",
     "reset_spmm_count",
     # calibration
-    "MomentVector", "SpectralDensity", "JacobiWeights", "estimate_moments",
-    "exact_moments", "jackson_coefficients", "reconstruct_density",
-    "spectral_imbalance", "calibrate_jacobi", "calibrate",
+    "SpectralDensity", "exact_moments", "spectral_imbalance",
+    "calibrate_jacobi", "calibrate",
     # banks
-    "HopBank", "ConditioningReport", "MAX_HOPS", "monomial_bank",
-    "jacobi_bank", "legendre_bank", "chebyshev_bank", "jacobi_coefficients",
-    "bank_report",
-    # krylov
-    "LanczosFactorization", "RitzBank", "MAX_LANCZOS_STEPS", "batched_lanczos",
-    "tridiag_eig", "ritz_components", "ritz_bank", "ritz_bank_as_hopbank",
-    "apply_spectral_response", "ritz_triples",
-    # backbones and training
+    "monomial_bank", "jacobi_bank", "legendre_bank", "chebyshev_bank",
+    "batched_lanczos", "ritz_components", "save_bank_file", "load_bank_file",
+    # backbones and staged training
     "ConcatMLP", "HopGRU", "TrainConfig", "softmax_xent", "init_adam",
-    "adam_step", "accuracy", "roc_auc", "model_scores", "label_features",
-    # staged training
-    "StagePlan", "StageResult", "RunResult", "cosine_blend_weight",
-    "blend_alphas", "build_model", "extract_hidden", "repropagate", "blend",
-    "moment_signature", "spectral_distance", "screen_checkpoints",
-    "evaluate_split", "train_stage", "run_hrp_training",
-    # io
-    "load_edge_list", "save_edge_list", "load_features", "save_features",
-    "load_features_csv", "load_labels", "save_labels", "load_bank_file",
-    "save_bank_file", "load_checkpoint", "save_checkpoint",
-    # synthetic data
-    "SyntheticSpec", "generate", "random_regular_graph", "edge_homophily",
+    "StagePlan", "cosine_blend_weight", "blend_alphas", "build_model",
+    "extract_hidden", "repropagate", "blend", "train_stage",
+    "run_hrp_training",
     # config and harness
-    "CONFIG_SCHEMA", "load_config", "validate_config", "config_hash",
-    "prepare_dataset", "build_bank", "run_seed", "run_experiment",
-    "run_ablation",
-    # utilities
-    "rng_for",
+    "validate_config", "run_experiment", "run_ablation",
 ]

@@ -140,10 +140,8 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
                 },
-                "checkpoint_policy": {"enum": ["best-val", "diversity-screened"]},
                 "warm_start": {"type": "boolean"},
                 "patience": {"type": "integer", "minimum": 1},
-                "screen_epochs": {"type": "integer", "minimum": 1},
                 "diagnostics": {"type": "boolean"},
             },
         },

@@ -1,8 +1,8 @@
 """Staged training with hidden-state re-propagation.
 
 One run is a sequence of stages sharing a single model family. Stage s
-trains on bank Z^(s); at its end a checkpoint is selected, the per-node
-hidden states H of that checkpoint are extracted as data (no gradient ever
+trains on bank Z^(s); at its end the per-node hidden states H of its
+best-validation checkpoint are extracted as data (no gradient ever
 flows back into them, which the manual-gradient backbones make structural),
 H is diffused into its own hop bank, and the next stage's bank is the
 per-hop convex blend
@@ -21,18 +21,12 @@ Re-propagation rebuilds the input bank's own recipe from its provenance:
 the same basis, operator, Jacobi weights or Lanczos order that made the
 preprocessing bank diffuse the hidden states.
 
-Checkpoint selection is best-validation by default. The screening policy
-keeps the three earliest epochs plus the two best (``KEEP_EARLY``,
-``KEEP_BEST``) as candidates, ranks them with a cheap proxy (a fresh model
-trained briefly on a 2-hop blend), and breaks proxy ties toward the
-candidate whose hidden states sit farthest from the raw features in
-moment-signature distance; the Laplacian and the raw features' signature are
-computed once per run, on first use, and shared with the diagnostics, so a
-run that measures no distance builds neither. The winner's own
-checkpoint continues; nothing is retrained at full budget.
-
-With ``diagnostics`` on and a ``workdir`` given, hidden snapshots spill to
-``hidden_seed{seed}_s{stage}_e{epoch}.npy`` there.
+The next stage continues from that checkpoint. With ``diagnostics`` on,
+the first three epochs' params are copied as well, for hidden snapshots,
+and the selected hidden states' spectral distance from the raw features is
+measured; the Laplacian and the raw features' moment signature are made
+once per run, on first use. With a ``workdir`` given, the snapshots spill
+to ``hidden_seed{seed}_s{stage}_e{epoch}.npy`` there.
 """
 
 import copy
@@ -60,7 +54,6 @@ __all__ = [
     "blend",
     "moment_signature",
     "spectral_distance",
-    "screen_checkpoints",
     "build_model",
     "train_stage",
     "evaluate_split",
@@ -69,17 +62,17 @@ __all__ = [
 
 MAX_STAGES = 7
 FAMILIES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
-KEEP_EARLY = 3  # checkpoints kept for screening: the earliest epochs
-KEEP_BEST = 2  # and the best by validation metric
 
 
 @dataclass
 class StagePlan:
-    """Stage schedule. Re-propagation reuses the input bank's recipe.
+    """Stage schedule. Re-propagation reuses the input bank's recipe, and
+    every stage continues from its best-validation checkpoint.
 
-    ``diagnostics=True`` additionally records early-epoch hidden snapshots
-    and the spectral distance between the selected hidden states and the
-    raw features. Those cost extra sparse products, booked separately from
+    ``diagnostics=True`` additionally records hidden snapshots of the first
+    three epochs, whose checkpoints are copied only then, and the spectral
+    distance between the selected hidden states and the raw features. The
+    distances cost extra sparse products, booked separately from
     the re-propagation itself so the report's diffusion share stays a
     statement about HRP proper.
     """
@@ -89,10 +82,8 @@ class StagePlan:
     lambda0: float = 0.5
     schedule: str = "cosine"
     alpha_vectors: list | None = None
-    checkpoint_policy: str = "best-val"
     warm_start: bool = True
     patience: int = TrainConfig.patience
-    screen_epochs: int = 10
     diagnostics: bool = False
 
     def __post_init__(self):
@@ -113,8 +104,6 @@ class StagePlan:
         if self.schedule == "perhop":
             if self.alpha_vectors is None or len(self.alpha_vectors) != self.stages - 1:
                 raise ConfigError("perhop schedule needs stages-1 alpha vectors")
-        if self.checkpoint_policy not in ("best-val", "diversity-screened"):
-            raise ConfigError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
 
@@ -297,23 +286,6 @@ def _signature_distance(a, b) -> float:
     return total / common.size
 
 
-def screen_checkpoints(candidates, evaluate_small, diversity, tie_eps: float = 1e-9):
-    """Rank candidates by ``evaluate_small``; near-ties (within ``tie_eps``)
-    are broken toward higher ``diversity``, then toward the earlier
-    candidate. Returns (winner, detail dict)."""
-    if not candidates:
-        raise ValueError("no candidates to screen")
-    small = [float(evaluate_small(c)) for c in candidates]
-    top = max(small)
-    tied = [i for i, v in enumerate(small) if v >= top - tie_eps]
-    if len(tied) > 1:
-        divs = {i: float(diversity(candidates[i])) for i in tied}
-        winner_idx = max(tied, key=lambda i: (divs[i], -i))
-    else:
-        winner_idx = tied[0]
-    return candidates[winner_idx], {"small_scores": small, "winner_index": winner_idx}
-
-
 def _metric_fn(metric):
     if metric == "accuracy":
         return lambda logits, labels, mask: accuracy(logits, labels, mask)
@@ -333,7 +305,8 @@ def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accura
 
 
 def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
-                stage: int, epochs: int, seed: int, patience: int | None = None):
+                stage: int, epochs: int, seed: int, patience: int | None = None,
+                diagnostics: bool = False):
     """Train one stage in place and return its bookkeeping.
 
     The random streams for shuffling and dropout are keyed by (seed, stage,
@@ -342,8 +315,9 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
     dropout stream is only made when a dropout rate is nonzero.
 
     Returns a dict with the epoch history, the best checkpoint (params and
-    optimizer state are deep copies), deep-copied early/top checkpoints for
-    screening, and the early-stop flag.
+    optimizer state are deep copies), the early-stop flag, and under the
+    stage plan's ``diagnostics`` flag deep copies of the first three epochs'
+    params (``early``, for hidden snapshots; empty otherwise).
     """
     train_ids = np.nonzero(lv.train_mask)[0]
     if train_ids.size == 0:
@@ -351,8 +325,6 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
     eff_patience = min(patience if patience is not None else cfg.patience, epochs)
     drops = cfg.dropout > 0.0 or cfg.input_dropout > 0.0
     best = {"epoch": 0, "val": -np.inf, "params": None, "adam": None}
-    tops = []
-    top_ckpts = {}
     early = {}
     history = []
     since_best = 0
@@ -377,26 +349,18 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
         row = {"stage": stage, "epoch": epoch,
                "train_loss": float(np.mean(losses)), "val_metric": float(val)}
         history.append(row)
-        if epoch <= KEEP_EARLY:
-            early[epoch] = {"params": copy.deepcopy(params), "adam": copy.deepcopy(adam)}
+        if diagnostics and epoch <= 3:
+            early[epoch] = copy.deepcopy(params)
         if val > best["val"]:
             best = {"epoch": epoch, "val": float(val),
                     "params": copy.deepcopy(params), "adam": copy.deepcopy(adam)}
             since_best = 0
         else:
             since_best += 1
-        tops.append((float(val), epoch))
-        tops = sorted(tops, key=lambda t: (-t[0], t[1]))[:KEEP_BEST]
-        kept = {e for _, e in tops}
-        if epoch in kept:
-            top_ckpts[epoch] = {"val": float(val), "params": copy.deepcopy(params),
-                                "adam": copy.deepcopy(adam)}
-        top_ckpts = {e: ck for e, ck in top_ckpts.items() if e in kept}
         if since_best >= eff_patience:
             stopped = True
             break
     return {"history": history, "best": best, "early": early,
-            "top_epochs": sorted(top_ckpts), "top_ckpts": top_ckpts,
             "stopped_early": stopped}
 
 
@@ -433,44 +397,6 @@ def _load_hidden(snap):
     return np.load(snap) if isinstance(snap, str) else snap
 
 
-def _screen_stage(plan, model_kind, out, stage_bank, graph, lv, cfg, reprop_spec,
-                  s, distance_to_x, model):
-    """Diversity screening over {3 earliest, 2 best} checkpoints of a stage."""
-    checkpoints = dict(out["early"])
-    checkpoints.update(out["top_ckpts"])
-    cand_epochs = sorted(checkpoints)
-    candidates = []
-    screen_hops = min(2, stage_bank.hops)
-    alphas_small = blend_alphas(plan, s, screen_hops)
-    for e in cand_epochs:
-        hid = extract_hidden(model, checkpoints[e]["params"], stage_bank)
-        candidates.append({"epoch": e, "hidden": hid, "ckpt": checkpoints[e]})
-
-    def small_bank(cand):
-        ht = repropagate(graph, cand["hidden"], screen_hops, **reprop_spec)
-        small = HopBank(hops=screen_hops, slabs=stage_bank.slabs[:screen_hops + 1],
-                        provenance=stage_bank.provenance)
-        return blend(small, ht, alphas_small)
-
-    def eval_small(cand):
-        b = small_bank(cand)
-        m = build_model(model_kind, screen_hops, b.width, lv.num_classes, cfg)
-        p = m.init(seed=cfg.seed, dtype=np.float32)
-        st = init_adam(p)
-        res = train_stage(m, p, st, b, lv, cfg, stage=s, epochs=plan.screen_epochs,
-                          seed=cfg.seed + 104729, patience=plan.screen_epochs)
-        return res["best"]["val"]
-
-    def diversity(cand):
-        dist = distance_to_x(cand["hidden"])
-        return -np.inf if dist is None else dist
-
-    winner, _ = screen_checkpoints(candidates, eval_small, diversity)
-    hist = {row["epoch"]: row["val_metric"] for row in out["history"]}
-    return {"epoch": winner["epoch"], "val": hist[winner["epoch"]],
-            "params": winner["ckpt"]["params"], "adam": winner["ckpt"]["adam"]}
-
-
 def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                      cfg: TrainConfig, *, model_kind: str = "mlp",
                      workdir=None) -> RunResult:
@@ -491,19 +417,6 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     adam = init_adam(params)
     # the Laplacian and the raw features' moment signature, made on first use
     lap_op = base_sig = None
-
-    def distance_to_x(hidden):
-        """Spectral distance from hop 0, which no stage changes; None when
-        no channel is nonzero in both."""
-        nonlocal lap_op, base_sig
-        if base_sig is None:
-            lap_op = make_operator(graph, "lap")
-            base_sig = moment_signature(bank.slabs[0], lap_op)
-        try:
-            return _signature_distance(moment_signature(hidden, lap_op), base_sig)
-        except NumericalError:
-            return None
-
     reprop_spec = _resolve_reprop_spec(bank) if plan.stages > 1 else None
     stage_results = []
     best_overall = {"val": -np.inf, "stage": 0, "epoch": 0, "params": None}
@@ -515,34 +428,33 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         t0 = time.perf_counter()
         out = train_stage(model, params, adam, stage_bank, lv, cfg, stage=s,
                           epochs=plan.epochs[s - 1], seed=cfg.seed,
-                          patience=plan.patience)
+                          patience=plan.patience, diagnostics=plan.diagnostics)
         train_secs = time.perf_counter() - t0
+        selected = out["best"]
 
-        spmm0 = spmm_call_count()
         t1 = time.perf_counter()
-        if plan.checkpoint_policy == "diversity-screened" and s < plan.stages:
-            selected = _screen_stage(plan, model_kind, out, stage_bank, graph, lv,
-                                     cfg, reprop_spec, s, distance_to_x, model)
-        else:
-            selected = out["best"]
-        diag_spmm = spmm_call_count() - spmm0
-
         snapshots = {}
-        hidden = None
         dist = None
-        diff_spmm = 0
+        diff_spmm = diag_spmm = 0
         if s < plan.stages:
             hidden = extract_hidden(model, selected["params"], stage_bank)
             if plan.diagnostics:
                 pre = spmm_call_count()
-                dist = distance_to_x(hidden)
-                for e, snap in out["early"].items():
+                if base_sig is None:
+                    lap_op = make_operator(graph, "lap")
+                    base_sig = moment_signature(bank.slabs[0], lap_op)
+                try:  # distance from hop 0, which no stage changes
+                    dist = _signature_distance(moment_signature(hidden, lap_op),
+                                               base_sig)
+                except NumericalError:  # no channel is nonzero in both
+                    pass
+                for e, early_params in out["early"].items():
                     snapshots[e] = _store_hidden(
-                        extract_hidden(model, snap["params"], stage_bank),
+                        extract_hidden(model, early_params, stage_bank),
                         workdir, cfg.seed, s, e)
                 snapshots[selected["epoch"]] = _store_hidden(
                     hidden, workdir, cfg.seed, s, selected["epoch"])
-                diag_spmm += spmm_call_count() - pre
+                diag_spmm = spmm_call_count() - pre
             pre = spmm_call_count()
             htilde = repropagate(graph, hidden, hops, **reprop_spec)
             diff_spmm = spmm_call_count() - pre
@@ -559,13 +471,14 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         if selected["val"] > best_overall["val"]:
             best_overall = {"val": selected["val"], "stage": s,
                             "epoch": selected["epoch"],
-                            "params": copy.deepcopy(selected["params"])}
+                            "params": selected["params"]}
             best_bank = stage_bank
 
         if s < plan.stages:
             if plan.warm_start:
+                # best_overall may hold these params, so train on a copy
                 params = copy.deepcopy(selected["params"])
-                adam = copy.deepcopy(selected["adam"])
+                adam = selected["adam"]
             else:
                 params = model.init(seed=cfg.seed + s, dtype=np.float32)
                 adam = init_adam(params)

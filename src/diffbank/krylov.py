@@ -31,7 +31,6 @@ kept; dropping them would silently break that reconstruction.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "ritz_components",
     "ritz_bank",
     "ritz_bank_as_hopbank",
-    "apply_spectral_response",
     "ritz_triples",
 ]
 
@@ -346,20 +344,6 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
     prov = {"basis": "krylov", "operator": "shifted", "hops": hops,
             "order": rb.order, "raw_hop0": raw_hop0 is not None}
     return HopBank(hops=hops, slabs=slabs, provenance=prov)
-
-
-def apply_spectral_response(rb: RitzBank, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evaluate sum_i g(lam_i) z_i per channel; g(x)=1 reproduces the input."""
-    fact = rb.fact
-    h = np.zeros(fact.alphas.shape)
-    for i, m in enumerate(fact.steps):
-        gv = np.asarray(g(rb.values[:m, i]), dtype=np.float64)
-        if gv.shape != (m,):
-            raise ValueError("spectral response must return one value per Ritz value")
-        h[:m, i] = gv @ rb.coeffs[:m, :m, i]
-    out = np.zeros((rb.n, rb.width), dtype=np.float32)
-    out[:, fact.cols] = _combine(fact.q, h)
-    return out
 
 
 def ritz_triples(rb: RitzBank) -> list:

@@ -32,11 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError
 from .graph import Graph, LabelVector, build_graph, make_operator
 from .rng import rng_for
 
-__all__ = ["SyntheticSpec", "generate", "random_regular_graph", "edge_homophily"]
+__all__ = ["SyntheticSpec", "generate"]
 
 MAX_DENSE_NODES = 4096
 
@@ -167,33 +167,3 @@ def _spectral_signal(spec: SyntheticSpec, g: Graph, rng):
                    + spec.snr * scale * u_hi
                    + rng.normal(scale=spec.noise, size=spec.n))
     return x, y
-
-
-def random_regular_graph(n: int, degree: int, seed: int = 0,
-                         max_tries: int = 200) -> Graph:
-    """Uniform-ish random regular graph by the pairing model with rejection."""
-    if n * degree % 2 != 0:
-        raise ConfigError("n * degree must be even")
-    if degree >= n:
-        raise ConfigError("degree must be below n")
-    rng = rng_for(seed, "regular", n, degree)
-    for _ in range(max_tries):
-        stubs = np.repeat(np.arange(n), degree)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            continue
-        key = pairs.min(axis=1) * np.int64(n) + pairs.max(axis=1)
-        if np.unique(key).size != key.size:
-            continue
-        return build_graph(pairs, n, undirected=True)
-    raise NumericalError(f"pairing model failed to produce a simple {degree}-regular "
-                         f"graph on {n} nodes after {max_tries} tries")
-
-
-def edge_homophily(g: Graph, labels: np.ndarray) -> float:
-    """Fraction of stored edges joining same-label endpoints."""
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.row_ptr))
-    if rows.size == 0:
-        raise DataError("graph has no edges")
-    return float(np.mean(labels[rows] == labels[g.col_idx]))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from diffbank import Graph, build_graph, make_operator
+from diffbank import make_operator
+from diffbank.graph import Graph, build_graph
 from diffbank.rng import rng_for
 
 

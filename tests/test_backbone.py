@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConcatMLP, ConfigError, DataError, HopGRU, TrainConfig,
-                      accuracy, adam_step, init_adam, label_features,
-                      make_operator, model_scores, roc_auc, softmax_xent)
+from diffbank import (ConcatMLP, ConfigError, DataError, HopGRU, TrainConfig, init_adam,
+                      make_operator, softmax_xent)
+from diffbank.backbone import accuracy, adam_step, label_features, model_scores, roc_auc
 from diffbank.graph import LabelVector
 from diffbank.rng import rng_for
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyt, eval_jacobi, eval_legendre
 
-from diffbank import (ConfigError, HopBank, NumericalError, bank_report,
-                      chebyshev_bank, jacobi_bank, jacobi_coefficients,
-                      legendre_bank, make_operator, monomial_bank,
-                      reset_spmm_count, spmm_call_count)
-from diffbank.banks import jacobi_endpoint_values
+from diffbank import (ConfigError, NumericalError, chebyshev_bank, jacobi_bank,
+                      legendre_bank, make_operator, monomial_bank, reset_spmm_count,
+                      spmm_call_count)
+from diffbank.banks import (HopBank, bank_report, jacobi_coefficients,
+                            jacobi_endpoint_values)
 from diffbank.rng import rng_for
 
 from conftest import (dense_operator, dense_shifted, oracle_slab, random_graph,

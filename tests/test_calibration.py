@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, NumericalError, build_graph, calibrate,
-                      calibrate_jacobi, estimate_moments, exact_moments,
-                      jackson_coefficients, make_operator, reconstruct_density,
-                      reset_spmm_count, spectral_imbalance, spmm_call_count)
-from diffbank.calibration import MomentVector, _split_masses
+from diffbank import (ConfigError, NumericalError, calibrate, calibrate_jacobi,
+                      exact_moments, make_operator, reset_spmm_count,
+                      spectral_imbalance, spmm_call_count)
+from diffbank.calibration import (MomentVector, _split_masses, estimate_moments,
+                                  jackson_coefficients, reconstruct_density)
 from diffbank.rng import rng_for
 
 from conftest import dense_shifted, random_graph

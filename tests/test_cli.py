@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import (SyntheticSpec, generate, graph, load_bank_file, load_features,
-                      save_checkpoint, save_edge_list, save_features, save_labels)
+from diffbank import SyntheticSpec, generate, graph, load_bank_file
 from diffbank.cli import main
 from diffbank.config import config_hash, load_config
 from diffbank.experiment import run_seed
+from diffbank.io import (load_features, save_checkpoint, save_edge_list, save_features,
+                         save_labels)
 
 
 @pytest.fixture()
@@ -169,7 +170,7 @@ def test_train_then_evaluate_round_trip(tmp_path, capsys):
 
     # labels live with the config's synthetic data; regenerate them to a file
     gen_dir = tmp_path / "gen"
-    from diffbank import save_labels
+    from diffbank.io import save_labels
     from diffbank.config import load_config
     from diffbank.experiment import prepare_dataset
     _, _, lv, _ = prepare_dataset(load_config(str(cfg)), 0)

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from diffbank import (CONFIG_SCHEMA, ConfigError, StagePlan, SyntheticSpec,
-                      TrainConfig, calibrate, config_hash, load_config,
+from diffbank import (ConfigError, StagePlan, SyntheticSpec, TrainConfig, calibrate,
                       validate_config)
-from diffbank.config import (CALIBRATION_ARGS, to_stage_plan, to_synthetic_spec,
-                             to_train_config)
 from diffbank.cli import main
+from diffbank.config import (CALIBRATION_ARGS, CONFIG_SCHEMA, config_hash, load_config,
+                             to_stage_plan, to_synthetic_spec, to_train_config)
 from diffbank.experiment import prepare_dataset
 
 
@@ -176,8 +175,11 @@ def test_removed_knobs_are_config_errors(tmp_path, capsys):
     hrp_recipe = [{"hrp": {key: value}} for key, value in (
         ("family", "chebyshev"), ("operator", "dad"), ("jacobi_alpha", 0.7),
         ("jacobi_beta", 0.1), ("lanczos_order", 9))]
+    # every stage continues from its best-validation checkpoint
+    screening = [{"hrp": {"checkpoint_policy": "best-val"}}, {"hrp": {"screen_epochs": 10}}]
     path = tmp_path / "config.json"
-    for over in ({"row_scale": True}, {"krylov": {"reorth": "full"}}, *hrp_recipe):
+    for over in ({"row_scale": True}, {"krylov": {"reorth": "full"}}, *hrp_recipe,
+                 *screening):
         with pytest.raises(ConfigError, match="Additional properties"):
             validate_config({**minimal(), **over})
         path.write_text(json.dumps({**minimal(), **over}))

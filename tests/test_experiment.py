@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, DataError, save_edge_list, save_features,
-                      save_labels, validate_config)
-from diffbank import graph, hrp, synth
+from diffbank import ConfigError, DataError, validate_config
+from diffbank import graph, synth
 from diffbank.experiment import (build_bank, prepare_dataset, run_ablation,
                                  run_experiment, run_seed, summarize)
 from diffbank.graph import seed_threads, spmm_call_count
+from diffbank.io import save_edge_list, save_features, save_labels
 
 
 def tiny_cfg(**over):
@@ -265,34 +265,3 @@ def test_ablation_arms_share_seeds_and_differ_in_plan():
     # identical data per seed across arms
     assert base["data"]["graph_hash"] == robust["data"]["graph_hash"]
     assert robust["data"]["graph_hash"] == staged["data"]["graph_hash"]
-
-
-def test_diversity_screened_runs_end_to_end(monkeypatch):
-    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 6, "screen_epochs": 2,
-                        "checkpoint_policy": "diversity-screened"})
-    screened, reprop_hops = [], []
-    real_screen, real_reprop = hrp.screen_checkpoints, hrp.repropagate
-
-    def screen(candidates, *args, **kw):
-        winner, detail = real_screen(candidates, *args, **kw)
-        screened.append(([c["epoch"] for c in candidates], winner["epoch"]))
-        return winner, detail
-
-    def reprop(graph, hidden, hops, **kw):
-        reprop_hops.append(hops)
-        return real_reprop(graph, hidden, hops, **kw)
-
-    monkeypatch.setattr(hrp, "screen_checkpoints", screen)
-    monkeypatch.setattr(hrp, "repropagate", reprop)
-    row = run_experiment(cfg)["runs"][0]
-    (epochs, winner), = screened  # only stage 1 of 2 is screened
-    assert set(epochs) >= {1, 2, 3} and len(epochs) <= 5
-    assert winner in epochs
-    assert row["stages"][0]["selected_epoch"] == winner
-    # one 2-hop proxy bank per candidate, then the one full re-propagation
-    # into stage 2; the winner is not retrained on a full-hop bank
-    assert reprop_hops == [2] * len(epochs) + [3]
-    assert row["total_diffusion_spmm"] == 3
-    assert row["total_diagnostic_spmm"] >= 2 * len(epochs)
-    assert row["total_spmm"] == (row["preprocess_spmm"] + row["total_diffusion_spmm"]
-                                 + row["total_diagnostic_spmm"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from diffbank import (DataError, build_graph, degrees, graph, graph_hash,
-                      make_operator, reset_spmm_count, spmm, spmm_call_count)
-from diffbank.graph import MAX_NODES, LabelVector
+from diffbank import DataError, graph, make_operator, reset_spmm_count, spmm_call_count
+from diffbank.graph import (LabelVector, MAX_NODES, build_graph, degrees, graph_hash,
+                            spmm)
 
 from conftest import dense_operator, random_graph
 from diffbank.rng import rng_for

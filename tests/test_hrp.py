@@ -1,20 +1,21 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, HopBank, NumericalError, StagePlan,
-                      TrainConfig, adam_step, batched_lanczos, blend, blend_alphas,
-                      build_graph, chebyshev_bank, cosine_blend_weight,
-                      evaluate_split, extract_hidden, init_adam, jacobi_bank,
-                      legendre_bank, make_operator, moment_signature,
-                      monomial_bank, repropagate, reset_spmm_count, ritz_bank,
-                      ritz_bank_as_hopbank, run_hrp_training,
-                      screen_checkpoints, softmax_xent, spectral_distance,
-                      train_stage)
+from diffbank import (ConfigError, NumericalError, StagePlan, TrainConfig,
+                      batched_lanczos, blend, blend_alphas, chebyshev_bank,
+                      cosine_blend_weight, extract_hidden, init_adam, jacobi_bank,
+                      legendre_bank, make_operator, monomial_bank, repropagate,
+                      reset_spmm_count, run_hrp_training, softmax_xent, train_stage)
 from diffbank import hrp
+from diffbank.backbone import adam_step
+from diffbank.banks import HopBank
 from diffbank.graph import LabelVector
-from diffbank.hrp import _load_hidden, _resolve_reprop_spec, build_model
+from diffbank.hrp import (_load_hidden, _resolve_reprop_spec, build_model,
+                          evaluate_split, moment_signature, spectral_distance)
+from diffbank.krylov import ritz_bank, ritz_bank_as_hopbank
 from diffbank.rng import rng_for
 
 from conftest import random_graph, seeded_features
@@ -89,8 +90,6 @@ def test_stage_plan_validation():
         StagePlan(stages=1, epochs=1, schedule="linear")
     with pytest.raises(ConfigError):
         StagePlan(stages=2, epochs=1, schedule="perhop")
-    with pytest.raises(ConfigError):
-        StagePlan(stages=1, epochs=1, checkpoint_policy="random")
     with pytest.raises(ConfigError):
         StagePlan(stages=1, epochs=1, patience=0)
     plan = StagePlan(stages=3, epochs=5)
@@ -219,38 +218,38 @@ def test_spectral_distance_properties(path4):
         spectral_distance(a, b, lap)
 
 
-def test_screen_checkpoints_selection_logic():
-    candidates = ["a", "b", "c", "d"]
-    small = {"a": 0.5, "b": 0.9, "c": 0.9, "d": 0.1}
-    div = {"a": 9.0, "b": 1.0, "c": 2.0, "d": 9.0}
-    winner, detail = screen_checkpoints(
-        candidates, lambda c: small[c], lambda c: div[c])
-    assert winner == "c"  # tied on small score, higher diversity wins
-    assert detail == {"small_scores": [0.5, 0.9, 0.9, 0.1], "winner_index": 2}
-
-    winner, _ = screen_checkpoints(candidates, lambda c: small[c], lambda c: 1.0)
-    assert winner == "b"  # equal diversity falls back to the earlier index
-    with pytest.raises(ValueError):
-        screen_checkpoints([], lambda c: 0, lambda c: 0)
-
-
-def test_train_stage_checkpoint_retention():
+def test_train_stage_checkpoint_retention(monkeypatch):
     g, x, bank, lv = make_case(seed=7)
     cfg = small_cfg(epochs=8)
     model = build_model("mlp", bank.hops, bank.width, 2, cfg)
     params = model.init(seed=0)
-    from diffbank import init_adam
-    out = train_stage(model, params, init_adam(params), bank, lv, cfg,
-                      stage=1, epochs=8, seed=0)
+    adam = init_adam(params)
+    copied = []
+
+    def counting(obj):
+        copied.append(obj)
+        return copy.deepcopy(obj)
+
+    monkeypatch.setattr(hrp, "copy", SimpleNamespace(deepcopy=counting))
+    out = train_stage(model, params, adam, bank, lv, cfg, stage=1, epochs=8, seed=0)
     assert [r["epoch"] for r in out["history"]] == list(range(1, 9))
-    assert sorted(out["early"]) == [1, 2, 3]
-    assert len(out["top_ckpts"]) == 2
     vals = {r["epoch"]: r["val_metric"] for r in out["history"]}
-    best_two = sorted(vals, key=lambda e: (-vals[e], e))[:2]
-    assert sorted(out["top_epochs"]) == sorted(best_two)
     assert out["best"]["epoch"] == min(e for e in vals
                                        if vals[e] == max(vals.values()))
     assert out["best"]["params"] is not params  # deep copy, not a live view
+    # a best-val run without diagnostics copies the params and the Adam
+    # state of each improving epoch, and nothing else
+    assert out["early"] == {}
+    assert not any(key.startswith("top") for key in out)
+    improving = sum(vals[e] > max([-np.inf] + [vals[p] for p in range(1, e)])
+                    for e in vals)
+    assert len(copied) == 2 * improving
+    assert all(p is params and a is adam for p, a in zip(copied[::2], copied[1::2]))
+
+    params = model.init(seed=0)
+    out = train_stage(model, params, init_adam(params), bank, lv, cfg, stage=1,
+                      epochs=8, seed=0, diagnostics=True)
+    assert sorted(out["early"]) == [1, 2, 3]
 
 
 def test_train_stage_early_stop_with_frozen_params():
@@ -340,26 +339,14 @@ def test_evaluate_split_chunking_and_auc():
     assert 0.0 <= auc <= 1.0
 
 
-@pytest.mark.parametrize("diagnostics", [False, True])
-def test_raw_feature_signature_is_computed_once_per_run(monkeypatch, diagnostics):
+def test_raw_feature_signature_is_computed_once_per_run():
     g, x, bank, lv = make_case(seed=14)
-    real_screen = hrp.screen_checkpoints
-    tied = []
-
-    def all_tied(candidates, evaluate_small, diversity, **kw):
-        tied.append(len(candidates))
-        return real_screen(candidates, lambda c: 0.0, diversity, **kw)
-
-    monkeypatch.setattr(hrp, "screen_checkpoints", all_tied)
-    plan = StagePlan(stages=2, epochs=3, checkpoint_policy="diversity-screened",
-                     diagnostics=diagnostics)
+    plan = StagePlan(stages=3, epochs=3, diagnostics=True)
     res = run_hrp_training(plan, bank, g, lv, small_cfg(epochs=3))
-    assert tied == [3]
-    # 4 products per moment signature: three candidates plus the raw
-    # features once, and with diagnostics the selected hidden states
-    assert res.stages[0].diagnostic_spmm == (20 if diagnostics else 16)
-    if diagnostics:
-        st = res.stages[0]
+    # 4 products per moment signature: the raw features once, at stage 1,
+    # and the selected hidden states of each stage that re-propagates
+    assert [st.diagnostic_spmm for st in res.stages] == [8, 4, 0]
+    for st in res.stages[:2]:
         hidden = st.hidden_snapshots[st.selected_epoch]
         assert st.spectral_distance_to_x == spectral_distance(
             hidden, x, make_operator(g, "lap"))

@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from diffbank import (DataError, HopBank, build_graph, graph_hash,
-                      load_bank_file, load_checkpoint, load_edge_list,
-                      load_features, load_features_csv, load_labels,
-                      save_bank_file, save_checkpoint, save_edge_list,
-                      save_features, save_labels)
-from diffbank.graph import LabelVector
+from diffbank import DataError, load_bank_file, save_bank_file
+from diffbank.banks import HopBank
+from diffbank.graph import LabelVector, build_graph, graph_hash
+from diffbank.io import (load_checkpoint, load_edge_list, load_features,
+                         load_features_csv, load_labels, save_checkpoint,
+                         save_edge_list, save_features, save_labels)
 from diffbank.rng import rng_for
 
 from conftest import random_graph

@@ -11,11 +11,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from diffbank import NumericalError, build_graph, graph, validate_config
+from diffbank import NumericalError, graph, validate_config
 from diffbank.banks import legendre_bank, monomial_bank
 from diffbank.calibration import estimate_moments
 from diffbank.experiment import build_bank
-from diffbank.graph import make_operator, spmm, spmm_call_count
+from diffbank.graph import build_graph, make_operator, spmm, spmm_call_count
 
 from conftest import random_graph, seeded_features
 from diffbank.rng import rng_for

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, NumericalError, apply_spectral_response,
-                      bank_report, batched_lanczos, build_graph, make_operator,
-                      reset_spmm_count, ritz_bank, ritz_bank_as_hopbank,
-                      spmm_call_count, tridiag_eig)
-from diffbank.krylov import MAX_LANCZOS_STEPS, ritz_components, ritz_triples
+from diffbank import (ConfigError, NumericalError, batched_lanczos, make_operator,
+                      reset_spmm_count, spmm_call_count)
+from diffbank.banks import bank_report
+from diffbank.graph import build_graph
+from diffbank.krylov import (MAX_LANCZOS_STEPS, ritz_bank, ritz_bank_as_hopbank,
+                             ritz_components, ritz_triples, tridiag_eig)
 from diffbank.rng import rng_for
 
 from conftest import dense_shifted, random_graph, seeded_features
@@ -170,18 +171,6 @@ def test_zero_channels_are_skipped():
     assert sorted(cf.channel for cf in fact.channels) == [0, 2]
     bank = ritz_bank_as_hopbank(ritz_bank(fact, n=g.n), hops=3)
     assert np.all(bank.slabs[:, :, 1] == 0.0)
-
-
-def test_spectral_response_identity_reproduces_input():
-    rng = rng_for(9, "resp")
-    g = random_graph(rng, 12)
-    x = seeded_features(g, 4, 7)
-    fact = batched_lanczos(make_operator(g, "shifted"), x, order=8)
-    rb = ritz_bank(fact, n=g.n)
-    out = apply_spectral_response(rb, lambda lam: np.ones_like(lam))
-    assert np.max(np.abs(out - x)) < 1e-5
-    with pytest.raises(ValueError):
-        apply_spectral_response(rb, lambda lam: lam[:-1])
 
 
 def test_spmm_cost_is_exactly_order():

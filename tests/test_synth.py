@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, DataError, NumericalError, SyntheticSpec,
-                      edge_homophily, generate, graph_hash, make_operator,
-                      random_regular_graph, synth, validate_config)
+from diffbank import (ConfigError, SyntheticSpec, generate, make_operator, synth,
+                      validate_config)
 from diffbank.experiment import run_ablation
+from diffbank.graph import graph_hash
 
 
 def test_generate_is_deterministic_per_seed():
@@ -94,6 +94,12 @@ def test_splits_are_disjoint_and_cover():
     assert lv.test_mask.sum() == 26
 
 
+def edge_homophily(g, labels):
+    """Fraction of stored edges joining same-label endpoints."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
+    return float(np.mean(labels[rows] == labels[g.col_idx]))
+
+
 def test_homophily_flag_swaps_probabilities():
     base = dict(generator="sbm", n=150, blocks=2, p_intra=0.02, p_inter=0.15,
                 seed=5)
@@ -138,33 +144,3 @@ def test_spec_validation():
         SyntheticSpec(feature_dim=0)
     with pytest.raises(ConfigError):
         SyntheticSpec(generator="spectral-signal", signal_quantile=0.4)
-
-
-def test_regular_graph_degrees():
-    for n, deg in ((16, 3), (20, 4), (9, 2)):
-        g = random_regular_graph(n, deg, seed=1)
-        degrees = np.diff(g.row_ptr)
-        assert np.all(degrees == deg)
-    a = random_regular_graph(16, 3, seed=2)
-    b = random_regular_graph(16, 3, seed=2)
-    assert graph_hash(a) == graph_hash(b)
-
-
-def test_regular_graph_validation():
-    with pytest.raises(ConfigError):
-        random_regular_graph(9, 3)  # odd stub count
-    with pytest.raises(ConfigError):
-        random_regular_graph(4, 4)
-    with pytest.raises(NumericalError):
-        random_regular_graph(4, 3, max_tries=1)
-
-
-def test_edge_homophily_hand_case(p2, k3):
-    assert edge_homophily(k3, np.array([0, 0, 0])) == 1.0
-    assert edge_homophily(k3, np.array([0, 1, 2])) == 0.0
-    # one same-label edge of three in the triangle
-    assert edge_homophily(k3, np.array([0, 0, 1])) == pytest.approx(1.0 / 3.0)
-    from diffbank import build_graph
-    empty = build_graph(np.empty((0, 2), dtype=np.int64), 3)
-    with pytest.raises(DataError):
-        edge_homophily(empty, np.zeros(3, dtype=np.int64))
