@@ -2,8 +2,9 @@
 
 A config file is a single JSON object. Unknown keys are rejected so typos
 fail loudly instead of silently running the default. Numeric budgets (hop
-count, Lanczos steps) are checked here as well as at the point of use, so a
-bad config dies before any graph is loaded.
+count, Lanczos steps and the Krylov order floor), the stage plan and its
+blend weights are checked here as well as at the point of use, so a bad
+config dies before any graph is loaded.
 
 The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
 onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
@@ -28,7 +29,7 @@ from .backbone import TrainConfig
 from .banks import MAX_HOPS
 from .calibration import calibrate
 from .errors import ConfigError
-from .hrp import StagePlan
+from .hrp import StagePlan, blend_alphas, krylov_order
 from .krylov import MAX_LANCZOS_STEPS
 from .synth import SyntheticSpec
 
@@ -217,10 +218,15 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"the {cfg['basis']} basis runs on the shifted operator only")
     if not (0.0 < cfg["calibration"]["gamma"] < 1.0):
         raise ConfigError("calibration gamma must lie in (0, 1)")
+    if cfg["basis"] == "krylov":
+        krylov_order(cfg["hops"], k_order)
     # the staged plan inherits the train budgets it does not set itself
     for key in ("epochs", "patience"):
         if key in cfg["train"]:
             cfg["hrp"].setdefault(key, cfg["train"][key])
+    plan = to_stage_plan(cfg)
+    for s in range(1, plan.stages):
+        blend_alphas(plan, s, cfg["hops"])
     return cfg
 
 

@@ -1,12 +1,12 @@
 """Seeded experiment harness: dataset -> bank -> staged training -> metrics.
 
-One seed is one full run: build (or load) the dataset, construct the feature
-bank for the configured basis, train through the stage plan, and score the
-test split at the best-validation checkpoint. ``run_seed`` is the only
-driver of that run and the only place its report row is assembled;
-``diffbank train`` writes that row as ``report.json``. ``run_experiment``
-repeats it over the config's seed list, keeps the rows, and reports mean and
-sample std.
+One seed is one full run: build (or load) the dataset, build the feature
+bank with ``hrp.diffuse`` (which re-propagates too), train through the stage
+plan, and score the test split at the best-validation checkpoint.
+``run_seed`` is the only driver of that run and the only place its report
+row is assembled; ``diffbank train`` writes that row as ``report.json``.
+``run_experiment`` repeats it over the config's seed list, keeps the rows,
+and reports mean and sample std.
 
 ``run_ablation`` runs three arms on shared seeds so the deltas isolate each
 ingredient: plain power-iteration features on the random-walk-symmetric
@@ -40,15 +40,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .backbone import label_features
-from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
+# imported only for perfbench's tracer bindings, as are the krylov names (ROADMAP
+# item 5, "perfbench binds the bank builders in experiment"); hrp.diffuse builds banks
+from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank  # noqa: F401
 from .calibration import calibrate
 from .config import (CALIBRATION_ARGS, config_hash, to_stage_plan,
                      to_synthetic_spec, to_train_config)
 from .errors import ConfigError, DataError
 from .graph import check_fits, graph_hash, make_operator, seed_threads, spmm_call_count
-from .hrp import RunResult, StageResult, evaluate_split, run_hrp_training
+from .hrp import RunResult, StageResult, diffuse, evaluate_split, run_hrp_training
 from .io import load_edge_list, load_features, load_features_csv, load_labels
-from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
+from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank  # noqa: F401
 from .synth import generate
 
 __all__ = ["prepare_dataset", "load_graph", "load_feature_file", "build_bank",
@@ -80,7 +82,10 @@ def load_feature_file(path: str, n: int) -> np.ndarray:
 
 def prepare_dataset(cfg: dict, seed: int):
     """Return (graph, features, labels, info). Synthetic specs draw from the
-    seed; file datasets are seed-independent and need a ``labels`` file."""
+    seed; file datasets are seed-independent and need a ``labels`` file.
+    Labels with an empty train, val or test split raise DataError, and so
+    do labels ``roc_auc`` cannot score: a class count other than 2, or a
+    val or test split missing a class."""
     ds = cfg["dataset"]
     if "synthetic" in ds:
         spec = to_synthetic_spec(cfg, seed)
@@ -96,6 +101,15 @@ def prepare_dataset(cfg: dict, seed: int):
         else:
             x = label_features(lv)
         info = {"source": "files", "edges": ds["edges"]}
+    auc = cfg["metric"] == "roc_auc"
+    if auc and lv.num_classes != 2:
+        raise DataError(f"roc_auc needs 2 classes, the labels have {lv.num_classes}")
+    for split in ("train", "val", "test"):
+        ys = lv.labels[getattr(lv, f"{split}_mask")]
+        if ys.size == 0:
+            raise DataError(f"the labels have no {split} nodes")
+        if auc and split != "train" and np.unique(ys).size < 2:
+            raise DataError(f"roc_auc needs both classes among the {split} nodes")
     if cfg.get("label_diffusion"):
         op = make_operator(g, "da")
         x = np.concatenate([x, label_features(lv, op)], axis=1)
@@ -106,13 +120,14 @@ def prepare_dataset(cfg: dict, seed: int):
 
 
 def build_bank(cfg: dict, graph, x):
-    """Construct the hop bank named by the config.
+    """Construct the hop bank named by the config with ``hrp.diffuse``.
 
-    Returns (bank, details) where details carries the calibration result
-    for the ``auto`` basis and skipped-channel info for ``krylov``. Every
-    basis but ``monomial`` runs on the shifted operator. A bank whose
-    float32 slabs, (hops + 1) * n * d * 4 bytes, would not fit in physical
-    memory raises DataError before any product.
+    Returns (bank, details) where details carries the calibrated Jacobi
+    weights of the ``auto`` basis and the skipped and breakdown channels of
+    a ``krylov`` bank's provenance. Every basis but ``monomial`` runs on the
+    shifted operator. A bank whose float32 slabs, (hops + 1) * n * d * 4
+    bytes, would not fit in physical memory raises DataError before any
+    product.
     """
     basis = cfg["basis"]
     hops = cfg["hops"]
@@ -126,16 +141,9 @@ def build_bank(cfg: dict, graph, x):
     spmm0 = spmm_call_count()
     t0 = time.perf_counter()
     op = make_operator(graph, cfg["operator"])
-
-    if basis == "monomial":
-        bank = monomial_bank(op, x, hops)
-    elif basis == "chebyshev":
-        bank = chebyshev_bank(op, x, hops)
-    elif basis == "legendre":
-        bank = legendre_bank(op, x, hops)
-    elif basis == "jacobi":
-        bank = jacobi_bank(op, x, hops, cfg["jacobi"]["alpha"], cfg["jacobi"]["beta"])
-    elif basis == "auto":
+    # diffuse reads only the keys its basis needs
+    recipe = {"basis": basis, **cfg["jacobi"], **cfg["krylov"]}
+    if basis == "auto":
         weights, density, moments = calibrate(
             op, **{CALIBRATION_ARGS.get(k, k): v for k, v in cfg["calibration"].items()})
         details["calibration"] = {
@@ -143,22 +151,11 @@ def build_bank(cfg: dict, graph, x):
             "beta": weights.beta, "gamma": weights.gamma,
             "moments": [float(m) for m in moments.values],
         }
-        bank = jacobi_bank(op, x, hops, weights.alpha, weights.beta)
-    elif basis == "krylov":
-        order = cfg["krylov"]["order"]
-        if order is None:
-            order = hops + 1
-        if order < hops + 1:
-            raise ConfigError(f"krylov order {order} cannot cover {hops} hops; "
-                              f"need at least hops + 1 = {hops + 1}")
-        fact = batched_lanczos(op, x, order)
-        rb = ritz_bank(fact, n=graph.n)
-        bank = ritz_bank_as_hopbank(rb, hops, raw_hop0=x)
-        details["skipped_channels"] = fact.skipped.tolist()
-        details["breakdown_channels"] = fact.ids[fact.steps < order].tolist()
-    else:
-        raise ConfigError(f"unknown basis {basis!r}")
-
+        recipe = {"basis": "jacobi", "alpha": weights.alpha, "beta": weights.beta}
+    bank = diffuse(op, x, hops, recipe)
+    if basis == "krylov":
+        for key in ("skipped_channels", "breakdown_channels"):
+            details[key] = bank.provenance[key]
     details["spmm"] = spmm_call_count() - spmm0
     details["seconds"] = time.perf_counter() - t0
     return bank, details

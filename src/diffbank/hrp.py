@@ -17,9 +17,10 @@ Blending at weight exactly 1 or exactly 0 copies the corresponding slab
 instead of multiplying through, so a schedule that degenerates to plain
 training reproduces it bit for bit.
 
-Re-propagation rebuilds the input bank's own recipe from its provenance:
-the same basis, operator, Jacobi weights or Lanczos order that made the
-preprocessing bank diffuse the hidden states.
+A bank's provenance is the recipe that rebuilds it (basis, operator, Jacobi
+weights, Lanczos order), and ``diffuse`` builds every bank from a recipe, so
+hidden states are diffused exactly as the features were. A multi-stage run
+refuses, before stage 1, a bank whose provenance is not such a recipe.
 
 The next stage continues from that checkpoint. With ``diagnostics`` on,
 the first three epochs' params are copied as well, for hidden snapshots,
@@ -50,6 +51,7 @@ __all__ = [
     "cosine_blend_weight",
     "blend_alphas",
     "extract_hidden",
+    "diffuse",
     "repropagate",
     "blend",
     "moment_signature",
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 MAX_STAGES = 7
-FAMILIES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
+_RECIPE_BASES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
 
 
 @dataclass
@@ -142,12 +144,17 @@ def cosine_blend_weight(s: int, stages: int, lambda0: float) -> float:
 
 
 def blend_alphas(plan: StagePlan, s: int, hops: int) -> np.ndarray:
+    """Per-hop weights of the blend entering stage s+1; a per-hop vector
+    must hold hops + 1 weights in [0, 1], the first exactly 1."""
     if plan.schedule == "perhop":
         alpha = np.asarray(plan.alpha_vectors[s - 1], dtype=np.float64)
         if alpha.shape != (hops + 1,):
-            raise ConfigError("per-hop alpha vector has the wrong length")
+            raise ConfigError(f"per-hop alpha vector {s} has the wrong length: "
+                              f"need hops + 1 = {hops + 1} weights")
         if alpha[0] != 1.0:
             raise ConfigError("hop-0 blend weight must be exactly 1")
+        if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
+            raise ConfigError(f"per-hop alpha vector {s} has a weight outside [0, 1]")
         return alpha
     if plan.schedule == "constant":
         w = plan.lambda0
@@ -176,31 +183,46 @@ def extract_hidden(model, params, bank: HopBank, chunk: int = 8192) -> np.ndarra
     return out
 
 
+def krylov_order(hops: int, order: int | None) -> int:
+    """The Lanczos order of a Krylov bank over ``hops`` hops: ``order``, or
+    hops + 1 (the least order that covers the hops) when it is None."""
+    if order is None:
+        return hops + 1
+    if order < hops + 1:
+        raise ConfigError(f"krylov order {order} cannot cover {hops} hops; "
+                          f"need at least hops + 1 = {hops + 1}")
+    return order
+
+
+def diffuse(op, x: np.ndarray, hops: int, recipe: dict) -> HopBank:
+    """Diffuse ``x`` into a hop bank on ``op`` by ``recipe``, which holds the
+    keys a bank's provenance carries: ``basis``, ``alpha`` and ``beta`` for
+    ``jacobi``, and ``order`` for ``krylov`` (None or absent means hops + 1).
+    So a bank's provenance is the recipe that rebuilds it."""
+    basis = recipe.get("basis")
+    if basis == "monomial":
+        return monomial_bank(op, x, hops)
+    if basis == "chebyshev":
+        return chebyshev_bank(op, x, hops)
+    if basis == "legendre":
+        return legendre_bank(op, x, hops)
+    if basis == "jacobi":
+        return jacobi_bank(op, x, hops, recipe["alpha"], recipe["beta"])
+    if basis == "krylov":
+        fact = batched_lanczos(op, x, krylov_order(hops, recipe.get("order")))
+        return ritz_bank_as_hopbank(ritz_bank(fact, n=op.n), hops, raw_hop0=x)
+    raise ConfigError(f"no bank recipe for basis {basis!r}")
+
+
 def repropagate(graph: Graph, hidden: np.ndarray, hops: int, *, family: str,
                 operator: str = "shifted", jacobi_alpha: float = 0.0,
                 jacobi_beta: float = 0.0, lanczos_order: int | None = None) -> HopBank:
-    """Diffuse extracted hidden states into a fresh hop bank.
-
-    Reuses the same bank builders as preprocessing. The polynomial and
-    Krylov families run on the shifted operator; the monomial family may
-    use any operator kind.
-    """
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown re-propagation family {family!r}")
-    if family == "monomial":
-        op = make_operator(graph, operator)
-        return monomial_bank(op, hidden, hops)
-    op = make_operator(graph, "shifted")
-    if family == "legendre":
-        return legendre_bank(op, hidden, hops)
-    if family == "chebyshev":
-        return chebyshev_bank(op, hidden, hops)
-    if family == "jacobi":
-        return jacobi_bank(op, hidden, hops, jacobi_alpha, jacobi_beta)
-    order = lanczos_order if lanczos_order is not None else hops + 1
-    fact = batched_lanczos(op, hidden, order)
-    rb = ritz_bank(fact, n=graph.n)
-    return ritz_bank_as_hopbank(rb, hops, raw_hop0=hidden)
+    """Diffuse extracted hidden states into a fresh hop bank of ``family``
+    on the graph's ``operator``, which must be ``shifted`` for every family
+    but ``monomial``."""
+    return diffuse(make_operator(graph, operator), hidden, hops,
+                   {"basis": family, "alpha": jacobi_alpha, "beta": jacobi_beta,
+                    "order": lanczos_order})
 
 
 def blend(bank: HopBank, htilde: HopBank, alphas) -> HopBank:
@@ -364,22 +386,6 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
             "stopped_early": stopped}
 
 
-def _resolve_reprop_spec(bank: HopBank) -> dict:
-    """The repropagate() kwargs that rebuild the input bank's recipe from its
-    provenance: its family, operator, Jacobi weights and Lanczos order."""
-    prov = bank.provenance
-    family = prov.get("basis", "legendre")
-    if family not in FAMILIES:
-        raise ConfigError(f"input bank has no reusable basis ({family!r})")
-    return {
-        "family": family,
-        "operator": prov.get("operator", "shifted"),
-        "jacobi_alpha": float(prov.get("alpha", 0.0)),
-        "jacobi_beta": float(prov.get("beta", 0.0)),
-        "lanczos_order": prov.get("order"),
-    }
-
-
 def _store_hidden(hidden: np.ndarray, workdir, seed: int, stage: int, epoch: int):
     """Keep a snapshot in memory, or spill to an .npy file named by seed,
     stage and epoch when a workdir is given (the CLI does, to bound resident
@@ -417,7 +423,11 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     adam = init_adam(params)
     # the Laplacian and the raw features' moment signature, made on first use
     lap_op = base_sig = None
-    reprop_spec = _resolve_reprop_spec(bank) if plan.stages > 1 else None
+    recipe = bank.provenance  # checked here, so a bank no recipe rebuilds fails before stage 1
+    need = ("operator", "alpha", "beta") if recipe.get("basis") == "jacobi" else ("operator",)
+    if plan.stages > 1 and (recipe.get("basis") not in _RECIPE_BASES
+                            or any(k not in recipe for k in need)):
+        raise ConfigError(f"no bank recipe in the input bank's provenance {recipe!r}")
     stage_results = []
     best_overall = {"val": -np.inf, "stage": 0, "epoch": 0, "params": None}
     best_bank = bank
@@ -456,7 +466,10 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                     hidden, workdir, cfg.seed, s, selected["epoch"])
                 diag_spmm = spmm_call_count() - pre
             pre = spmm_call_count()
-            htilde = repropagate(graph, hidden, hops, **reprop_spec)
+            htilde = repropagate(
+                graph, hidden, hops, family=recipe["basis"], operator=recipe["operator"],
+                jacobi_alpha=recipe.get("alpha", 0.0), jacobi_beta=recipe.get("beta", 0.0),
+                lanczos_order=recipe.get("order"))
             diff_spmm = spmm_call_count() - pre
             cur_bank = blend(stage_bank, htilde, blend_alphas(plan, s, hops))
         diff_secs = time.perf_counter() - t1

@@ -325,7 +325,8 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
     (the pipeline default) puts the raw features in slab 0 instead, so the
     bank keeps the unblended 0-hop contract of staged training; omit it
     only for reconstruction diagnostics. Channels that broke down early pad
-    their missing slabs with zeros; zero channels stay zero everywhere.
+    their missing slabs with zeros; zero channels stay zero everywhere. The
+    provenance lists both, as ``breakdown_channels`` and ``skipped_channels``.
     A slab that is not finite in float32 raises NumericalError.
     """
     _check_budget(hops)
@@ -342,7 +343,9 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
         slabs[k][:, rb.fact.cols] = _combine(rb.fact.q, rb.coeffs[k])
         _check_slab(slabs, k, "krylov")
     prov = {"basis": "krylov", "operator": "shifted", "hops": hops,
-            "order": rb.order, "raw_hop0": raw_hop0 is not None}
+            "order": rb.order, "raw_hop0": raw_hop0 is not None,
+            "skipped_channels": rb.fact.skipped.tolist(),
+            "breakdown_channels": rb.fact.ids[rb.fact.steps < rb.order].tolist()}
     return HopBank(hops=hops, slabs=slabs, provenance=prov)
 
 

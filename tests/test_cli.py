@@ -237,6 +237,50 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "hop budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over, says", [
+    ({"hrp": {"stages": 2, "epochs": 2, "schedule": "perhop",
+              "alpha_vectors": [[1.0, 0.5, 1.5, 0.5]]}}, "outside [0, 1]"),
+    ({"hrp": {"stages": 2, "epochs": 2, "schedule": "perhop",
+              "alpha_vectors": [[1.0, 0.5, 0.5]]}}, "hops + 1 = 4"),
+    ({"hrp": {"stages": 2, "epochs": 2, "schedule": "perhop",
+              "alpha_vectors": [[0.5, 0.5, 0.5, 0.5]]}}, "exactly 1"),
+    ({"hrp": {"stages": 8, "epochs": 2}}, "maximum of 7"),
+    ({"basis": "krylov", "krylov": {"order": 3}}, "hops + 1 = 4"),
+])
+def test_config_only_errors_exit_2_before_any_product(tmp_path, capsys, over, says):
+    cfg = write_config(tmp_path, **over)
+    before = graph.spmm_call_count()
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert says in capsys.readouterr().err
+    assert graph.spmm_call_count() == before
+    assert not (tmp_path / "r").exists()
+
+
+def test_labels_a_run_cannot_use_exit_3_before_the_bank(dataset, tmp_path, capsys):
+    rows = (dataset / "labels.tsv").read_text().splitlines()
+
+    def files(name, drop):
+        path = tmp_path / name
+        path.write_text("".join(r + "\n" for r in rows if not r.endswith(drop)))
+        return {"edges": str(dataset / "edges.tsv"),
+                "features": str(dataset / "features.fmx"), "labels": str(path)}
+
+    three = {"synthetic": {"generator": "sbm", "n": 40, "blocks": 3,
+                           "p_intra": 0.2, "p_inter": 0.05, "feature_dim": 3}}
+    for over, says in (
+            ({"dataset": files("no_val.tsv", "\tval")}, "no val nodes"),
+            ({"dataset": three, "metric": "roc_auc"}, "needs 2 classes"),
+            ({"dataset": files("val0.tsv", "\t1\tval"), "metric": "roc_auc"},
+             "both classes among the val nodes")):
+        before = graph.spmm_call_count()
+        rc = main(["train", "--config", str(write_config(tmp_path, **over)),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert says in capsys.readouterr().err
+        assert graph.spmm_call_count() == before
+
+
 def test_data_error_exits_3(dataset, tmp_path, capsys):
     rc = main(["preprocess", "--edges", str(tmp_path / "missing.tsv"),
                "--features", str(dataset / "features.fmx"),

@@ -12,9 +12,11 @@ from diffbank import (ConfigError, NumericalError, StagePlan, TrainConfig,
 from diffbank import hrp
 from diffbank.backbone import adam_step
 from diffbank.banks import HopBank
-from diffbank.graph import LabelVector
-from diffbank.hrp import (_load_hidden, _resolve_reprop_spec, build_model,
-                          evaluate_split, moment_signature, spectral_distance)
+from diffbank.config import validate_config
+from diffbank.experiment import build_bank, prepare_dataset, run_seed
+from diffbank.graph import LabelVector, spmm_call_count
+from diffbank.hrp import (_load_hidden, build_model, diffuse, evaluate_split,
+                          moment_signature, spectral_distance)
 from diffbank.krylov import ritz_bank, ritz_bank_as_hopbank
 from diffbank.rng import rng_for
 
@@ -145,26 +147,57 @@ def test_repropagate_dispatches_to_bank_builders():
         repropagate(g, hidden, 3, family="fourier")
 
 
-def test_reprop_spec_inherits_bank_provenance():
+# config overrides per basis; every case builds a 3-hop bank of an SBM graph
+RECIPES = {
+    "monomial": {"basis": "monomial", "operator": "dad"},
+    "chebyshev": {"basis": "chebyshev"},
+    "legendre": {"basis": "legendre"},
+    "jacobi": {"basis": "jacobi", "jacobi": {"alpha": -0.3, "beta": 0.2}},
+    "auto": {"basis": "auto",
+             "calibration": {"order": 10, "probes": 8, "exact": False}},
+    "krylov": {"basis": "krylov"},
+}
+
+
+@pytest.mark.parametrize("basis", list(RECIPES))
+def test_bank_provenance_is_the_recipe_that_rebuilds_it(basis):
+    cfg = validate_config({
+        "dataset": {"synthetic": {"generator": "sbm", "n": 40, "blocks": 2,
+                                  "p_intra": 0.2, "p_inter": 0.05,
+                                  "feature_dim": 3}},
+        "hops": 3, "seeds": [0], "hrp": {"stages": 2, "epochs": 2},
+        "train": {"epochs": 2, "batch_size": 16, "trunk": [8], "lr": 0.05},
+        **RECIPES[basis]})
+    g, x, lv, _ = prepare_dataset(cfg, 0)
+    bank, details = build_bank(cfg, g, x)
+    pre = spmm_call_count()
+    again = diffuse(make_operator(g, bank.provenance["operator"]), x, bank.hops,
+                    bank.provenance)
+    cost = spmm_call_count() - pre
+    assert np.array_equal(again.slabs.view(np.uint32), bank.slabs.view(np.uint32))
+    assert again.provenance == bank.provenance
+    calibration = cfg["calibration"]["order"] if basis == "auto" else 0
+    assert details["spmm"] == calibration + cost
+    # a staged run re-propagates at the bank's own cost
+    row, _ = run_seed(cfg, 0)
+    assert [st["diffusion_spmm"] for st in row["stages"]] == [cost, 0]
+
+
+def test_a_bank_no_recipe_rebuilds_fails_before_stage_1(monkeypatch):
     g, x, bank, lv = make_case(seed=4)
-    op = make_operator(g, "shifted")
-    jac = jacobi_bank(op, x, 2, -0.25, 0.0)
-    spec = _resolve_reprop_spec(jac)
-    assert spec["family"] == "jacobi"
-    assert spec["jacobi_alpha"] == -0.25 and spec["jacobi_beta"] == 0.0
-    kry = ritz_bank_as_hopbank(ritz_bank(batched_lanczos(op, x, 4), n=g.n),
-                               3, raw_hop0=x)
-    spec = _resolve_reprop_spec(kry)
-    assert spec["family"] == "krylov" and spec["lanczos_order"] == 4
-    mono = monomial_bank(make_operator(g, "dad"), x, 2)
-    spec = _resolve_reprop_spec(mono)
-    assert spec["family"] == "monomial" and spec["operator"] == "dad"
-    bare = _resolve_reprop_spec(HopBank(hops=1, slabs=bank.slabs[:2],
-                                        provenance={}))
-    assert bare["family"] == "legendre"  # missing provenance falls back
-    with pytest.raises(ConfigError):
-        _resolve_reprop_spec(HopBank(hops=1, slabs=bank.slabs[:2],
-                                     provenance={"basis": "wavelet"}))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("stage 1 trained before the recipe was checked")
+
+    monkeypatch.setattr(hrp, "train_stage", no_training)
+    plan = StagePlan(stages=2, epochs=2)
+    for prov in ({}, {"operator": "shifted", "hops": bank.hops},
+                 {"basis": "wavelet", "operator": "shifted"},
+                 {"basis": "legendre"},  # the shape bank files in test_io carry
+                 {"basis": "jacobi", "operator": "shifted", "alpha": 0.0}):
+        bare = HopBank(hops=bank.hops, slabs=bank.slabs, provenance=prov)
+        with pytest.raises(ConfigError, match="no bank recipe"):
+            run_hrp_training(plan, bare, g, lv, small_cfg())
 
 
 def test_extract_hidden_matches_direct_forward():
