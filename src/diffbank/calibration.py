@@ -19,12 +19,13 @@ endpoints, where the Chebyshev weight is integrably singular, and that bias
 is large enough to corrupt delta on small graphs.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graph import SparseOperator, spmm
+from .graph import SparseOperator, row_chunks, spmm
 from .rng import rng_for
 
 __all__ = [
@@ -86,9 +87,12 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
 
     Runs the three-term recurrence v_{k+1} = 2 S v_k - v_{k-1} on a block of
     random probe vectors, each step's update fused into the product's row
-    blocks, and averages <z, v_k> over probes. Exactly ``order`` sparse
-    products are issued. m_0 concentrates near n with standard error
-    about n * sqrt(2/n) / sqrt(probes) for Gaussian probes.
+    blocks, and averages <z, v_k> over probes. Each <z, v_k> adds per-chunk
+    sums of ``graph.row_chunks`` in chunk order, so the moments do not
+    depend on the thread count; the recurrence's spare block holds the
+    chunks' products. Exactly ``order`` sparse products are issued. m_0
+    concentrates near n with standard error about n * sqrt(2/n) /
+    sqrt(probes) for Gaussian probes.
     """
     _require_shifted(op)
     if order < 1:
@@ -105,10 +109,16 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     else:
         z = rng.integers(0, 2, size=(n, probes)).astype(np.float64) * 2.0 - 1.0
 
+    def mean_dot(v, scratch):
+        # <z, v> over probes from per-chunk sums, with scratch's rows for z * v
+        parts = row_chunks(op, probes, lambda lo, hi: np.sum(
+            np.multiply(z[lo:hi], v[lo:hi], out=scratch[lo:hi])))
+        return functools.reduce(np.add, parts) / probes
+
     m = np.empty(order + 1, dtype=np.float64)
-    m[0] = np.sum(z * z) / probes
     v_prev, v, out = z.copy(), spmm(op, z), np.empty_like(z)
-    m[1] = np.sum(z * v) / probes
+    m[0] = mean_dot(z, out)
+    m[1] = mean_dot(v, out)
     for k in range(2, order + 1):
         def step(lo, hi):
             y = out[lo:hi]
@@ -117,7 +127,7 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
 
         spmm(op, v, out=out, then=step)
         v_prev, v, out = v, out, v_prev
-        m[k] = np.sum(z * v) / probes
+        m[k] = mean_dot(v, out)
     return MomentVector(values=m, probes=probes, seed=seed, probe_kind=probe_kind)
 
 

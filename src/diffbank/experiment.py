@@ -249,21 +249,30 @@ def _arm_config(cfg: dict, *, basis=None, operator=None, stages=None) -> dict:
     if operator is not None:
         arm["operator"] = operator
     if stages is not None:
-        arm["hrp"]["stages"] = stages
-        eps = arm["hrp"].get("epochs")
+        hrp = arm["hrp"]
+        hrp["stages"] = stages
+        eps = hrp.get("epochs")
         if isinstance(eps, list):
-            arm["hrp"]["epochs"] = eps[:stages] if len(eps) >= stages else eps[0]
+            hrp["epochs"] = eps[:stages] if len(eps) >= stages else eps[0]
+        if hrp.get("alpha_vectors") is not None:
+            hrp["alpha_vectors"] = hrp["alpha_vectors"][:stages - 1]
     return arm
 
 
 def run_ablation(cfg: dict, *, workdir=None) -> dict:
-    """Three arms on shared seeds: power baseline, robust basis, full plan."""
+    """Three arms on shared seeds: power baseline, robust basis, full plan.
+
+    Every arm's stage plan is checked before any seed runs, so a plan an arm
+    cannot run raises ConfigError before any data is read.
+    """
     arms = {
         "baseline-monomial-dad": _arm_config(cfg, basis="monomial", operator="dad",
                                              stages=1),
         "robust-basis": _arm_config(cfg, stages=1),
         "robust-basis+hrp": _arm_config(cfg),
     }
+    for arm_cfg in arms.values():
+        to_stage_plan(arm_cfg)
     out = {"config_hash": config_hash(cfg), "metric": cfg["metric"],
            "seeds": list(cfg["seeds"]), "arms": {}}
     for name, arm_cfg in arms.items():

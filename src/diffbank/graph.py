@@ -32,6 +32,14 @@ entries times columns runs as one block on the calling thread. Every
 product bumps a module-level counter, on the calling thread, used by cost
 assertions and stage reports.
 
+``row_chunks`` runs the dense passes around the products (Krylov's
+Lanczos arithmetic and Ritz slab fill, the calibration's probe dot
+products) on the same pool. Its chunks are ``_CHUNK_ROWS`` rows each,
+fixed by the node count alone, and the kernel's blocks share them out, so
+a caller that adds per-chunk partials in chunk order gets the same numbers
+at any thread count. Work the kernel would not split is one chunk, (0, n),
+on the calling thread.
+
 ``build_graph`` refuses a graph whose CSR arrays would not fit in physical
 memory before it allocates them.
 """
@@ -56,6 +64,7 @@ __all__ = [
     "graph_hash",
     "make_operator",
     "reset_spmm_count",
+    "row_chunks",
     "seed_threads",
     "spmm",
     "spmm_call_count",
@@ -76,6 +85,9 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
 # each): 2 blocks won 1-6 pairs at 0.6M-3.8M, 8-12 at 5M-10M (a wash) and
 # all 20 at 15M and 32M, where the operands outgrow the per-core cache.
 _WORK_FLOOR = 10_000_000
+# rows per chunk of a ``row_chunks`` pass: a 64-wide float64 chunk is
+# 512 KB, so a pass's residual and scratch rows stay in a core's L2
+_CHUNK_ROWS = 1024
 _POOL = None
 _POOL_LOCK = threading.Lock()  # seed threads may start the pool at once
 
@@ -308,6 +320,47 @@ def _pool() -> ThreadPoolExecutor:
     return _POOL
 
 
+def _threaded(op: SparseOperator, width: int) -> bool:
+    """Whether work on ``width`` columns is big enough to split over blocks."""
+    return op._matrix.nnz * width >= _WORK_FLOOR
+
+
+def _run_blocks(cuts: tuple, block) -> None:
+    """``block(lo, hi)`` per pair of consecutive cuts, all but the first on
+    the pool; an exception is raised once every block has finished."""
+    futures = [_pool().submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        block(cuts[0], cuts[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def row_chunks(op: SparseOperator, width: int, fn) -> list:
+    """Run ``fn(lo, hi)`` over fixed row chunks; return its results in order.
+
+    Chunks are ``_CHUNK_ROWS`` rows each, the last one shorter, so their
+    bounds depend on ``op.n`` only and a reduction summed over the results
+    in order gives the same numbers at any thread count. Each kernel block
+    runs the chunks that start in its rows, one after another; the calling
+    thread takes the first block. Work on ``width`` columns that ``spmm``
+    would run as one block runs as the one chunk (0, n) on the calling
+    thread. ``fn`` may read any rows but write rows lo:hi only.
+    """
+    if not _threaded(op, width):
+        return [fn(0, op.n)]
+    results = [None] * -(-op.n // _CHUNK_ROWS)
+
+    def block(lo, hi):
+        for i in range(-(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)):
+            start = i * _CHUNK_ROWS
+            results[i] = fn(start, min(start + _CHUNK_ROWS, op.n))
+
+    _run_blocks(op._cuts, block)
+    return results
+
+
 def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
          then=None) -> np.ndarray:
     """Multiply the operator against a dense (n, d) block.
@@ -349,14 +402,7 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
         if then is not None:
             then(lo, hi)
 
-    cuts = op._cuts if mat.nnz * x.shape[1] >= _WORK_FLOOR else (0, op.n)
-    futures = [_pool().submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    try:
-        block(cuts[0], cuts[1])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    _run_blocks(op._cuts if _threaded(op, x.shape[1]) else (0, op.n), block)
     _SPMM_CALLS += 1
     res = out[:, 0] if squeeze else out
     return res if dtype == np.float64 else res.astype(dtype)

@@ -12,6 +12,22 @@ plus its float32 slabs: slab k is Q contracted with component k's
 (order, c) coefficients, written straight into the (n, d) slab.
 Per-channel objects are views of the tensor.
 
+Everything but the product runs as ``graph.row_chunks`` passes over fixed
+row chunks on the kernel's threads: the column norms, then per step the
+alphas; the three-term update with the first projection onto the basis;
+the first subtraction with the second projection; the second subtraction
+with the norm partials; and the normalization. Each pass works on a
+chunk's rows while they are in cache, and reductions add the chunks'
+partials in chunk order, so a factorization is the same at any thread
+count; a build too small to split is one chunk, bit for bit the plain
+whole-array expressions. The residual is built in Q[j+1] (in a separate
+block once a column has broken down), and one (n, c) block on a mapping
+of its own holds each step's product and then serves as the passes'
+scratch rows, so a build with no zero or broken-down column allocates no
+other temporary of that size.
+The slabs are filled in one pass that writes every slab's rows of a chunk
+from one read of Q's rows.
+
 The small tridiagonal eigenproblems are solved by an implicit-shift QL
 sweep written out here rather than delegated, so the deterministic sign
 convention and the failure mode are pinned down: eigenvalues ascend,
@@ -30,13 +46,15 @@ first Lanczos vector is x_c / ||x_c||. Components with tiny weight are
 kept; dropping them would silently break that reconstruction.
 """
 
-from dataclasses import dataclass
+import functools
+import mmap
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .banks import HopBank, _check_budget, _check_slab
-from .errors import ConfigError
-from .graph import SparseOperator, spmm
+from .errors import ConfigError, NumericalError
+from .graph import SparseOperator, row_chunks, spmm
 
 __all__ = [
     "ChannelFactorization",
@@ -86,6 +104,7 @@ class LanczosFactorization:
     ids: np.ndarray      # (c,) feature column of each basis channel
     x_norms: np.ndarray  # (c,)
     skipped: np.ndarray  # zero-norm channel ids
+    op: SparseOperator = field(repr=False)  # the operator factorized
 
     @property
     def width(self) -> int:
@@ -114,7 +133,8 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     total unless every column breaks down first. Each step re-projects the
     residuals against the whole basis twice; at the fixed budget of 15
     steps that full reorthogonalization costs little, and ``full`` is the
-    only ``reorth`` mode.
+    only ``reorth`` mode. The rest of a step runs in four row-chunked passes
+    after the alphas' (see the module docstring).
     """
     if op.kind != "shifted":
         raise ValueError(f"Lanczos banks require the 'shifted' operator, got {op.kind!r}")
@@ -128,45 +148,89 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != op.n:
         raise ValueError("features must be an (n, d) matrix matching the operator")
+    def squares(lo, hi):
+        # column sums of squares, without a whole float64 copy of x
+        rows = x[lo:hi].astype(np.float64)
+        return np.add.reduce(np.multiply(rows, rows, out=rows), axis=0)
 
-    norms = np.linalg.norm(x.astype(np.float64), axis=0)
+    norms = np.sqrt(_summed(row_chunks(op, x.shape[1], squares)))
     skipped = np.nonzero(norms == 0.0)[0]
     ids = np.nonzero(norms > 0.0)[0]
     norms = norms[ids]
-    c = ids.size
-    q = np.zeros((order, op.n, c))
+    n, c = op.n, ids.size
+    q = np.zeros((order, n, c))
     alphas = np.zeros((order, c))
     betas = np.zeros((order - 1, c))
     steps = np.zeros(c, dtype=np.int64)
-    np.divide(x[:, ids], norms, out=q[0])
+    np.divide(x[:, ids] if skipped.size else x, norms, out=q[0])
+    # each step's product, then scratch rows for the passes after it, on a
+    # mapping of its own: freed, it goes back to the system instead of
+    # staying in the heap under the slabs the Ritz components fill next
+    w_flat = np.frombuffer(mmap.mmap(-1, 8 * max(n * c, 1)), np.float64, n * c)
 
     live = np.arange(c)
     for j in range(order):
         if live.size == 0:
             break
+        width = live.size
+        every = width == c
         # a view while every column is live, a gathered copy after a breakdown
-        cols = slice(None) if live.size == c else live
+        cols = slice(None) if every else live
         qj = q[j][:, cols]
-        w = spmm(op, qj)
-        a = np.einsum("nc,nc->c", qj, w)
+        w = spmm(op, qj, out=w_flat[:n * width].reshape(n, width))
+        a = _summed(row_chunks(op, width, lambda lo, hi: np.einsum(
+            "nc,nc->c", qj[lo:hi], w[lo:hi])))
         alphas[j, cols] = a
         steps[cols] += 1
         if j == order - 1:
             break
-        r = w - a * qj
-        if j:
-            r -= betas[j - 1, cols] * q[j - 1][:, cols]
-        basis = q[:j + 1][:, :, cols]
-        for _ in range(2):
-            r -= np.einsum("knc,kc->nc", basis, np.einsum("knc,nc->kc", basis, r))
-        b = np.linalg.norm(r, axis=0)
+        # the residual r is built in q[j + 1] while every column is live
+        r = q[j + 1] if every else np.empty((n, width))
+
+        def rows(k, lo, hi):
+            return q[k, lo:hi] if every else q[k, lo:hi][..., cols]
+
+        def update(lo, hi):
+            # r = w - a q_j - b q_{j-1}, then the first projection onto the basis
+            rr, ww = r[lo:hi], w[lo:hi]
+            np.subtract(ww, np.multiply(a, qj[lo:hi], out=rr), out=rr)
+            if j:
+                rr -= np.multiply(betas[j - 1, cols], rows(j - 1, lo, hi), out=ww)
+            return np.einsum("knc,nc->kc", rows(slice(0, j + 1), lo, hi), rr)
+
+        def project(h, last):
+            def chunk(lo, hi):
+                # r -= basis h, then the next projection or the norm partials
+                rr, ww, basis = r[lo:hi], w[lo:hi], rows(slice(0, j + 1), lo, hi)
+                rr -= np.einsum("knc,kc->nc", basis, h, out=ww)
+                if last:
+                    return np.add.reduce(np.multiply(rr, rr, out=ww), axis=0)
+                return np.einsum("knc,nc->kc", basis, rr)
+            return _summed(row_chunks(op, width, chunk))
+
+        h = _summed(row_chunks(op, width, update))
+        b = np.sqrt(project(project(h, False), True))
         keep = b >= BREAKDOWN_TOL
         betas[j, cols] = np.where(keep, b, 0.0)
-        q[j + 1][:, cols] = r / np.where(keep, b, np.inf)
+        scale = np.where(keep, b, np.inf)
+
+        def normalize(lo, hi):
+            if every:
+                np.divide(r[lo:hi], scale, out=r[lo:hi])
+            else:
+                q[j + 1, lo:hi][:, cols] = r[lo:hi] / scale
+
+        row_chunks(op, width, normalize)
         live = live[keep]
 
     return LanczosFactorization(order=order, q=q, alphas=alphas, betas=betas,
-                                steps=steps, ids=ids, x_norms=norms, skipped=skipped)
+                                steps=steps, ids=ids, x_norms=norms, skipped=skipped,
+                                op=op)
+
+
+def _summed(parts: list):
+    """Per-chunk partials of a reduction, added in chunk order."""
+    return functools.reduce(np.add, parts)
 
 
 def tridiag_eig(diag, offdiag, max_sweeps: int = MAX_QL_SWEEPS):
@@ -243,14 +307,6 @@ def tridiag_eig(diag, offdiag, max_sweeps: int = MAX_QL_SWEEPS):
     return d, z
 
 
-
-
-def _combine(q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j q[j] * coeffs[j] per channel, (m, n, c) x (m, c) -> (n, c); a
-    size-1 channel axis of ``q`` broadcasts over the columns of ``coeffs``."""
-    return np.einsum("jnc,jc->nc", q, coeffs)
-
-
 def _ritz(alphas, betas, x_norm):
     """Ritz values, weights and the (component, basis vector) coefficients."""
     values, u = tridiag_eig(alphas, betas)
@@ -295,7 +351,8 @@ class RitzBank:
 def ritz_components(fact: ChannelFactorization) -> RitzChannel:
     """Ritz values, weights and components for one factorized channel."""
     values, weights, coeffs = _ritz(fact.alphas, fact.betas, fact.x_norm)
-    components = _combine(fact.q.T[:, :, None], coeffs.T)
+    # sum_j q_j coeffs[:, j], with one channel axis broadcast over components
+    components = np.einsum("jnc,jc->nc", fact.q.T[:, :, None], coeffs.T)
     return RitzChannel(channel=fact.channel, values=values,
                        weights=weights, components=components)
 
@@ -327,7 +384,9 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
     only for reconstruction diagnostics. Channels that broke down early pad
     their missing slabs with zeros; zero channels stay zero everywhere. The
     provenance lists both, as ``breakdown_channels`` and ``skipped_channels``.
-    A slab that is not finite in float32 raises NumericalError.
+    A slab that is not finite in float32 raises NumericalError. The slabs
+    are filled in one row-chunked pass; nothing is summed across rows, so
+    they do not depend on the chunking.
     """
     _check_budget(hops)
     if hops + 1 > rb.order:
@@ -336,12 +395,21 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = 
     if raw_hop0 is not None and np.shape(raw_hop0) != (rb.n, rb.width):
         raise ValueError("raw hop-0 features do not match the bank shape")
     slabs = np.zeros((hops + 1, rb.n, rb.width), dtype=np.float32)
-    for k in range(hops + 1):
-        if k == 0 and raw_hop0 is not None:
-            slabs[0] = raw_hop0
-            continue
-        slabs[k][:, rb.fact.cols] = _combine(rb.fact.q, rb.coeffs[k])
-        _check_slab(slabs, k, "krylov")
+    if raw_hop0 is not None:
+        slabs[0] = raw_hop0
+    fact = rb.fact
+    first = 0 if raw_hop0 is None else 1
+
+    def fill(lo, hi):
+        # every slab's rows lo:hi from one read of the basis rows
+        q = fact.q[:, lo:hi]
+        part = np.empty(q.shape[1:])
+        for k in range(first, hops + 1):
+            slabs[k, lo:hi][:, fact.cols] = np.einsum("jnc,jc->nc", q, rb.coeffs[k],
+                                                      out=part)
+            _check_slab(slabs, k, "krylov", slice(lo, hi))
+
+    row_chunks(fact.op, fact.ids.size, fill)
     prov = {"basis": "krylov", "operator": "shifted", "hops": hops,
             "order": rb.order, "raw_hop0": raw_hop0 is not None,
             "skipped_channels": rb.fact.skipped.tolist(),

@@ -2,6 +2,8 @@
 
 Two blocks are forced by setting ``graph._CORES`` to 2 and the work floor
 to 0 before the operator is made; ``_CORES = 1`` gives the one-block path.
+A small ``graph._CHUNK_ROWS`` splits the row-chunked passes into several
+chunks on the same small graphs.
 """
 
 import sys
@@ -15,9 +17,10 @@ from diffbank import NumericalError, graph, validate_config
 from diffbank.banks import legendre_bank, monomial_bank
 from diffbank.calibration import estimate_moments
 from diffbank.experiment import build_bank
-from diffbank.graph import build_graph, make_operator, spmm, spmm_call_count
+from diffbank.graph import build_graph, make_operator, row_chunks, spmm, spmm_call_count
+from diffbank.krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 
-from conftest import random_graph, seeded_features
+from conftest import dense_shifted, random_graph, seeded_features
 from diffbank.rng import rng_for
 
 
@@ -132,21 +135,32 @@ def test_an_error_in_one_block_waits_for_the_others(soup, monkeypatch):
     assert done == [op._cuts[1]]
 
 
+def _krylov_slabs(op, x, hops):
+    return ritz_bank_as_hopbank(ritz_bank(batched_lanczos(op, x, hops + 1)), hops,
+                                raw_hop0=x).slabs
+
+
 def test_callers_on_many_threads_share_the_pool(soup, monkeypatch):
-    # more callers than cores, each splitting its products into 3 blocks
+    # more callers than cores, each splitting its products into 3 blocks and
+    # its row-chunked passes into 6 chunks
     g, x = soup
     _kernel(monkeypatch, 3)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
     op = make_operator(g, "shifted")
-    want = legendre_bank(op, x, 6).slabs
+
+    def banks(_):
+        return legendre_bank(op, x, 6).slabs, _krylov_slabs(op, x, 6)
+
+    want = banks(None)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=6) as callers:
-            got = list(callers.map(lambda _: legendre_bank(op, x, 6).slabs, range(24),
-                                   timeout=60))
+            got = list(callers.map(banks, range(24), timeout=60))
     finally:
         sys.setswitchinterval(switch)
-    assert all(np.array_equal(b.view(np.uint32), want.view(np.uint32)) for b in got)
+    assert all(np.array_equal(b.view(np.uint32), w.view(np.uint32))
+               for pair in got for b, w in zip(pair, want))
 
 
 def test_seed_threads_take_the_kernel_threads(soup, monkeypatch):
@@ -171,3 +185,50 @@ def test_small_products_run_as_one_block(soup, monkeypatch):
 
     spmm(op, x.astype(np.float64), out=np.empty(x.shape), then=then)
     assert calls == [(0, g.n)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_row_chunks_have_fixed_bounds_and_order(soup, monkeypatch):
+    g, _ = soup
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    for cores in (1, 2, 3):
+        _kernel(monkeypatch, cores)
+        op = make_operator(g, "shifted")
+        assert row_chunks(op, 1, lambda lo, hi: (lo, hi)) == [
+            (lo, min(lo + 16, g.n)) for lo in range(0, g.n, 16)]
+    monkeypatch.setattr(graph, "_WORK_FLOOR", op._matrix.nnz * 4)
+    assert row_chunks(op, 3, lambda lo, hi: (lo, hi)) == [(0, g.n)]
+    assert len(row_chunks(op, 4, lambda lo, hi: (lo, hi))) == -(-g.n // 16)
+
+
+def test_chunked_krylov_and_moments_do_not_depend_on_kernel_threads(soup, monkeypatch):
+    g, x = soup
+    _, u = np.linalg.eigh(dense_shifted(g))
+    # the eigenvector column breaks down after one step, the zero one is skipped
+    x = np.column_stack([x, u[:, 7], np.zeros(g.n)])
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    runs = []
+    for cores in (1, 2):
+        _kernel(monkeypatch, cores)
+        op = make_operator(g, "shifted")
+        fact = batched_lanczos(op, x, 8)
+        bank = ritz_bank_as_hopbank(ritz_bank(fact), 6, raw_hop0=x)
+        moments = estimate_moments(op, order=9, probes=7, seed=2).values
+        runs.append((fact.q, fact.alphas, fact.betas, fact.steps, bank.slabs, moments))
+    assert list(runs[0][3]) == [8] * 5 + [1]
+    for a, b in zip(*runs):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_chunked_ritz_slabs_match_the_one_chunk_path(soup, monkeypatch):
+    g, x = soup
+    _kernel(monkeypatch, 2)
+    rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, 7))
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    chunked = ritz_bank_as_hopbank(rb, 6).slabs
+    monkeypatch.setattr(graph, "_WORK_FLOOR", 10**12)
+    whole = ritz_bank_as_hopbank(rb, 6).slabs
+    assert np.array_equal(_bits(chunked), _bits(whole))

@@ -60,6 +60,11 @@ def test_tridiag_eig_errors():
         tridiag_eig([1.0, 2.0], [0.1, 0.2])
 
 
+def test_tridiag_eig_non_convergence_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="failed to converge"):
+        tridiag_eig([0.0, 0.0], [1.0], max_sweeps=0)
+
+
 def test_full_order_ritz_values_match_dense_spectrum():
     rng = rng_for(2, "exact")
     for n in range(2, 16):
@@ -300,3 +305,64 @@ def test_overflowing_krylov_slabs_raise_numerical_error():
     rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, order=3))
     with pytest.raises(NumericalError, match="krylov bank slab 0 is not finite"):
         ritz_bank_as_hopbank(rb, hops=2)
+
+
+def whole_array_lanczos(op, x, order):
+    """Lanczos as whole-array passes, one per operation, on the same tensor
+    layout: the form the row-chunked passes must match bit for bit when a
+    build is too small to split."""
+    norms = np.linalg.norm(x.astype(np.float64), axis=0)
+    ids = np.nonzero(norms > 0.0)[0]
+    norms = norms[ids]
+    c = ids.size
+    q = np.zeros((order, op.n, c))
+    alphas = np.zeros((order, c))
+    betas = np.zeros((order - 1, c))
+    steps = np.zeros(c, dtype=np.int64)
+    np.divide(x[:, ids], norms, out=q[0])
+    live = np.arange(c)
+    for j in range(order):
+        if live.size == 0:
+            break
+        cols = slice(None) if live.size == c else live
+        qj = q[j][:, cols]
+        w = op._matrix @ qj
+        a = np.einsum("nc,nc->c", qj, w)
+        alphas[j, cols] = a
+        steps[cols] += 1
+        if j == order - 1:
+            break
+        r = w - a * qj
+        if j:
+            r -= betas[j - 1, cols] * q[j - 1][:, cols]
+        basis = q[:j + 1][:, :, cols]
+        for _ in range(2):
+            r -= np.einsum("knc,kc->nc", basis, np.einsum("knc,nc->kc", basis, r))
+        b = np.linalg.norm(r, axis=0)
+        keep = b >= 1e-10
+        betas[j, cols] = np.where(keep, b, 0.0)
+        q[j + 1][:, cols] = r / np.where(keep, b, np.inf)
+        live = live[keep]
+    return q, alphas, betas, steps
+
+
+def test_unsplit_builds_match_the_whole_array_passes_bit_for_bit():
+    rng = rng_for(15, "whole")
+    g = random_graph(rng, 40, kind="sbm")
+    op = make_operator(g, "shifted")
+    _, u = np.linalg.eigh(dense_shifted(g))
+    gen = seeded_features(g, 3, 6)
+    # generic columns, an eigenvector that breaks down early, a zero column
+    x = np.column_stack([gen[:, 0], u[:, 5], np.zeros(g.n), gen[:, 1:]])
+    order = 7
+    fact = batched_lanczos(op, x, order)
+    want = whole_array_lanczos(op, x, order)
+    assert list(fact.steps) == [order, 1, order, order]
+    for got, ref in zip((fact.q, fact.alphas, fact.betas, fact.steps), want):
+        assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+    rb = ritz_bank(fact)
+    bank = ritz_bank_as_hopbank(rb, order - 1, raw_hop0=x)
+    for k in range(1, order):
+        slab = np.zeros((g.n, x.shape[1]), dtype=np.float32)
+        slab[:, fact.ids] = np.einsum("jnc,jc->nc", want[0], rb.coeffs[k])
+        assert np.array_equal(bank.slabs[k].view(np.uint32), slab.view(np.uint32))
