@@ -19,12 +19,13 @@ denominator 2(k+1)(k+a+b+1)(2k+a+b) is strictly positive whenever both
 weights exceed -1, which the calibration clamp guarantees.
 
 Every bank build issues exactly K sparse products. The recurrence runs in
-float64 working precision, on float64 working slabs each build allocates
-once, and slabs are stored as float32. Each step's update runs inside the
-product's row blocks (``spmm``'s ``then``), where each block's rows of the
-new slab are stored and checked: a slab that is not finite in float32
-(overflow at high K or with extreme Jacobi weights) raises NumericalError.
-Slab 0 is the input itself and is not checked.
+float64 working precision and slabs are stored as float32. A build holds
+two float64 (n, d) working blocks, X_{k-1} and X_k, besides the slabs:
+each step's product arrives one row chunk at a time (``spmm``'s
+``then``), and the chunk's rows of X_{k+1} are computed there, written
+over the same rows of X_{k-1}, stored and checked. A slab that is not
+finite in float32 (overflow at high K or with extreme Jacobi weights)
+raises NumericalError. Slab 0 is the input itself and is not checked.
 """
 
 from dataclasses import dataclass
@@ -146,14 +147,15 @@ def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     x = _check_features(op, x)
     slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
     slabs[0] = x.astype(np.float32, copy=True)
-    cur, out = np.array(x, dtype=np.float64), np.empty(x.shape)
+    cur, nxt = np.array(x, dtype=np.float64), np.empty(x.shape)
     for k in range(1, hops + 1):
-        def step(lo, hi):
-            slabs[k, lo:hi] = out[lo:hi]
+        def step(lo, hi, rows):
+            nxt[lo:hi] = rows
+            slabs[k, lo:hi] = rows
             _check_slab(slabs, k, "monomial", slice(lo, hi))
 
-        spmm(op, cur, out=out, then=step)
-        cur, out = out, cur
+        spmm(op, cur, then=step)
+        cur, nxt = nxt, cur
     return HopBank(hops=hops, slabs=slabs, provenance=_provenance(op, "monomial", hops))
 
 
@@ -170,32 +172,32 @@ def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
 
     slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
     slabs[0] = x.astype(np.float32, copy=True)
-    # float64 working slabs; np.empty commits no memory until a step writes
-    # it, so ``scratch`` costs nothing for the b = 0 families
-    prev, cur, out, scratch = (np.empty(x.shape) for _ in range(4))
+    # X_{k-1} and X_k; each step writes X_{k+1} over X_{k-1}'s rows, which
+    # no chunk's product reads
+    prev, cur = np.empty(x.shape), np.empty(x.shape)
     cur[...] = x
     for k in range(hops):
         a, b, c = rc.a[k], rc.b[k], rc.c[k]
 
-        def step(lo, hi):
-            y = out[lo:hi]
+        def step(lo, hi, y):
             y *= a
             if b != 0.0:
-                y += np.multiply(cur[lo:hi], b, out=scratch[lo:hi])
+                y += cur[lo:hi] * b
+            nxt = prev[lo:hi]
             if c != 0.0:  # c[0] = 0, so step 0 never reads prev
-                # prev's rows take the next product, so they may be spent here
-                p = prev[lo:hi]
-                p *= c
-                y -= p
+                nxt *= c
+                np.subtract(y, nxt, out=nxt)
+            else:
+                nxt[...] = y
             rows = slabs[k + 1, lo:hi]
             if _rescale is None:
-                rows[...] = y
+                rows[...] = nxt
             else:
-                np.divide(y, _rescale[k + 1], out=rows)
+                np.divide(nxt, _rescale[k + 1], out=rows)
             _check_slab(slabs, k + 1, _basis_tag, slice(lo, hi))
 
-        spmm(op, cur, out=out, then=step)
-        prev, cur, out = cur, out, prev
+        spmm(op, cur, then=step)
+        prev, cur = cur, prev
 
     return HopBank(hops=hops, slabs=slabs,
                    provenance=_provenance(op, _basis_tag, hops, alpha=alpha, beta=beta))

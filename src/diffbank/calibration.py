@@ -86,11 +86,12 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     """Stochastic Chebyshev trace moments of the shifted operator.
 
     Runs the three-term recurrence v_{k+1} = 2 S v_k - v_{k-1} on a block of
-    random probe vectors, each step's update fused into the product's row
-    blocks, and averages <z, v_k> over probes. Each <z, v_k> adds per-chunk
-    sums of ``graph.row_chunks`` in chunk order, so the moments do not
-    depend on the thread count; the recurrence's spare block holds the
-    chunks' products. Exactly ``order`` sparse products are issued. m_0
+    random probe vectors z and averages <z, v_k> over probes. Each step's
+    product arrives one row chunk at a time (``spmm``'s ``then``), where
+    the chunk's rows of v_{k+1} are computed, stored and dotted with z.
+    Each <z, v_k> adds those per-chunk sums in chunk order, so the moments
+    do not depend on the thread count; besides z the recurrence holds two
+    (n, probes) blocks. Exactly ``order`` sparse products are issued. m_0
     concentrates near n with standard error about n * sqrt(2/n) /
     sqrt(probes) for Gaussian probes.
     """
@@ -109,25 +110,35 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     else:
         z = rng.integers(0, 2, size=(n, probes)).astype(np.float64) * 2.0 - 1.0
 
-    def mean_dot(v, scratch):
-        # <z, v> over probes from per-chunk sums, with scratch's rows for z * v
-        parts = row_chunks(op, probes, lambda lo, hi: np.sum(
-            np.multiply(z[lo:hi], v[lo:hi], out=scratch[lo:hi])))
+    def dot(lo, hi, rows):
+        # this chunk's part of <z, v> for the v whose rows lo:hi are in rows
+        return np.sum(np.multiply(z[lo:hi], rows, out=rows))
+
+    def mean(parts):
         return functools.reduce(np.add, parts) / probes
 
     m = np.empty(order + 1, dtype=np.float64)
-    v_prev, v, out = z.copy(), spmm(op, z), np.empty_like(z)
-    m[0] = mean_dot(z, out)
-    m[1] = mean_dot(v, out)
+    m[0] = mean(row_chunks(op, probes, lambda lo, hi: np.sum(z[lo:hi] * z[lo:hi])))
+    # v_{k-1} and v_k; from v_3 on, v_{k+1} is written over v_{k-1}, and z,
+    # which is v_0, is only read
+    v_prev, v = z, np.empty_like(z)
+
+    def first(lo, hi, rows):
+        v[lo:hi] = rows
+        return dot(lo, hi, rows)
+
+    m[1] = mean(spmm(op, z, then=first))
     for k in range(2, order + 1):
-        def step(lo, hi):
-            y = out[lo:hi]
+        nxt = np.empty_like(z) if k == 2 else v_prev
+
+        def step(lo, hi, y):
             y *= 2.0
             y -= v_prev[lo:hi]
+            nxt[lo:hi] = y
+            return dot(lo, hi, y)
 
-        spmm(op, v, out=out, then=step)
-        v_prev, v, out = v, out, v_prev
-        m[k] = mean_dot(v, out)
+        m[k] = mean(spmm(op, v, then=step))
+        v_prev, v = v, nxt
     return MomentVector(values=m, probes=probes, seed=seed, probe_kind=probe_kind)
 
 

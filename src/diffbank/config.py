@@ -104,7 +104,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "order": {"type": "integer", "minimum": 1},
+                "order": {"type": ["integer", "null"], "minimum": 1},
             },
         },
         "backbone": {"enum": ["mlp", "gru"]},

@@ -1,8 +1,8 @@
 """Immutable CSR graphs and degree-normalized sparse operators.
 
-The graph container is a plain CSR index structure (no weights); operators
-derived from it carry 32-bit edge weights plus an explicit per-node diagonal
-term. Four operator kinds are supported:
+The graph container is a plain CSR index structure (no weights); an
+operator derived from it is one CSR matrix of edge weights plus a per-node
+diagonal term, each rounded to float32. Four operator kinds are supported:
 
 ``dad``
     symmetric degree-normalized adjacency D^{-1/2} A D^{-1/2}
@@ -20,12 +20,11 @@ diagonal is 0 and their ``shifted`` diagonal is -1.
 Matrix products accumulate in 64-bit partial sums regardless of the input
 dtype and reduce each output row over neighbors in ascending column order.
 ``spmm`` is the one propagation kernel. It runs each block of rows that
-``make_operator`` cut (about equal stored entries each), then an optional
-row-local update from the caller, on one persistent thread pool, the
-calling thread taking the first block. Blocks are views of the CSR arrays
-and write the caller's output rows with the routine ``csr @ dense`` calls,
-so each row is the serial product bit for bit at any thread count. Kernel
-threads are the cores this process may use over the seeds
+``make_operator`` cut (about equal stored entries each) on one persistent
+thread pool, the calling thread taking the first block. Blocks are views
+of the CSR arrays and write output rows with the routine ``csr @ dense``
+calls, so each row is the serial product bit for bit at any thread count.
+Kernel threads are the cores this process may use over the seeds
 ``DIFFBANK_THREADS`` runs at once, at least 1, so the two never
 oversubscribe the cores; a product with fewer than ``_WORK_FLOOR`` stored
 entries times columns runs as one block on the calling thread. Every
@@ -39,6 +38,14 @@ fixed by the node count alone, and the kernel's blocks share them out, so
 a caller that adds per-chunk partials in chunk order gets the same numbers
 at any thread count. Work the kernel would not split is one chunk, (0, n),
 on the calling thread.
+
+A three-term recurrence (the bank builders, the calibration's moments)
+hands ``spmm`` a ``then`` instead of an output block: the product runs
+over those same chunks, each chunk's rows land in a chunk-sized scratch
+its block reuses, and ``then`` turns them into the chunk's rows of the
+next term, written over the term before last. So above ``_WORK_FLOOR`` a
+recurrence keeps its two latest terms and no (n, d) product; below it,
+the one chunk's scratch is a whole (n, d) block.
 
 ``build_graph`` refuses a graph whose CSR arrays would not fit in physical
 memory before it allocates them.
@@ -240,19 +247,16 @@ def graph_hash(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """A graph operator: 32-bit edge weights plus an explicit diagonal.
+    """A graph operator on ``graph``.
 
-    ``edge_weights`` aligns with ``graph.col_idx``; ``diag`` holds the
-    per-node diagonal term that the adjacency part does not cover. The
-    combined matrix is cached in ``_matrix`` with float64 data so products
-    accumulate in 64-bit arithmetic; ``_cuts`` are the row bounds of the
-    kernel's blocks.
+    ``_matrix`` holds the edge weights plus the per-node diagonal term
+    that the adjacency part does not cover, each rounded to float32 and
+    stored as float64 so products accumulate in 64-bit arithmetic;
+    ``_cuts`` are the row bounds of the kernel's blocks.
     """
 
     kind: str
     graph: Graph
-    edge_weights: np.ndarray
-    diag: np.ndarray
     _matrix: sp.csr_matrix = field(repr=False)
     _cuts: tuple = field(repr=False)
 
@@ -292,14 +296,13 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
             w = -w_dad
             diag = np.where(deg > 0, 0.0, -1.0)
 
-    w32 = w.astype(np.float32)
-    d32 = diag.astype(np.float32)
-    adj = sp.csr_matrix((w32.astype(np.float64), cols, g.row_ptr), shape=(g.n, g.n))
-    mat = (adj + sp.diags(d32.astype(np.float64), format="csr")).tocsr()
+    # weights are float32 values; the products' bits depend on that rounding
+    w64 = w.astype(np.float32).astype(np.float64)
+    d64 = diag.astype(np.float32).astype(np.float64)
+    adj = sp.csr_matrix((w64, cols, g.row_ptr), shape=(g.n, g.n))
+    mat = (adj + sp.diags(d64, format="csr")).tocsr()
     mat.sort_indices()
-    w32.setflags(write=False)
-    d32.setflags(write=False)
-    return SparseOperator(kind=kind, graph=g, edge_weights=w32, diag=d32, _matrix=mat,
+    return SparseOperator(kind=kind, graph=g, _matrix=mat,
                           _cuts=_row_cuts(mat.indptr, max(1, _CORES // seed_threads())))
 
 
@@ -337,6 +340,25 @@ def _run_blocks(cuts: tuple, block) -> None:
         f.result()
 
 
+def _chunked(op: SparseOperator, width: int, fn, cols: int) -> list:
+    """``row_chunks`` with ``fn(lo, hi, rows)``, where ``rows`` is a float64
+    scratch of hi - lo rows and ``cols`` columns that each block reuses."""
+    n = op.n
+    if not _threaded(op, width):
+        return [fn(0, n, np.empty((n, cols)))]
+    results = [None] * -(-n // _CHUNK_ROWS)
+
+    def block(lo, hi):
+        scratch = np.empty((min(_CHUNK_ROWS, n), cols))
+        for i in range(-(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)):
+            start = i * _CHUNK_ROWS
+            stop = min(start + _CHUNK_ROWS, n)
+            results[i] = fn(start, stop, scratch[:stop - start])
+
+    _run_blocks(op._cuts, block)
+    return results
+
+
 def row_chunks(op: SparseOperator, width: int, fn) -> list:
     """Run ``fn(lo, hi)`` over fixed row chunks; return its results in order.
 
@@ -348,21 +370,11 @@ def row_chunks(op: SparseOperator, width: int, fn) -> list:
     would run as one block runs as the one chunk (0, n) on the calling
     thread. ``fn`` may read any rows but write rows lo:hi only.
     """
-    if not _threaded(op, width):
-        return [fn(0, op.n)]
-    results = [None] * -(-op.n // _CHUNK_ROWS)
-
-    def block(lo, hi):
-        for i in range(-(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)):
-            start = i * _CHUNK_ROWS
-            results[i] = fn(start, min(start + _CHUNK_ROWS, op.n))
-
-    _run_blocks(op._cuts, block)
-    return results
+    return _chunked(op, width, lambda lo, hi, _: fn(lo, hi), 0)
 
 
 def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
-         then=None) -> np.ndarray:
+         then=None):
     """Multiply the operator against a dense (n, d) block.
 
     The product is computed entirely in float64 and cast back to the input
@@ -370,10 +382,16 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
     the module SpMM counter by one regardless of block width.
 
     ``out``, a C-contiguous float64 (n, d) array apart from ``m``, receives
-    the product and is returned as it is. ``then(lo, hi)`` runs on each row
-    block right after its product rows are in ``out``, possibly on a pool
-    thread, and may read and write rows lo:hi of the caller's arrays only;
-    an exception it raises is raised here once every block has finished.
+    the product and is returned as it is.
+
+    With ``then``, no (n, d) product is made: the product runs over the
+    chunks of ``row_chunks``, each chunk's rows land in a float64 scratch of
+    that chunk's size that its kernel block reuses, and ``then(lo, hi,
+    rows)`` consumes them, possibly on a pool thread. ``then`` may change
+    ``rows`` and write rows lo:hi of arrays other than ``m``, which every
+    chunk's product reads whole. ``spmm`` returns the results of ``then`` in
+    chunk order; an exception it raises is raised here once every block has
+    finished.
     """
     global _SPMM_CALLS
     x = np.asarray(m)
@@ -384,25 +402,35 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
         x = x[:, None]
     dtype = x.dtype
     x = np.ascontiguousarray(x, dtype=np.float64)
+    mat = op._matrix
+
+    def product(lo, hi, rows):
+        # rows = mat[lo:hi] @ x by the routine csr @ dense calls, on zeroed
+        # rows and a view of indptr (absolute offsets into the rest)
+        rows.fill(0.0)
+        _sparsetools.csr_matvecs(hi - lo, op.n, x.shape[1], mat.indptr[lo:hi + 1],
+                                 mat.indices, mat.data, x.reshape(-1), rows.reshape(-1))
+
+    if then is not None:
+        if out is not None:
+            raise ValueError("out and then are exclusive")
+
+        def chunk(lo, hi, rows):
+            product(lo, hi, rows)
+            return then(lo, hi, rows)
+
+        results = _chunked(op, x.shape[1], chunk, x.shape[1])
+        _SPMM_CALLS += 1
+        return results
+
     if out is None:
         out = np.empty(x.shape)
     elif (out.shape != x.shape or out.dtype != np.float64
           or not out.flags.c_contiguous or np.may_share_memory(out, x)):
         raise ValueError("out must be a C-contiguous float64 array shaped like "
                          "the operand and apart from it")
-    mat = op._matrix
-
-    def block(lo, hi):
-        # out[lo:hi] = mat[lo:hi] @ x by the routine csr @ dense calls, on
-        # zeroed rows and a view of indptr (absolute offsets into the rest)
-        rows = out[lo:hi]
-        rows.fill(0.0)
-        _sparsetools.csr_matvecs(hi - lo, op.n, x.shape[1], mat.indptr[lo:hi + 1],
-                                 mat.indices, mat.data, x.reshape(-1), rows.reshape(-1))
-        if then is not None:
-            then(lo, hi)
-
-    _run_blocks(op._cuts if _threaded(op, x.shape[1]) else (0, op.n), block)
+    _run_blocks(op._cuts if _threaded(op, x.shape[1]) else (0, op.n),
+                lambda lo, hi: product(lo, hi, out[lo:hi]))
     _SPMM_CALLS += 1
     res = out[:, 0] if squeeze else out
     return res if dtype == np.float64 else res.astype(dtype)

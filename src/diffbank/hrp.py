@@ -15,7 +15,11 @@ lambda_s = lambda0 * (1 + cos(pi s / S)) / 2, so late stages blend less.
 
 Blending at weight exactly 1 or exactly 0 copies the corresponding slab
 instead of multiplying through, so a schedule that degenerates to plain
-training reproduces it bit for bit.
+training reproduces it bit for bit. The staged run writes the blend into
+Htilde's own slabs, which become Z^(s+1), and drops the hidden states
+before the next stage trains. So a stage boundary holds two banks, Z^(s)
+and Z^(s+1), plus the re-propagation's two float64 working blocks while it
+runs.
 
 A bank's provenance is the recipe that rebuilds it (basis, operator, Jacobi
 weights, Lanczos order), and ``diffuse`` builds every bank from a recipe, so
@@ -225,11 +229,14 @@ def repropagate(graph: Graph, hidden: np.ndarray, hops: int, *, family: str,
                     "order": lanczos_order})
 
 
-def blend(bank: HopBank, htilde: HopBank, alphas) -> HopBank:
+def blend(bank: HopBank, htilde: HopBank, alphas, *, out: np.ndarray | None = None) -> HopBank:
     """Per-hop convex blend of two banks of identical shape.
 
-    Weight-1 and weight-0 hops are copied, not recomputed, so those slabs
-    stay bit-identical to their source.
+    The blended slabs go into ``out``, new slabs by default, so neither
+    input changes; ``out=htilde.slabs`` blends in place, since each hop
+    reads only its own slab of ``htilde`` before writing it. Weight-1 and
+    weight-0 hops are copied, not recomputed, so those slabs stay
+    bit-identical to their source.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if bank.slabs.shape != htilde.slabs.shape:
@@ -240,16 +247,18 @@ def blend(bank: HopBank, htilde: HopBank, alphas) -> HopBank:
         raise ValueError("hop-0 blend weight must be exactly 1")
     if np.any(alphas < 0.0) or np.any(alphas > 1.0):
         raise ValueError("blend weights must lie in [0, 1]")
-    slabs = np.empty_like(bank.slabs)
+    slabs = np.empty_like(bank.slabs) if out is None else out
     for k, a in enumerate(alphas):
         if a == 1.0:
             slabs[k] = bank.slabs[k]
         elif a == 0.0:
-            slabs[k] = htilde.slabs[k]
+            if slabs is not htilde.slabs:
+                slabs[k] = htilde.slabs[k]
         else:
+            # (1 - a) h + a z, which rounds as a z + (1 - a) h does
             a32 = np.float32(a)
-            np.multiply(a32, bank.slabs[k], out=slabs[k])
-            slabs[k] += (np.float32(1.0) - a32) * htilde.slabs[k]
+            np.multiply(htilde.slabs[k], np.float32(1.0) - a32, out=slabs[k])
+            slabs[k] += a32 * bank.slabs[k]
     prov = dict(bank.provenance)
     prov["blended"] = {"alphas": alphas.tolist(), "source": htilde.provenance}
     return HopBank(hops=bank.hops, slabs=slabs, provenance=prov)
@@ -471,7 +480,11 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                 jacobi_alpha=recipe.get("alpha", 0.0), jacobi_beta=recipe.get("beta", 0.0),
                 lanczos_order=recipe.get("order"))
             diff_spmm = spmm_call_count() - pre
-            cur_bank = blend(stage_bank, htilde, blend_alphas(plan, s, hops))
+            # the blend goes into the re-propagated bank's own slabs, so the
+            # next stage trains with no bank beyond this one and the last
+            cur_bank = blend(stage_bank, htilde, blend_alphas(plan, s, hops),
+                             out=htilde.slabs)
+            del htilde, hidden
         diff_secs = time.perf_counter() - t1
 
         stage_results.append(StageResult(

@@ -34,8 +34,8 @@ CANNED = {
     "change": {"train_s": [3.0, 5.0, 7.0, 6.5], "test_acc": [0.9, 0.95, 0.85, 0.9],
                "failed": [0, 1, 0, 0]},
 }
-SPEC = {"end_to_end": [{"name": "train_s", "better": "lower"},
-                       {"name": "test_acc", "better": "higher"}]}
+SPEC = {"end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.01},
+                       {"name": "test_acc", "better": "higher", "bound": 0.05}]}
 
 
 def load_tool():
@@ -45,12 +45,13 @@ def load_tool():
     return mod
 
 
-def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN) -> Path:
+def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN,
+                  canned: dict = CANNED) -> Path:
     co = root / side
     (co / "perfbench").mkdir(parents=True)
     (co / "perfbench" / "run.py").write_text(script)
     (co / "BENCHMARK.json").write_text(json.dumps(SPEC))
-    c = CANNED[side]
+    c = canned[side]
     runs = {str(100 + i): {"failed": c["failed"][i],
                            "metrics": {"train_s": c["train_s"][i],
                                        "test_acc": c["test_acc"][i], "run_s": 9.0}}
@@ -93,6 +94,9 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
         "median": 5.75, "q1": 3.5, "q3": 6.875, "runs": [3.0, 5.0, 7.0, 6.5]}
     # pairs 0 and 3 won, pair 1 tied, pair 2 lost; test_acc: one win, two ties
     assert res["change_wins"] == {"train_s": 2, "test_acc": 1}
+    # 2 of 4 pairs is no gain; train_s's median is 4.5% worse, past its 1%
+    assert res["gain_met"] == {"train_s": False, "test_acc": False}
+    assert res["within_bound"] == {"train_s": False, "test_acc": True}
     assert res["parent"]["fail_rate"] == 0.0
     assert res["change"]["fail_rate"] == 1 / 8
 
@@ -108,3 +112,31 @@ def test_bench_pairs_stops_when_a_run_prints_no_result(tmp_path):
                           "--out", str(tmp_path)])
     assert log.read_text().splitlines() == ["parent w1 100 40"]
     assert not (tmp_path / "BENCH_w1.json").exists()
+
+
+@pytest.mark.parametrize("change_train_s,gain,within", [
+    # the parent's train_s runs 4-7 s: median 5.5, quartiles 2.5 apart.
+    # Every pair won, median 3.0 below the parent's: a gain
+    ([1.0, 2.0, 3.0, 4.0], True, True),
+    # every pair won, but the median gap (0.1) is inside the parent's
+    # quartile spread: no gain, and within the bound
+    ([3.9, 4.9, 5.9, 6.9], False, True),
+    # three pairs of four won: no gain
+    ([3.0, 4.0, 6.5, 4.5], False, True),
+    # every pair lost, the median 1.8% worse, past the 1% bound
+    ([4.1, 5.1, 6.1, 7.1], False, False),
+])
+def test_bench_pairs_judges_gain_and_bound(tmp_path, change_train_s, gain, within):
+    log = tmp_path / "calls.log"
+    canned = {"parent": CANNED["parent"],
+              "change": {**CANNED["parent"], "train_s": change_train_s}}
+    sides = [make_checkout(tmp_path, side, log, canned=canned)
+             for side in ("parent", "change")]
+    load_tool().main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                      "--workload", "w1", "--pairs", "4", "--seed", "100",
+                      "--out", str(tmp_path)])
+    res = json.loads((tmp_path / "BENCH_w1.json").read_text())
+    assert res["gain_met"]["train_s"] is gain
+    assert res["within_bound"]["train_s"] is within
+    # identical test_acc on both sides: no gain, within its bound
+    assert (res["gain_met"]["test_acc"], res["within_bound"]["test_acc"]) == (False, True)

@@ -11,6 +11,9 @@ from diffbank.config import (CALIBRATION_ARGS, CONFIG_SCHEMA, config_hash, load_
                              to_stage_plan, to_synthetic_spec, to_train_config)
 from diffbank.experiment import prepare_dataset
 
+from test_acceptance import DESK_RAW
+from test_docs import README, _code_blocks
+
 
 def minimal():
     return {"dataset": {"synthetic": {"generator": "sbm", "n": 50}}}
@@ -185,3 +188,21 @@ def test_removed_knobs_are_config_errors(tmp_path, capsys):
         path.write_text(json.dumps({**minimal(), **over}))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()
+
+
+
+# a validated config, written out as JSON, is a config file like any other
+ROUND_TRIP = {
+    "readme": json.loads(_code_blocks(README, "json")[0]),
+    "desk": DESK_RAW,
+    "krylov": {**minimal(), "basis": "krylov", "hops": 4},
+    "krylov-order": {**minimal(), "basis": "krylov", "hops": 4, "krylov": {"order": 6}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_a_validated_config_validates_again_unchanged(name):
+    cfg = json.loads(json.dumps(validate_config(ROUND_TRIP[name])))
+    again = validate_config(cfg)
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)

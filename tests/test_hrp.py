@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +10,12 @@ from diffbank import (ConfigError, NumericalError, StagePlan, TrainConfig,
                       cosine_blend_weight, extract_hidden, init_adam, jacobi_bank,
                       legendre_bank, make_operator, monomial_bank, repropagate,
                       reset_spmm_count, run_hrp_training, softmax_xent, train_stage)
-from diffbank import hrp
+from diffbank import graph, hrp
 from diffbank.backbone import adam_step
 from diffbank.banks import HopBank
 from diffbank.config import validate_config
 from diffbank.experiment import build_bank, prepare_dataset, run_seed
-from diffbank.graph import LabelVector, spmm_call_count
+from diffbank.graph import LabelVector, build_graph, spmm_call_count
 from diffbank.hrp import (_load_hidden, build_model, diffuse, evaluate_split,
                           moment_signature, spectral_distance)
 from diffbank.krylov import ritz_bank, ritz_bank_as_hopbank
@@ -323,6 +324,47 @@ def test_run_two_stages_preserves_raw_hop0_and_counts_spmm():
     assert res.stages[0].hidden_snapshots == {}
     assert np.array_equal(res.bank.slabs[0], bank.slabs[0])
     assert res.best_val == max(s.val_metric for s in res.stages)
+
+
+def test_a_stage_boundary_holds_fewer_than_three_banks(monkeypatch):
+    # the input bank, the re-propagated one with the blend written into its
+    # slabs, and no third: what a two-stage run allocates beyond the input
+    # bank stays below two banks, the working blocks and hidden states
+    # included
+    monkeypatch.setattr(graph, "_CORES", 2)
+    monkeypatch.setattr(graph, "_WORK_FLOOR", 0)
+    monkeypatch.delenv("DIFFBANK_THREADS", raising=False)
+    n, d, hops = 20_000, 64, 10
+    g = build_graph(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
+    bank = legendre_bank(make_operator(g, "shifted"),
+                         seeded_features(g, d, 1).astype(np.float32), hops)
+    split = rng_for(0, "boundary").integers(0, 3, size=n)
+    lv = LabelVector(labels=rng_for(1, "boundary").integers(0, 2, size=n),
+                     train_mask=split == 0, val_mask=split == 1,
+                     test_mask=split == 2, num_classes=2)
+    cfg = small_cfg(batch_size=512, epochs=1)
+    tracemalloc.start()
+    try:
+        res = run_hrp_training(StagePlan(stages=2, epochs=1, lambda0=0.5), bank, g,
+                               lv, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.diffusion_spmm for s in res.stages] == [hops, 0]
+    one = bank.slabs.nbytes
+    assert one + peak < 3 * one
+
+
+def test_blend_in_place_matches_a_new_blend():
+    g, x, bank, lv = make_case(seed=1)
+    op = make_operator(g, "shifted")
+    alphas = [1.0, 0.0, 0.25, 0.5]
+    want = blend(bank, chebyshev_bank(op, x, bank.hops), alphas)
+    other = chebyshev_bank(op, x, bank.hops)
+    got = blend(bank, other, alphas, out=other.slabs)
+    assert got.slabs is other.slabs
+    assert np.array_equal(got.slabs.view(np.uint32), want.slabs.view(np.uint32))
+    assert got.provenance == want.provenance
 
 
 def test_run_diagnostics_record_snapshots_and_distances(tmp_path):

@@ -6,15 +6,18 @@ A small ``graph._CHUNK_ROWS`` splits the row-chunked passes into several
 chunks on the same small graphs.
 """
 
+import functools
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from diffbank import NumericalError, graph, validate_config
-from diffbank.banks import legendre_bank, monomial_bank
+from diffbank.banks import (chebyshev_bank, jacobi_bank, jacobi_coefficients,
+                            jacobi_endpoint_values, legendre_bank, monomial_bank)
 from diffbank.calibration import estimate_moments
 from diffbank.experiment import build_bank
 from diffbank.graph import build_graph, make_operator, row_chunks, spmm, spmm_call_count
@@ -120,19 +123,22 @@ def test_non_finite_slab_in_a_worker_block_raises_numerical_error(monkeypatch):
 def test_an_error_in_one_block_waits_for_the_others(soup, monkeypatch):
     g, x = soup
     _kernel(monkeypatch, 2)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
     op = make_operator(g, "shifted")
+    second = [lo for lo in range(0, g.n, 16) if lo >= op._cuts[1]]
     done = []
 
-    def then(lo, hi):
+    def then(lo, hi, rows):
         if lo == 0:
             raise NumericalError("first block")
-        time.sleep(0.2)
+        if lo == second[0]:
+            time.sleep(0.2)
         done.append(lo)
 
     with pytest.raises(NumericalError, match="first block"):
-        spmm(op, x.astype(np.float64), out=np.empty(x.shape), then=then)
+        spmm(op, x.astype(np.float64), then=then)
     # no block may still write the caller's buffers once spmm has returned
-    assert done == [op._cuts[1]]
+    assert done == second
 
 
 def _krylov_slabs(op, x, hops):
@@ -180,11 +186,11 @@ def test_small_products_run_as_one_block(soup, monkeypatch):
     assert len(op._cuts) == 3 and op._matrix.nnz * x.shape[1] < graph._WORK_FLOOR
     calls = []
 
-    def then(lo, hi):
-        calls.append((lo, hi))
+    def then(lo, hi, rows):
+        calls.append((lo, hi, rows.shape))
 
-    spmm(op, x.astype(np.float64), out=np.empty(x.shape), then=then)
-    assert calls == [(0, g.n)]
+    spmm(op, x.astype(np.float64), then=then)
+    assert calls == [(0, g.n, x.shape)]
 
 
 def _bits(a):
@@ -232,3 +238,127 @@ def test_chunked_ritz_slabs_match_the_one_chunk_path(soup, monkeypatch):
     monkeypatch.setattr(graph, "_WORK_FLOOR", 10**12)
     whole = ritz_bank_as_hopbank(rb, 6).slabs
     assert np.array_equal(_bits(chunked), _bits(whole))
+
+
+def test_then_gets_each_chunks_product_rows_in_chunk_order(soup, monkeypatch):
+    g, x = soup
+    x64 = x.astype(np.float64)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    for cores in (1, 2, 3):
+        _kernel(monkeypatch, cores)
+        op = make_operator(g, "lap")
+        got = spmm(op, x64, then=lambda lo, hi, rows: (lo, hi, rows.copy()))
+        assert [(lo, hi) for lo, hi, _ in got] == [
+            (lo, min(lo + 16, g.n)) for lo in range(0, g.n, 16)]
+        rows = np.concatenate([r for _, _, r in got])
+        assert np.array_equal(_bits(rows), _bits(op._matrix @ x64))
+    with pytest.raises(ValueError, match="exclusive"):
+        spmm(op, x64, out=np.empty(x.shape), then=lambda lo, hi, rows: None)
+
+
+# The whole-array recurrences the chunked ones replaced: every step's
+# product in full, then the update in the same float64 operation order.
+# They are the oracles the chunked builds must match bit for bit.
+
+def _whole_array_jacobi(op, x, hops, alpha, beta, rescale=None):
+    rc = jacobi_coefficients(hops, alpha, beta)
+    slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
+    slabs[0] = x
+    prev, cur = None, np.array(x, dtype=np.float64)
+    for k in range(hops):
+        y = op._matrix @ cur
+        y *= rc.a[k]
+        if rc.b[k] != 0.0:
+            y += cur * rc.b[k]
+        if rc.c[k] != 0.0:
+            y -= prev * rc.c[k]
+        slabs[k + 1] = y if rescale is None else y / rescale[k + 1]
+        prev, cur = cur, y
+    return slabs
+
+
+def _whole_array_monomial(op, x, hops):
+    slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
+    slabs[0] = x
+    cur = np.array(x, dtype=np.float64)
+    for k in range(1, hops + 1):
+        cur = op._matrix @ cur
+        slabs[k] = cur
+    return slabs
+
+
+def _whole_array_moments(op, order, probes, seed, probe_kind):
+    rng = rng_for(seed, "chebyshev-probes", probe_kind)
+    if probe_kind == "gaussian":
+        z = rng.standard_normal((op.n, probes))
+    else:
+        z = rng.integers(0, 2, size=(op.n, probes)).astype(np.float64) * 2.0 - 1.0
+
+    def mean_dot(v):
+        # per-chunk sums over the chunks row_chunks uses, added in order
+        parts = row_chunks(op, probes, lambda lo, hi: np.sum(z[lo:hi] * v[lo:hi]))
+        return functools.reduce(np.add, parts) / probes
+
+    m = np.empty(order + 1)
+    v_prev, v = z, op._matrix @ z
+    m[0], m[1] = mean_dot(z), mean_dot(v)
+    for k in range(2, order + 1):
+        nxt = op._matrix @ v
+        nxt *= 2.0
+        nxt -= v_prev
+        v_prev, v = v, nxt
+        m[k] = mean_dot(v)
+    return m
+
+
+@pytest.mark.parametrize("cores,chunk_rows,one_chunk", [
+    (1, 16, False), (2, 16, False), (2, 1024, False), (2, 16, True)])
+def test_chunked_recurrences_match_the_whole_array_ones(soup, monkeypatch, cores,
+                                                        chunk_rows, one_chunk):
+    g, x = soup
+    _kernel(monkeypatch, cores)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", chunk_rows)
+    if one_chunk:  # the path below the work floor
+        monkeypatch.setattr(graph, "_WORK_FLOOR", 10**12)
+    op = make_operator(g, "shifted")
+    x64 = x.astype(np.float64)
+    cheb = jacobi_endpoint_values(7, -0.5, -0.5)
+    pairs = [
+        (legendre_bank(op, x, 7).slabs, _whole_array_jacobi(op, x, 7, 0.0, 0.0)),
+        (chebyshev_bank(op, x, 7).slabs,
+         _whole_array_jacobi(op, x, 7, -0.5, -0.5, cheb)),
+        (jacobi_bank(op, x, 7, 0.3, -0.4).slabs, _whole_array_jacobi(op, x, 7, 0.3, -0.4)),
+        (jacobi_bank(op, x64, 5, -0.7, 0.2).slabs,
+         _whole_array_jacobi(op, x64, 5, -0.7, 0.2)),
+        (monomial_bank(make_operator(g, "dad"), x, 6).slabs,
+         _whole_array_monomial(make_operator(g, "dad"), x, 6)),
+    ]
+    for kind in ("gaussian", "rademacher"):
+        for order in (1, 2, 9):
+            pairs.append((estimate_moments(op, order, 7, seed=2, probe_kind=kind).values,
+                          _whole_array_moments(op, order, 7, 2, kind)))
+    for got, want in pairs:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("build", [
+    lambda op, x, hops: legendre_bank(op, x, hops),
+    lambda op, x, hops: jacobi_bank(op, x, hops, 0.3, -0.4),  # b != 0
+], ids=["legendre", "jacobi"])
+def test_a_recurrence_holds_two_working_blocks(monkeypatch, build):
+    # above the work floor a build allocates its slabs, X_{k-1} and X_k, and
+    # per block a chunk of product rows (and of b X_k rows when b != 0)
+    _kernel(monkeypatch, 2)
+    n, d, hops = 20_000, 16, 4
+    g = build_graph(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
+    op = make_operator(g, "shifted")
+    x = seeded_features(g, d, 1).astype(np.float32)
+    block, chunk = n * d * 8, graph._CHUNK_ROWS * d * 8
+    tracemalloc.start()
+    try:
+        bank = build(op, x, hops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slabs = bank.slabs.nbytes
+    assert peak <= slabs + 2 * block + 2 * 2 * chunk + chunk

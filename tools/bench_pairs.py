@@ -11,10 +11,21 @@ sides alike. Runs are strictly sequential.
 It writes ``BENCH_<workload>.json`` (into ``--out``, default the current
 directory). For each side it holds the checkout's directory name, its git
 commit (null for a checkout without ``.git``), the fail rate and, per
-end-to-end metric, the median, the quartiles and every run's value; for
-each metric the number of pairs the change won (ties count for neither
-side); and the core count, pair count, seconds and seeds. Which direction
-is better comes from the change's ``BENCHMARK.json``.
+end-to-end metric, the median, the quartiles and every run's value; and
+the core count, pair count, seconds and seeds. For each metric it holds:
+
+``change_wins``
+    the number of pairs the change won (ties count for neither side);
+``gain_met``
+    whether a gain may be claimed: the change won at least nine tenths of
+    the pairs, and its median is better than the parent's by more than
+    the distance between the parent's quartiles;
+``within_bound``
+    whether the change's median is no worse than the parent's by more
+    than the metric's bound, a fraction of the parent's median.
+
+Which direction is better, and each bound, come from the change's
+``BENCHMARK.json``.
 """
 
 import argparse
@@ -47,6 +58,15 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def judge(parent: dict, change: dict, wins: int, pairs: int, better: str,
+          bound: float) -> dict:
+    """``gain_met`` and ``within_bound`` of one metric from both sides'
+    ``spread`` summaries and the change's pair wins."""
+    gap = (change["median"] - parent["median"]) * (1 if better == "higher" else -1)
+    return {"gain_met": 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"],
+            "within_bound": gap >= -bound * abs(parent["median"])}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="parent checkout")
@@ -60,6 +80,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
@@ -85,6 +106,11 @@ def main(argv=None) -> int:
         m: sum(sign[b] * (c["metrics"][m] - p["metrics"][m]) > 0
                for p, c in zip(runs["parent"], runs["change"]))
         for m, b in better.items()}
+    verdicts = {m: judge(out["parent"]["metrics"][m], out["change"]["metrics"][m],
+                         out["change_wins"][m], args.pairs, b, bound[m])
+                for m, b in better.items()}
+    for key in ("gain_met", "within_bound"):
+        out[key] = {m: v[key] for m, v in verdicts.items()}
     path = args.out / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
