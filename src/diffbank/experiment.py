@@ -15,7 +15,9 @@ plan. All arms of one seed draw the same dataset, and on a spectral-signal
 dataset they share its dense eigendecomposition: ``synth`` memoizes it per
 (spec, seed) process-wide for the 64 most recent specs, so for up to 64
 seeds the second and third arm, and any thread running the same seed, do
-not decompose again.
+not decompose again. A file dataset is parsed once per process while its
+files are unchanged, so every seed and arm shares one read-only graph,
+feature matrix and label set.
 
 Seeds always run on a thread pool of ``DIFFBANK_THREADS`` workers (default
 1, which runs them one after another). Each seed's sparse products run on
@@ -34,6 +36,7 @@ refuses an unusable one, before any seed runs.
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -80,9 +83,51 @@ def load_feature_file(path: str, n: int) -> np.ndarray:
     return x
 
 
+# the most recently parsed file dataset, under the stamps of its files
+_FILE_MEMO: dict = {}
+_FILE_MEMO_LOCK = threading.Lock()
+
+
+def _file_stamp(path: str) -> tuple:
+    st = os.stat(path)
+    return os.path.realpath(path), st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _content_hashes(g, x, lv) -> dict:
+    return {"graph_hash": graph_hash(g), "feature_hash": _array_hash(x),
+            "label_hash": _array_hash(lv.labels)}
+
+
+def _load_files(ds: dict):
+    """(graph, features, labels, content hashes) of a file-based ``dataset``.
+
+    Parsed once per process while the files keep their path, size, mtime and
+    inode and the section its graph options. Only the latest dataset is
+    held, and it is dropped before another is parsed. The arrays are
+    read-only because every caller shares them.
+    """
+    paths = [ds[k] for k in ("edges", "labels", "features") if k in ds]
+    try:
+        key = (tuple(_file_stamp(p) for p in paths), ds.get("num_nodes"),
+               ds.get("undirected", True), ds.get("add_self_loops", False))
+    except OSError:
+        key = None  # the loaders report the unreadable file
+    with _FILE_MEMO_LOCK:
+        if key is None or _FILE_MEMO.get("key") != key:
+            _FILE_MEMO.clear()
+            g = load_graph(ds)
+            lv = load_labels(ds["labels"], g.n)
+            x = load_feature_file(ds["features"], g.n) if "features" in ds else label_features(lv)
+            for a in (x, lv.labels, lv.train_mask, lv.val_mask, lv.test_mask):
+                a.setflags(write=False)
+            _FILE_MEMO.update(key=key, data=(g, x, lv, _content_hashes(g, x, lv)))
+        return _FILE_MEMO["data"]
+
+
 def prepare_dataset(cfg: dict, seed: int):
     """Return (graph, features, labels, info). Synthetic specs draw from the
-    seed; file datasets are seed-independent and need a ``labels`` file.
+    seed; file datasets are seed-independent, need a ``labels`` file, and
+    are parsed once per process (see ``_load_files``).
     Labels with an empty train, val or test split raise DataError, and so
     do labels ``roc_auc`` cannot score: a class count other than 2, or a
     val or test split missing a class."""
@@ -91,15 +136,11 @@ def prepare_dataset(cfg: dict, seed: int):
         spec = to_synthetic_spec(cfg, seed)
         g, x, lv = generate(spec)
         info = {"source": "synthetic", "generator": spec.generator}
+        hashes = None
     else:
         if "labels" not in ds:
             raise ConfigError("file-based dataset is missing labels")
-        g = load_graph(ds)
-        lv = load_labels(ds["labels"], g.n)
-        if "features" in ds:
-            x = load_feature_file(ds["features"], g.n)
-        else:
-            x = label_features(lv)
+        g, x, lv, hashes = _load_files(ds)
         info = {"source": "files", "edges": ds["edges"]}
     auc = cfg["metric"] == "roc_auc"
     if auc and lv.num_classes != 2:
@@ -113,9 +154,8 @@ def prepare_dataset(cfg: dict, seed: int):
     if cfg.get("label_diffusion"):
         op = make_operator(g, "da")
         x = np.concatenate([x, label_features(lv, op)], axis=1)
-    info["graph_hash"] = graph_hash(g)
-    info["feature_hash"] = _array_hash(x)
-    info["label_hash"] = _array_hash(lv.labels)
+        hashes = None
+    info.update(hashes or _content_hashes(g, x, lv))
     return g, x, lv, info
 
 

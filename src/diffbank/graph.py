@@ -170,6 +170,12 @@ class LabelVector:
             raise DataError("labeled node with class id outside [0, num_classes)")
 
 
+def csr_bytes(n: int, num_edges: int, add_self_loops: bool = False) -> int:
+    """Bytes ``build_graph`` needs for ``num_edges`` input edges on ``n`` nodes:
+    row pointers and degree counts, then src, dst and sort key per entry."""
+    return 16 * (n + 1) + 24 * (2 * num_edges + (n if add_self_loops else 0))
+
+
 def build_graph(edges, n, *, undirected: bool = True,
                 add_self_loops: bool = False) -> Graph:
     """Build a CSR graph from an edge array.
@@ -201,9 +207,7 @@ def build_graph(edges, n, *, undirected: bool = True,
         e = np.zeros((0, 2), dtype=np.int64)
     if e.ndim != 2 or e.shape[1] != 2:
         raise DataError("edges must be an (E, 2) array")
-    # row pointers and degree counts, then src, dst and sort key per entry
-    entries = 2 * e.shape[0] + (n if add_self_loops else 0)
-    check_fits(16 * (n + 1) + 24 * entries, f"a CSR graph of {n} nodes")
+    check_fits(csr_bytes(n, e.shape[0], add_self_loops), f"a CSR graph of {n} nodes")
     if e.size and (e.min() < 0 or e.max() >= n):
         raise DataError("edge endpoint out of range [0, n)")
 

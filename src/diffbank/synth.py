@@ -19,12 +19,16 @@ Two generators share the same graph machinery:
 
 Splits are node-level 50/25/25 train/val/test, drawn from the seed.
 
-A draw is a pure function of its spec. Nearly all of a spectral-signal
-draw is the dense eigendecomposition, so the two eigenvector blocks it
-keeps are memoized per spec, process-wide, for the ``SPECTRA_KEPT`` most
-recent specs: every ablation arm, thread and caller drawing the same
-(spec, seed) decomposes its graph once. Each call still builds its own
-graph, operator, features and splits, and returns fresh arrays.
+A draw is a pure function of its spec. The block-model edges take one
+uniform draw per node pair, walked in row-major order in fixed chunks, so
+a draw holds one chunk and its edge list, never an array over all pairs;
+a graph whose expected edges would not fit in physical memory is refused
+before the first draw. The costliest step of a spectral-signal draw is the
+dense eigendecomposition, so the two eigenvector blocks it keeps are
+memoized per spec, process-wide, for the ``SPECTRA_KEPT`` most recent
+specs: every ablation arm, thread and caller drawing the same (spec, seed)
+decomposes its graph once. Each call still draws its own edges and builds
+its own graph, operator, features and splits, and returns fresh arrays.
 """
 
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Graph, LabelVector, build_graph, make_operator
+from .graph import Graph, LabelVector, build_graph, check_fits, csr_bytes, make_operator
 from .rng import rng_for
 
 __all__ = ["SyntheticSpec", "generate"]
@@ -70,25 +74,55 @@ class SyntheticSpec:
             raise ConfigError("feature dimension must be >= 1")
         if not (0.5 < self.signal_quantile < 1.0):
             raise ConfigError("signal quantile must lie in (0.5, 1)")
+        if self.generator == "spectral-signal" and not 0 <= self.confounder_modes < self.n:
+            raise ConfigError("confounder modes must lie in [0, n - 1]")
         if self.generator == "spectral-signal" and self.n > MAX_DENSE_NODES:
             raise ConfigError(f"spectral-signal needs a dense eigendecomposition and "
                               f"is limited to {MAX_DENSE_NODES} nodes")
 
 
+# pairs per step of the block-model pair stream: 8 MB of float64 draws
+_PAIR_CHUNK = 1 << 20
+
+
 def _sbm_edges(spec: SyntheticSpec, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted block ids and the (i, j), i < j, edges of one block-model draw.
+
+    A graph whose expected edge count would give CSR arrays larger than
+    physical memory raises DataError before the first draw. Pair (i, j) is
+    kept when its uniform draw falls below its block pair's probability.
+    The draws follow the pairs in row-major order and come in chunks of
+    ``_PAIR_CHUNK``, so a draw holds one chunk plus its edges, while the
+    edges, their order and the generator's state afterwards are those of
+    one ``rng.random`` over all n (n - 1) / 2 pairs.
+    """
     n, b = spec.n, spec.blocks
-    blocks = np.sort(rng.integers(0, b, size=n))
     p_intra, p_inter = spec.p_intra, spec.p_inter
     if spec.homophily is True and p_intra < p_inter:
         p_intra, p_inter = p_inter, p_intra
     elif spec.homophily is False and p_intra > p_inter:
         p_intra, p_inter = p_inter, p_intra
-    iu, ju = np.triu_indices(n, k=1)
-    same = blocks[iu] == blocks[ju]
-    p = np.where(same, p_intra, p_inter)
-    keep = rng.random(iu.size) < p
-    edges = np.column_stack([iu[keep], ju[keep]])
-    return edges, blocks
+    total = n * (n - 1) // 2
+    # a pair is intra-block with probability 1 / b
+    expected = total * (p_intra / b + p_inter * (1 - 1 / b))
+    check_fits(csr_bytes(n, round(expected)),
+               f"a block-model graph of {n} nodes and ~{expected:.3g} edges")
+    blocks = np.sort(rng.integers(0, b, size=n))
+    p_max = max(p_intra, p_inter)
+    # pairs in the rows before each row; the last row has none
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    draws = np.empty(min(_PAIR_CHUNK, total))
+    parts = []
+    for start in range(0, total, _PAIR_CHUNK):
+        r = rng.random(out=draws[:min(_PAIR_CHUNK, total - start)])
+        cand = np.flatnonzero(r < p_max)
+        flat = cand + start
+        i = np.searchsorted(row_start, flat, "right") - 1
+        j = flat - row_start[i] + i + 1
+        keep = r[cand] < np.where(blocks[i] == blocks[j], p_intra, p_inter)
+        parts.append(np.column_stack([i[keep], j[keep]]))
+    return np.concatenate(parts), blocks
 
 
 def _splits(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,7 +139,10 @@ def _splits(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def generate(spec: SyntheticSpec):
-    """Build (graph, features, labels) for the given spec, deterministically."""
+    """Build (graph, features, labels) for the given spec, deterministically.
+
+    A graph that cannot fit raises DataError before anything is drawn.
+    """
     rng = rng_for(spec.seed, "synthetic", spec.generator)
     edges, blocks = _sbm_edges(spec, rng)
     g = build_graph(edges, spec.n, undirected=True)

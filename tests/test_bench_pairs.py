@@ -99,6 +99,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert res["within_bound"] == {"train_s": False, "test_acc": True}
     assert res["parent"]["fail_rate"] == 0.0
     assert res["change"]["fail_rate"] == 1 / 8
+    assert res["fail_rate_ok"] is False
 
 
 def test_bench_pairs_stops_when_a_run_prints_no_result(tmp_path):
@@ -140,3 +141,24 @@ def test_bench_pairs_judges_gain_and_bound(tmp_path, change_train_s, gain, withi
     assert res["within_bound"]["train_s"] is within
     # identical test_acc on both sides: no gain, within its bound
     assert (res["gain_met"]["test_acc"], res["within_bound"]["test_acc"]) == (False, True)
+
+
+@pytest.mark.parametrize("parent_failed,change_failed,ok", [
+    ([0, 0, 0, 0], [0, 0, 0, 0], True),
+    ([0, 1, 0, 0], [0, 0, 1, 0], True),  # equal shares, failed in other pairs
+    ([1, 0, 1, 0], [0, 0, 0, 1], True),
+    ([0, 0, 0, 1], [0, 1, 0, 1], False),
+])
+def test_bench_pairs_judges_the_fail_rate(tmp_path, parent_failed, change_failed, ok):
+    log = tmp_path / "calls.log"
+    canned = {"parent": {**CANNED["parent"], "failed": parent_failed},
+              "change": {**CANNED["parent"], "failed": change_failed}}
+    sides = [make_checkout(tmp_path, side, log, canned=canned)
+             for side in ("parent", "change")]
+    load_tool().main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                      "--workload", "w1", "--pairs", "4", "--seed", "100",
+                      "--out", str(tmp_path)])
+    res = json.loads((tmp_path / "BENCH_w1.json").read_text())
+    assert res["parent"]["fail_rate"] == sum(parent_failed) / 8
+    assert res["change"]["fail_rate"] == sum(change_failed) / 8
+    assert res["fail_rate_ok"] is ok

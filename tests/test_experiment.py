@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from diffbank import ConfigError, DataError, validate_config
-from diffbank import graph, synth
+from diffbank import experiment, graph, synth
 from diffbank.experiment import (build_bank, prepare_dataset, run_ablation,
                                  run_experiment, run_seed, summarize)
-from diffbank.graph import seed_threads, spmm_call_count
+from diffbank.graph import build_graph, seed_threads, spmm_call_count
 from diffbank.io import save_edge_list, save_features, save_labels
 
 
@@ -71,6 +71,84 @@ def test_prepare_dataset_without_features_uses_labels(tmp_path):
     train_rows = x2[lv2.train_mask]
     assert np.all(train_rows.sum(axis=1) == 1.0)
     assert np.all(x2[~lv2.train_mask] == 0.0)
+
+
+def write_file_dataset(tmp_path, seed=0, **over):
+    """The tiny synthetic dataset of ``seed`` as edge, label and feature files."""
+    g, x, lv, _ = prepare_dataset(tiny_cfg(), seed)
+    paths = {"edges": tmp_path / "g.tsv", "labels": tmp_path / "y.tsv",
+             "features": tmp_path / "x.fmx"}
+    save_edge_list(str(paths["edges"]), g)
+    save_labels(str(paths["labels"]), lv)
+    save_features(str(paths["features"]), x)
+    return tiny_cfg(dataset={k: str(v) for k, v in paths.items()}, **over)
+
+
+def count_edge_list_loads(monkeypatch) -> list:
+    """Log the memo's state at each ``load_edge_list`` call in ``experiment``."""
+    calls = []
+    load = experiment.load_edge_list
+
+    def counted(*args, **kw):
+        calls.append(dict(experiment._FILE_MEMO))
+        return load(*args, **kw)
+
+    monkeypatch.setattr(experiment, "load_edge_list", counted)
+    experiment._FILE_MEMO.clear()
+    return calls
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ablation_parses_a_file_dataset_once(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("DIFFBANK_THREADS", threads)
+    cfg = write_file_dataset(tmp_path, seeds=[0, 1])
+    calls = count_edge_list_loads(monkeypatch)
+    res = run_ablation(cfg)
+    assert len(calls) == 1  # 2 seeds x 3 arms share one parse
+    hashes = {r["data"]["graph_hash"] for a in res["arms"].values() for r in a["runs"]}
+    assert len(hashes) == 1
+
+
+def test_file_dataset_memo_follows_the_files(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    cfg_a = write_file_dataset(tmp_path / "a", seed=0)
+    cfg_b = write_file_dataset(tmp_path / "b", seed=1)
+    calls = count_edge_list_loads(monkeypatch)
+    info = prepare_dataset(cfg_a, 0)[3]
+    assert prepare_dataset(cfg_a, 5)[3] == info
+    assert len(calls) == 1
+    # another dataset evicts the first before it is parsed
+    prepare_dataset(cfg_b, 0)
+    assert len(calls) == 2 and calls[1] == {}
+    assert prepare_dataset(cfg_a, 0)[3] == info
+    assert len(calls) == 3
+    # rewriting a file re-parses it
+    g, x, lv, _ = prepare_dataset(cfg_a, 0)
+    save_edge_list(cfg_a["dataset"]["edges"], build_graph(np.array([[0, g.n - 1]]), g.n))
+    g2, x2, lv2, info2 = prepare_dataset(cfg_a, 0)
+    assert len(calls) == 4
+    assert g2.num_edges == 2 and info2["graph_hash"] != info["graph_hash"]
+    assert info2["feature_hash"] == info["feature_hash"]
+    # other graph options are another dataset
+    prepare_dataset({**cfg_a, "dataset": {**cfg_a["dataset"], "add_self_loops": True}}, 0)
+    assert len(calls) == 5
+
+
+def test_file_dataset_arrays_are_read_only(tmp_path):
+    cfg = write_file_dataset(tmp_path)
+    g, x, lv, _ = prepare_dataset(cfg, 0)
+    for a in (x, lv.labels, lv.train_mask, lv.val_mask, lv.test_mask,
+              g.row_ptr, g.col_idx):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # label features stand in for a missing feature file, read-only too
+    del cfg["dataset"]["features"]
+    with pytest.raises(ValueError, match="read-only"):
+        prepare_dataset(cfg, 0)[1][0, 0] = 1.0
+    # label diffusion builds its own matrix from the shared ones
+    x_ld = prepare_dataset({**cfg, "label_diffusion": True}, 0)[1]
+    x_ld[0, 0] = 1.0
 
 
 def test_prepare_dataset_feature_row_mismatch(tmp_path):

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, SyntheticSpec, generate, make_operator, synth,
-                      validate_config)
+from diffbank import (ConfigError, DataError, SyntheticSpec, generate, graph,
+                      make_operator, synth, validate_config)
+from diffbank.cli import main
 from diffbank.experiment import run_ablation
-from diffbank.graph import graph_hash
+from diffbank.graph import csr_bytes, graph_hash
+from diffbank.rng import rng_for
 
 
 def test_generate_is_deterministic_per_seed():
@@ -144,3 +148,108 @@ def test_spec_validation():
         SyntheticSpec(feature_dim=0)
     with pytest.raises(ConfigError):
         SyntheticSpec(generator="spectral-signal", signal_quantile=0.4)
+    # the confounder mixes eigenvectors 1..modes of an n-node spectrum
+    with pytest.raises(ConfigError, match="confounder"):
+        SyntheticSpec(generator="spectral-signal", n=4, confounder_modes=4)
+    with pytest.raises(ConfigError, match="confounder"):
+        SyntheticSpec(generator="spectral-signal", confounder_modes=-1)
+    generate(SyntheticSpec(generator="spectral-signal", n=4, confounder_modes=3))
+    generate(SyntheticSpec(n=4))  # an sbm draw has no confounder
+
+
+def whole_array_sbm_edges(spec, rng):
+    """The block-model sampler over one array of all pairs: the bit-equality
+    oracle for the chunked pair stream."""
+    n, b = spec.n, spec.blocks
+    blocks = np.sort(rng.integers(0, b, size=n))
+    p_intra, p_inter = spec.p_intra, spec.p_inter
+    if spec.homophily is True and p_intra < p_inter:
+        p_intra, p_inter = p_inter, p_intra
+    elif spec.homophily is False and p_intra > p_inter:
+        p_intra, p_inter = p_inter, p_intra
+    iu, ju = np.triu_indices(n, k=1)
+    same = blocks[iu] == blocks[ju]
+    p = np.where(same, p_intra, p_inter)
+    keep = rng.random(iu.size) < p
+    edges = np.column_stack([iu[keep], ju[keep]])
+    return edges, blocks
+
+
+# (p_intra, p_inter, homophily): plain, both swaps, both kept orders, and
+# the p = 0 and p = 1 ends
+PROBABILITIES = [(0.3, 0.1, None), (0.1, 0.3, True), (0.3, 0.1, False),
+                 (0.3, 0.1, True), (0.1, 0.3, False), (0.0, 0.0, None),
+                 (1.0, 1.0, None), (1.0, 0.0, None), (0.0, 1.0, True)]
+
+
+# chunks of 7 and 1000 pairs split rows; at n = 2000 the default chunk does
+# too. There 7-pair chunks would take seconds, and two probability cases,
+# a swap and the all-candidates chunk, keep the oracle's cost down
+@pytest.mark.parametrize("n,chunks,probabilities", [
+    (4, (7, 1000, None), PROBABILITIES),
+    (50, (7, 1000, None), PROBABILITIES),
+    (2000, (1000, None), [PROBABILITIES[1], PROBABILITIES[7]]),
+])
+def test_chunked_pair_stream_is_bit_equal_to_the_whole_array(
+        monkeypatch, n, chunks, probabilities):
+    default = synth._PAIR_CHUNK
+    for generator in ("sbm", "spectral-signal"):
+        for blocks in (1, 3):
+            for p_intra, p_inter, homophily in probabilities:
+                spec = SyntheticSpec(generator=generator, n=n, blocks=blocks,
+                                     p_intra=p_intra, p_inter=p_inter,
+                                     homophily=homophily, confounder_modes=1,
+                                     seed=n)
+                ref_rng = rng_for(spec.seed, "synthetic", generator)
+                ref_edges, ref_blk = whole_array_sbm_edges(spec, ref_rng)
+                ref_next = ref_rng.random()
+                for chunk in chunks:
+                    monkeypatch.setattr(synth, "_PAIR_CHUNK", chunk or default)
+                    rng = rng_for(spec.seed, "synthetic", generator)
+                    edges, blk = synth._sbm_edges(spec, rng)
+                    assert edges.dtype == ref_edges.dtype == np.int64
+                    assert edges.shape == ref_edges.shape
+                    assert np.array_equal(edges, ref_edges)
+                    assert np.array_equal(blk, ref_blk)
+                    assert rng.random() == ref_next
+
+
+def test_sbm_draw_holds_one_chunk_and_its_edges():
+    # an array over all 4.5M pairs would take 36 MB per float64 copy
+    spec = SyntheticSpec(n=3000, blocks=3, p_intra=0.02, p_inter=0.005, seed=1)
+    rng = rng_for(spec.seed, "synthetic", spec.generator)
+    tracemalloc.start()
+    try:
+        edges, _ = synth._sbm_edges(spec, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert edges.shape[0] > 30_000
+    assert peak < 2 * 8 * synth._PAIR_CHUNK + 2 * edges.nbytes
+
+
+class NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name}) before the memory check")
+
+
+def test_generate_refuses_what_cannot_fit_before_drawing(monkeypatch, tmp_path):
+    spec = SyntheticSpec(n=1000, blocks=4, p_intra=0.4, p_inter=0.02,
+                         homophily=False)
+    # after the swap: 499,500 pairs, a quarter of them intra-block at 0.02
+    need = csr_bytes(1000, round(499_500 * (0.02 / 4 + 0.4 * 3 / 4)))
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need - 1)
+    monkeypatch.setattr(synth, "rng_for", lambda *key: NoDraws())
+    with pytest.raises(DataError, match="physical memory"):
+        generate(spec)
+    out = tmp_path / "big"
+    rc = main(["generate", "--nodes", "1000", "--blocks", "4", "--p-intra", "0.4",
+               "--p-inter", "0.02", "--no-homophily", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    monkeypatch.undo()
+    # the expected need is only a preflight; the drawn graph is checked again
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need + 10**6)
+    assert generate(spec)[0].n == 1000

@@ -25,7 +25,8 @@ the core count, pair count, seconds and seeds. For each metric it holds:
     than the metric's bound, a fraction of the parent's median.
 
 Which direction is better, and each bound, come from the change's
-``BENCHMARK.json``.
+``BENCHMARK.json``. ``fail_rate_ok`` holds whether the change's fail rate
+is no higher than the parent's.
 """
 
 import argparse
@@ -111,6 +112,7 @@ def main(argv=None) -> int:
                 for m, b in better.items()}
     for key in ("gain_met", "within_bound"):
         out[key] = {m: v[key] for m, v in verdicts.items()}
+    out["fail_rate_ok"] = out["change"]["fail_rate"] <= out["parent"]["fail_rate"]
     path = args.out / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
