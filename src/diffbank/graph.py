@@ -51,6 +51,7 @@ the one chunk's scratch is a whole (n, d) block.
 memory before it allocates them.
 """
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -95,6 +96,12 @@ _WORK_FLOOR = 10_000_000
 # rows per chunk of a ``row_chunks`` pass: a 64-wide float64 chunk is
 # 512 KB, so a pass's residual and scratch rows stay in a core's L2
 _CHUNK_ROWS = 1024
+# columns per band of an operator's entries: a band's rows of a 64-wide
+# float64 operand are 4 MB. Rows per tile of a product: a tile's 64-wide
+# float64 output rows are 8 MB. Both measured best or tied at 100k nodes,
+# width 64, 1 thread
+_BAND_COLS = 8192
+_TILE_ROWS = 16 * _CHUNK_ROWS
 _POOL = None
 _POOL_LOCK = threading.Lock()  # seed threads may start the pool at once
 
@@ -253,20 +260,39 @@ def graph_hash(g: Graph) -> str:
 class SparseOperator:
     """A graph operator on ``graph``.
 
-    ``_matrix`` holds the edge weights plus the per-node diagonal term
-    that the adjacency part does not cover, each rounded to float32 and
-    stored as float64 so products accumulate in 64-bit arithmetic;
-    ``_cuts`` are the row bounds of the kernel's blocks.
+    Its entries are the edge weights plus the per-node diagonal term that
+    the adjacency part does not cover, each rounded to float32 and stored
+    as float64 so products accumulate in 64-bit arithmetic. They are
+    stored once, band-major: ``_idx`` and ``_w`` hold the column indices
+    and weights of each band of ``_BAND_COLS`` columns in turn, row by row
+    and in column order within a row, and ``_ptr[b * n:(b + 1) * n + 1]``
+    is band b's row pointer into them. ``_cuts`` are the row bounds of the
+    kernel's blocks.
     """
 
     kind: str
     graph: Graph
-    _matrix: sp.csr_matrix = field(repr=False)
+    _ptr: np.ndarray = field(repr=False)
+    _idx: np.ndarray = field(repr=False)
+    _w: np.ndarray = field(repr=False)
     _cuts: tuple = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @functools.cached_property
+    def _matrix(self) -> sp.csr_matrix:
+        """The operator as one CSR matrix with sorted rows, copied from the
+        bands on first use."""
+        n, nnz = self.n, self._w.size
+        rows = np.empty(nnz, dtype=self._ptr.dtype)
+        _sparsetools.expandptr(self._ptr.size - 1, self._ptr, rows)
+        rows %= n
+        # a stable counting sort by row keeps each row's bands in order
+        ptr, idx, w = np.empty(n + 1, rows.dtype), np.empty(nnz, rows.dtype), np.empty(nnz)
+        _sparsetools.coo_tocsr(n, n, nnz, rows, self._idx, self._w, ptr, idx, w)
+        return sp.csr_matrix((w, idx, ptr), shape=(n, n))
 
 
 def make_operator(g: Graph, kind: str) -> SparseOperator:
@@ -278,7 +304,7 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
                          "symmetrize at load time instead")
 
     deg = degrees(g).astype(np.float64)
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.row_ptr))
+    counts = np.diff(g.row_ptr)
     cols = g.col_idx
 
     with np.errstate(divide="ignore"):
@@ -286,28 +312,56 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
         dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
 
     if kind == "da":
-        w = dinv[rows]
+        w = np.repeat(dinv, counts)
         diag = np.zeros(g.n)
     else:
-        w_dad = dinv_sqrt[rows] * dinv_sqrt[cols]
+        w = np.repeat(dinv_sqrt, counts) * dinv_sqrt[cols]
         if kind == "dad":
-            w = w_dad
             diag = np.zeros(g.n)
         elif kind == "lap":
-            w = -w_dad
+            np.negative(w, out=w)
             diag = np.where(deg > 0, 1.0, 0.0)
         else:  # shifted
-            w = -w_dad
+            np.negative(w, out=w)
             diag = np.where(deg > 0, 0.0, -1.0)
 
     # weights are float32 values; the products' bits depend on that rounding
-    w64 = w.astype(np.float32).astype(np.float64)
+    data = w.astype(np.float32).astype(np.float64)
+    del w
     d64 = diag.astype(np.float32).astype(np.float64)
-    adj = sp.csr_matrix((w64, cols, g.row_ptr), shape=(g.n, g.n))
-    mat = (adj + sp.diags(d64, format="csr")).tocsr()
-    mat.sort_indices()
-    return SparseOperator(kind=kind, graph=g, _matrix=mat,
-                          _cuts=_row_cuts(mat.indptr, max(1, _CORES // seed_threads())))
+    indptr, indices = g.row_ptr, cols
+    if d64.any():
+        # the sum merges each diagonal term into its row in column order,
+        # adds it to a self-loop's weight and drops an entry that sums to 0
+        mat = sp.csr_matrix((data, cols, g.row_ptr), shape=(g.n, g.n)) + sp.diags(
+            d64, format="csr")
+        mat.sort_indices()
+        indptr, indices, data = mat.indptr, mat.indices, mat.data
+        del mat
+    return SparseOperator(kind=kind, graph=g, **_banded(indptr, indices, data),
+                          _cuts=_row_cuts(indptr, max(1, _CORES // seed_threads())))
+
+
+def _banded(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> dict:
+    """The band-major arrays of a CSR matrix with sorted rows.
+
+    A stable counting sort of the entries by (band, row) puts each band's
+    entries in row order, and each row's in column order as they were; its
+    row pointer over the nb * n (band, row) pairs is every band's row
+    pointer, one after another. Indices are int32 where they fit.
+    """
+    n, nnz = indptr.size - 1, data.size
+    nb = -(-n // _BAND_COLS)
+    itype = np.int32 if max(nb * n + 1, nnz) < 2**31 else np.int64
+    indices = indices.astype(itype, copy=False)
+    key = np.empty(nnz, dtype=itype)
+    _sparsetools.expandptr(n, indptr.astype(itype, copy=False), key)
+    key += indices // _BAND_COLS * n
+    ptr, idx, w = np.empty(nb * n + 1, itype), np.empty(nnz, itype), np.empty(nnz)
+    _sparsetools.coo_tocsr(nb * n, n, nnz, key, indices, data, ptr, idx, w)
+    for a in (ptr, idx, w):
+        a.setflags(write=False)
+    return {"_ptr": ptr, "_idx": idx, "_w": w}
 
 
 def _row_cuts(indptr: np.ndarray, blocks: int) -> tuple:
@@ -329,7 +383,7 @@ def _pool() -> ThreadPoolExecutor:
 
 def _threaded(op: SparseOperator, width: int) -> bool:
     """Whether work on ``width`` columns is big enough to split over blocks."""
-    return op._matrix.nnz * width >= _WORK_FLOOR
+    return op._w.size * width >= _WORK_FLOOR
 
 
 def _run_blocks(cuts: tuple, block) -> None:
@@ -344,20 +398,33 @@ def _run_blocks(cuts: tuple, block) -> None:
         f.result()
 
 
-def _chunked(op: SparseOperator, width: int, fn, cols: int) -> list:
+def _chunked(op: SparseOperator, width: int, fn, cols: int, tile=None) -> list:
     """``row_chunks`` with ``fn(lo, hi, rows)``, where ``rows`` is a float64
-    scratch of hi - lo rows and ``cols`` columns that each block reuses."""
+    scratch of hi - lo rows and ``cols`` columns. With ``tile``, each block
+    takes its chunks ``_TILE_ROWS`` rows at a time: ``tile(lo, hi, rows)``
+    first fills the rows of those chunks in a scratch the block reuses,
+    then ``fn`` gets each chunk's rows of it."""
     n = op.n
     if not _threaded(op, width):
-        return [fn(0, n, np.empty((n, cols)))]
+        rows = np.empty((n, cols))
+        if tile is not None:
+            tile(0, n, rows)
+        return [fn(0, n, rows)]
     results = [None] * -(-n // _CHUNK_ROWS)
+    per_tile = max(1, _TILE_ROWS // _CHUNK_ROWS) if tile is not None else 1
 
     def block(lo, hi):
-        scratch = np.empty((min(_CHUNK_ROWS, n), cols))
-        for i in range(-(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)):
-            start = i * _CHUNK_ROWS
-            stop = min(start + _CHUNK_ROWS, n)
-            results[i] = fn(start, stop, scratch[:stop - start])
+        first, last = -(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)
+        scratch = np.empty((min(min(per_tile, last - first) * _CHUNK_ROWS, n), cols))
+        for t in range(first, last, per_tile):
+            t_end = min(t + per_tile, last)
+            t_lo, t_hi = t * _CHUNK_ROWS, min(t_end * _CHUNK_ROWS, n)
+            if tile is not None:
+                tile(t_lo, t_hi, scratch[:t_hi - t_lo])
+            for i in range(t, t_end):
+                start = i * _CHUNK_ROWS
+                stop = min(start + _CHUNK_ROWS, n)
+                results[i] = fn(start, stop, scratch[start - t_lo:stop - t_lo])
 
     _run_blocks(op._cuts, block)
     return results
@@ -389,13 +456,12 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
     the product and is returned as it is.
 
     With ``then``, no (n, d) product is made: the product runs over the
-    chunks of ``row_chunks``, each chunk's rows land in a float64 scratch of
-    that chunk's size that its kernel block reuses, and ``then(lo, hi,
-    rows)`` consumes them, possibly on a pool thread. ``then`` may change
-    ``rows`` and write rows lo:hi of arrays other than ``m``, which every
-    chunk's product reads whole. ``spmm`` returns the results of ``then`` in
-    chunk order; an exception it raises is raised here once every block has
-    finished.
+    chunks of ``row_chunks``, each chunk's rows land in a float64 scratch
+    that its kernel block reuses, and ``then(lo, hi, rows)`` consumes them,
+    possibly on a pool thread. ``then`` may change ``rows`` and write rows
+    lo:hi of arrays other than ``m``, which every chunk's product reads
+    whole. ``spmm`` returns the results of ``then`` in chunk order; an
+    exception it raises is raised here once every block has finished.
     """
     global _SPMM_CALLS
     x = np.asarray(m)
@@ -406,24 +472,22 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
         x = x[:, None]
     dtype = x.dtype
     x = np.ascontiguousarray(x, dtype=np.float64)
-    mat = op._matrix
+    width = x.shape[1]
 
     def product(lo, hi, rows):
-        # rows = mat[lo:hi] @ x by the routine csr @ dense calls, on zeroed
-        # rows and a view of indptr (absolute offsets into the rest)
+        # rows = op[lo:hi] @ x by the routine csr @ dense calls, band after
+        # band on zeroed rows: each row adds its entries in column order,
+        # as one call on the whole matrix would. Row pointers are views
+        # (absolute offsets into the band's entries)
         rows.fill(0.0)
-        _sparsetools.csr_matvecs(hi - lo, op.n, x.shape[1], mat.indptr[lo:hi + 1],
-                                 mat.indices, mat.data, x.reshape(-1), rows.reshape(-1))
+        for b in range(0, op._ptr.size - 1, op.n):
+            _sparsetools.csr_matvecs(hi - lo, op.n, width, op._ptr[b + lo:b + hi + 1],
+                                     op._idx, op._w, x.reshape(-1), rows.reshape(-1))
 
     if then is not None:
         if out is not None:
             raise ValueError("out and then are exclusive")
-
-        def chunk(lo, hi, rows):
-            product(lo, hi, rows)
-            return then(lo, hi, rows)
-
-        results = _chunked(op, x.shape[1], chunk, x.shape[1])
+        results = _chunked(op, width, then, width, tile=product)
         _SPMM_CALLS += 1
         return results
 
@@ -433,8 +497,13 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
           or not out.flags.c_contiguous or np.may_share_memory(out, x)):
         raise ValueError("out must be a C-contiguous float64 array shaped like "
                          "the operand and apart from it")
-    _run_blocks(op._cuts if _threaded(op, x.shape[1]) else (0, op.n),
-                lambda lo, hi: product(lo, hi, out[lo:hi]))
+
+    def block(lo, hi):
+        for t in range(lo, hi, _TILE_ROWS):
+            stop = min(t + _TILE_ROWS, hi)
+            product(t, stop, out[t:stop])
+
+    _run_blocks(op._cuts if _threaded(op, width) else (0, op.n), block)
     _SPMM_CALLS += 1
     res = out[:, 0] if squeeze else out
     return res if dtype == np.float64 else res.astype(dtype)

@@ -1,9 +1,11 @@
-"""The row-blocked propagation kernel: results never depend on its threads.
+"""The row-blocked propagation kernel: results never depend on its threads,
+its column bands or its row tiles.
 
 Two blocks are forced by setting ``graph._CORES`` to 2 and the work floor
 to 0 before the operator is made; ``_CORES = 1`` gives the one-block path.
 A small ``graph._CHUNK_ROWS`` splits the row-chunked passes into several
-chunks on the same small graphs.
+chunks on the same small graphs, and small ``graph._BAND_COLS`` and
+``graph._TILE_ROWS`` give them several bands and tiles.
 """
 
 import functools
@@ -20,7 +22,8 @@ from diffbank.banks import (chebyshev_bank, jacobi_bank, jacobi_coefficients,
                             jacobi_endpoint_values, legendre_bank, monomial_bank)
 from diffbank.calibration import estimate_moments
 from diffbank.experiment import build_bank
-from diffbank.graph import build_graph, make_operator, row_chunks, spmm, spmm_call_count
+from diffbank.graph import (OPERATOR_KINDS, build_graph, make_operator, row_chunks, spmm,
+                            spmm_call_count)
 from diffbank.krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 
 from conftest import dense_shifted, random_graph, seeded_features
@@ -347,13 +350,16 @@ def test_chunked_recurrences_match_the_whole_array_ones(soup, monkeypatch, cores
 ], ids=["legendre", "jacobi"])
 def test_a_recurrence_holds_two_working_blocks(monkeypatch, build):
     # above the work floor a build allocates its slabs, X_{k-1} and X_k, and
-    # per block a chunk of product rows (and of b X_k rows when b != 0)
+    # per block a tile of product rows (and a chunk of b X_k rows when
+    # b != 0); a tile of two chunks keeps that well under one (n, d) block
     _kernel(monkeypatch, 2)
+    monkeypatch.setattr(graph, "_TILE_ROWS", 2 * graph._CHUNK_ROWS)
     n, d, hops = 20_000, 16, 4
     g = build_graph(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
     op = make_operator(g, "shifted")
     x = seeded_features(g, d, 1).astype(np.float32)
     block, chunk = n * d * 8, graph._CHUNK_ROWS * d * 8
+    tile = 2 * chunk
     tracemalloc.start()
     try:
         bank = build(op, x, hops)
@@ -361,4 +367,77 @@ def test_a_recurrence_holds_two_working_blocks(monkeypatch, build):
     finally:
         tracemalloc.stop()
     slabs = bank.slabs.nbytes
-    assert peak <= slabs + 2 * block + 2 * 2 * chunk + chunk
+    assert peak <= slabs + 2 * block + 2 * (tile + chunk) + chunk
+
+
+@pytest.mark.parametrize("kind", ["dad", "lap"])  # without and with diagonal terms
+def test_an_operator_stores_its_entries_once(monkeypatch, kind):
+    # three bands; a copy of the entries as one CSR matrix would be another
+    # 12 bytes per entry
+    monkeypatch.setattr(graph, "_BAND_COLS", 1000)
+    n = 3000
+    g = build_graph(rng_for(7, "bands").integers(0, n, size=(20 * n, 2)), n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = make_operator(g, kind)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = op._w.nbytes + op._idx.nbytes
+    assert op._ptr.size == 3 * n + 1 and op._w.size == op._idx.size > 100_000
+    assert kept <= entries + op._ptr.nbytes + entries // 10
+    assert "_matrix" not in vars(op)
+
+
+@pytest.fixture(scope="module")
+def ragged(soup):
+    """The soup's graph with a self-loop and isolated nodes 90-96, so the
+    shifted operator has -1 diagonal entries. 97 nodes are a multiple of
+    neither a 7-column band nor a 32-row tile; its features have a zero
+    column, which negative weights turn into -0.0 terms."""
+    g, x = soup
+    src = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
+    edges = np.column_stack([src, g.col_idx])
+    g = build_graph(np.concatenate([edges[src < g.col_idx], [[3, 3]]]), g.n + 7)
+    x = np.concatenate([x, seeded_features(g, x.shape[1], seed=5)[:7]]).astype(np.float32)
+    x[:, 2] = 0.0
+    return g, x
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_tiny_bands_and_tiles_are_bit_identical(ragged, monkeypatch, cores):
+    g, x = ragged
+    x64 = x.astype(np.float64)
+    _kernel(monkeypatch, cores)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    one_band = {kind: make_operator(g, kind)._matrix for kind in OPERATOR_KINDS}
+    monkeypatch.setattr(graph, "_BAND_COLS", 7)
+    monkeypatch.setattr(graph, "_TILE_ROWS", 32)
+    for kind in OPERATOR_KINDS:
+        op = make_operator(g, kind)
+        assert op._ptr.size == 14 * g.n + 1
+        # entries per band and row: some rows have none in some bands, and
+        # rows 90-96 hold at most their diagonal entry
+        counts = np.diff(op._ptr).reshape(14, g.n)
+        assert (counts[:, :90] == 0).any() and counts[:, 90:].sum() <= 7
+        mat = op._matrix
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mat, part), getattr(one_band[kind], part))
+        want = mat @ x64
+        assert not np.signbit(want[:, 2]).any()
+        out = np.empty(want.shape)
+        spmm(op, x64, out=out)
+        tiles = np.concatenate(spmm(op, x64, then=lambda lo, hi, rows: rows.copy()))
+        for got in (spmm(op, x64), out, tiles):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(spmm(op, x64[:, 2])), _bits(want[:, 2]))
+    op, dad = make_operator(g, "shifted"), make_operator(g, "dad")
+    pairs = [
+        (legendre_bank(op, x, 7).slabs, _whole_array_jacobi(op, x, 7, 0.0, 0.0)),
+        (jacobi_bank(op, x, 5, 0.3, -0.4).slabs, _whole_array_jacobi(op, x, 5, 0.3, -0.4)),
+        (monomial_bank(dad, x, 6).slabs, _whole_array_monomial(dad, x, 6)),
+        (estimate_moments(op, 9, 7, seed=2).values, _whole_array_moments(op, 9, 7, 2, "gaussian")),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(_bits(got), _bits(want))
