@@ -28,11 +28,10 @@ other temporary of that size.
 The slabs are filled in one pass that writes every slab's rows of a chunk
 from one read of Q's rows.
 
-The small tridiagonal eigenproblems are solved by an implicit-shift QL
-sweep written out here rather than delegated, so the deterministic sign
-convention and the failure mode are pinned down: eigenvalues ascend,
-each eigenvector's first nonzero entry is positive, and more than
-``MAX_QL_SWEEPS`` rotations on one eigenvalue raises NumericalError.
+The small tridiagonal eigenproblems go to LAPACK through
+``scipy.linalg.eigh_tridiagonal``, behind a deterministic sign convention:
+eigenvalues ascend, each eigenvector's first nonzero entry is positive,
+and a matrix LAPACK cannot solve raises NumericalError.
 
 From the factorization Q_c T_c Q_c^T the Ritz decomposition is
 
@@ -69,8 +68,6 @@ __all__ = [
 ]
 
 MAX_LANCZOS_STEPS = 15
-MAX_QL_SIZE = 64
-MAX_QL_SWEEPS = 50
 # Lanczos vectors have unit norm and the shifted operator norm <= 1, so a
 # residual norm is on an absolute scale, whatever the input column's norm
 BREAKDOWN_TOL = 1e-10
@@ -233,77 +230,31 @@ def _summed(parts: list):
     return functools.reduce(np.add, parts)
 
 
-def tridiag_eig(diag, offdiag, max_sweeps: int = MAX_QL_SWEEPS):
-    """Eigendecomposition of a symmetric tridiagonal matrix by implicit QL.
+def tridiag_eig(diag, offdiag):
+    """Eigendecomposition of a symmetric tridiagonal matrix.
 
     Returns (values, vectors) in float64 with values ascending and each
-    vector column sign-fixed so its first nonzero entry is positive.
-    Limited to MAX_QL_SIZE rows; raises NumericalError when a single
-    eigenvalue refuses to deflate within ``max_sweeps`` sweeps.
+    vector column sign-fixed so its first nonzero entry is positive. Raises
+    NumericalError when the matrix is not finite or LAPACK fails on it.
     """
-    d = np.array(diag, dtype=np.float64, copy=True)
+    from scipy.linalg import LinAlgError, eigh_tridiagonal  # Krylov paths only
+
+    d = np.asarray(diag, dtype=np.float64)
     n = d.shape[0]
     if n == 0:
         raise ValueError("empty tridiagonal matrix")
-    if n > MAX_QL_SIZE:
-        raise ConfigError(f"tridiagonal solver limited to {MAX_QL_SIZE} rows, got {n}")
     off = np.asarray(offdiag, dtype=np.float64)
     if off.shape[0] != n - 1:
         raise ValueError(f"off-diagonal must have {n - 1} entries, got {off.shape[0]}")
-    e = np.zeros(n, dtype=np.float64)
-    e[: n - 1] = off
-    z = np.eye(n, dtype=np.float64)
-    eps = np.finfo(np.float64).eps
-
-    for l in range(n):
-        for sweep in range(max_sweeps + 1):
-            m = l
-            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            if sweep == max_sweeps:
-                raise NumericalError("tridiagonal QL failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    z = z[:, order]
-    for j in range(n):
-        col = z[:, j]
-        big = np.max(np.abs(col))
-        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            z[:, j] = -col
+    if not (np.isfinite(d).all() and np.isfinite(off).all()):
+        raise NumericalError("tridiagonal matrix is not finite")
+    try:
+        d, z = eigh_tridiagonal(d, off, check_finite=False)
+    except LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+    mag = np.abs(z)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    z *= np.where(z[first, np.arange(n)] < 0.0, -1.0, 1.0)
     return d, z
 
 

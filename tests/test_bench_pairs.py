@@ -21,7 +21,7 @@ with open(canned["log"], "a") as fh:
     fh.write(f"{here.name} {args['--workload']} {args['--seed']} {args['--seconds']}\\n")
 run = canned["runs"][args["--seed"]]
 print("train_s          1.0 s")
-print("env " + json.dumps({"git_sha": canned["sha"]}))
+print("env " + json.dumps({"git_sha": canned["sha"], **run["env"]}))
 print(json.dumps({"correct": run["failed"] == 0, "attempted": 2, "failed": run["failed"],
                   "metrics": {k: {"value": v, "unit": "-"}
                               for k, v in run["metrics"].items()}}))
@@ -54,7 +54,10 @@ def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN,
     c = canned[side]
     runs = {str(100 + i): {"failed": c["failed"][i],
                            "metrics": {"train_s": c["train_s"][i],
-                                       "test_acc": c["test_acc"][i], "run_s": 9.0}}
+                                       "test_acc": c["test_acc"][i], "run_s": 9.0,
+                                       "spmm_products": c.get("spmm", [12] * 4)[i]},
+                           "env": {"inputs_sha256": {"graph": f"g{100 + i}"}, "nproc": 2,
+                                   "blas_threads": 2, **c.get("env", [{}] * 4)[i]}}
             for i in range(4)}
     (co / "canned.json").write_text(json.dumps(
         {"log": str(log), "sha": f"sha-{side}", "runs": runs}))
@@ -100,6 +103,9 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert res["parent"]["fail_rate"] == 0.0
     assert res["change"]["fail_rate"] == 1 / 8
     assert res["fail_rate_ok"] is False
+    # test_acc moved in pairs 1 and 2; both sides ran the same inputs
+    assert res["outputs_identical"] is False
+    assert res["inputs_match"] is True
 
 
 def test_bench_pairs_stops_when_a_run_prints_no_result(tmp_path):
@@ -162,3 +168,23 @@ def test_bench_pairs_judges_the_fail_rate(tmp_path, parent_failed, change_failed
     assert res["parent"]["fail_rate"] == sum(parent_failed) / 8
     assert res["change"]["fail_rate"] == sum(change_failed) / 8
     assert res["fail_rate_ok"] is ok
+
+
+@pytest.mark.parametrize("change,identical,match", [
+    ({}, True, True),
+    ({"spmm": [12, 12, 13, 12]}, False, True),   # one more product in pair 2
+    ({"env": [{}, {}, {}, {"nproc": 1}]}, True, False),
+    ({"env": [{}, {"inputs_sha256": {"graph": "other"}}, {}, {}]}, True, False),
+    ({"env": [{"blas_threads": 1}] * 4}, True, False),
+])
+def test_bench_pairs_checks_outputs_and_inputs(tmp_path, change, identical, match):
+    log = tmp_path / "calls.log"
+    canned = {"parent": CANNED["parent"], "change": {**CANNED["parent"], **change}}
+    sides = [make_checkout(tmp_path, side, log, canned=canned)
+             for side in ("parent", "change")]
+    load_tool().main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                      "--workload", "w1", "--pairs", "4", "--seed", "100",
+                      "--out", str(tmp_path)])
+    res = json.loads((tmp_path / "BENCH_w1.json").read_text())
+    assert res["outputs_identical"] is identical
+    assert res["inputs_match"] is match

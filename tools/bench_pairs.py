@@ -26,7 +26,15 @@ the core count, pair count, seconds and seeds. For each metric it holds:
 
 Which direction is better, and each bound, come from the change's
 ``BENCHMARK.json``. ``fail_rate_ok`` holds whether the change's fail rate
-is no higher than the parent's.
+is no higher than the parent's. Two more checks put a bit-exact claim on
+the record:
+
+``outputs_identical``
+    in every pair the change's ``test_acc`` and ``spmm_products`` equal
+    the parent's;
+``inputs_match``
+    in every pair both sides' env lines agree on ``inputs_sha256``,
+    ``nproc`` and ``blas_threads``: same inputs on the same threads.
 """
 
 import argparse
@@ -36,6 +44,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+OUTPUTS = ("test_acc", "spmm_products")
+INPUTS = ("inputs_sha256", "nproc", "blas_threads")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -113,6 +124,11 @@ def main(argv=None) -> int:
     for key in ("gain_met", "within_bound"):
         out[key] = {m: v[key] for m, v in verdicts.items()}
     out["fail_rate_ok"] = out["change"]["fail_rate"] <= out["parent"]["fail_rate"]
+    pairs = list(zip(runs["parent"], runs["change"]))
+    out["outputs_identical"] = all(p["metrics"].get(k) == c["metrics"].get(k)
+                                   for p, c in pairs for k in OUTPUTS)
+    out["inputs_match"] = all(p["env"].get(k) == c["env"].get(k)
+                              for p, c in pairs for k in INPUTS)
     path = args.out / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
