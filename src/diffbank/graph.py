@@ -1,8 +1,8 @@
 """Immutable CSR graphs and degree-normalized sparse operators.
 
 The graph container is a plain CSR index structure (no weights); an
-operator derived from it is one CSR matrix of edge weights plus a per-node
-diagonal term, each rounded to float32. Four operator kinds are supported:
+operator derived from it holds edge weights plus a per-node diagonal term,
+each rounded to float32. Four operator kinds are supported:
 
 ``dad``
     symmetric degree-normalized adjacency D^{-1/2} A D^{-1/2}
@@ -17,15 +17,30 @@ diagonal term, each rounded to float32. Four operator kinds are supported:
 Isolated nodes get a zero inverse square-root degree, so their ``lap``
 diagonal is 0 and their ``shifted`` diagonal is -1.
 
+An operator stores its entries once, band-major: the columns are cut into
+bands of ``_BAND_COLS``, and each band has a row pointer over all n rows
+into its column indices and weights. That costs 12 bytes per entry (int32
+index, float64 weight) plus 4 bytes per band and row, 5 MB at 100k nodes;
+a graph of at most ``_BAND_COLS`` nodes is one band, plain CSR. The bands
+are built in O(entries) by one stable counting sort on (band, row). The
+operator as one scipy CSR matrix, ``_matrix``, is derived from the bands
+on first use and cached: tests, dense solvers on small graphs and tracing
+read it; products never do.
+
 Matrix products accumulate in 64-bit partial sums regardless of the input
 dtype and reduce each output row over neighbors in ascending column order.
 ``spmm`` is the one propagation kernel. It runs each block of rows that
 ``make_operator`` cut (about equal stored entries each) on one persistent
-thread pool, the calling thread taking the first block. Blocks are views
-of the CSR arrays and write output rows with the routine ``csr @ dense``
-calls, so each row is the serial product bit for bit at any thread count.
-Kernel threads are the cores this process may use over the seeds
-``DIFFBANK_THREADS`` runs at once, at least 1, so the two never
+thread pool, the calling thread taking the first block. A block computes
+its rows one tile of ``_TILE_ROWS`` at a time: it zeroes the tile's output
+rows, then adds band after band into them, in ascending band order, with
+the routine ``csr @ dense`` calls. Only one band's rows of the operand are
+read per pass, so they stay in cache, and each output row still starts
+from 0 and adds its entries in ascending column order, the same
+operations as one call on the whole matrix. So every product is the
+serial whole-matrix product bit for bit at any band width, tile size and
+thread count. Kernel threads are the cores this process may use over the
+seeds ``DIFFBANK_THREADS`` runs at once, at least 1, so the two never
 oversubscribe the cores; a product with fewer than ``_WORK_FLOOR`` stored
 entries times columns runs as one block on the calling thread. Every
 product bumps a module-level counter, on the calling thread, used by cost
@@ -40,12 +55,13 @@ at any thread count. Work the kernel would not split is one chunk, (0, n),
 on the calling thread.
 
 A three-term recurrence (the bank builders, the calibration's moments)
-hands ``spmm`` a ``then`` instead of an output block: the product runs
-over those same chunks, each chunk's rows land in a chunk-sized scratch
-its block reuses, and ``then`` turns them into the chunk's rows of the
-next term, written over the term before last. So above ``_WORK_FLOOR`` a
-recurrence keeps its two latest terms and no (n, d) product; below it,
-the one chunk's scratch is a whole (n, d) block.
+hands ``spmm`` a ``then`` instead of an output block: each block computes
+a tile of its chunks' product rows into a tile-sized scratch it reuses,
+and ``then`` gets each chunk's rows of it, in chunk order, and turns them
+into the chunk's rows of the next term, written over the term before
+last. So above ``_WORK_FLOOR`` a recurrence keeps its two latest terms and
+one tile of product rows per block (8 MB at width 64), no (n, d) product;
+below it, the one chunk's scratch is a whole (n, d) block.
 
 ``build_graph`` refuses a graph whose CSR arrays would not fit in physical
 memory before it allocates them.
@@ -398,29 +414,29 @@ def _run_blocks(cuts: tuple, block) -> None:
         f.result()
 
 
-def _chunked(op: SparseOperator, width: int, fn, cols: int, tile=None) -> list:
+def _chunked(op: SparseOperator, width: int, fn, cols: int, fill=None) -> list:
     """``row_chunks`` with ``fn(lo, hi, rows)``, where ``rows`` is a float64
-    scratch of hi - lo rows and ``cols`` columns. With ``tile``, each block
-    takes its chunks ``_TILE_ROWS`` rows at a time: ``tile(lo, hi, rows)``
-    first fills the rows of those chunks in a scratch the block reuses,
+    scratch of hi - lo rows and ``cols`` columns. With ``fill``, each block
+    takes its chunks a tile of ``_TILE_ROWS`` rows at a time: ``fill(lo,
+    hi, rows)`` first fills the tile's rows of a scratch the block reuses,
     then ``fn`` gets each chunk's rows of it."""
     n = op.n
     if not _threaded(op, width):
         rows = np.empty((n, cols))
-        if tile is not None:
-            tile(0, n, rows)
+        if fill is not None:
+            fill(0, n, rows)
         return [fn(0, n, rows)]
     results = [None] * -(-n // _CHUNK_ROWS)
-    per_tile = max(1, _TILE_ROWS // _CHUNK_ROWS) if tile is not None else 1
+    per_tile = max(1, _TILE_ROWS // _CHUNK_ROWS) if fill is not None else 1
 
     def block(lo, hi):
-        first, last = -(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)
-        scratch = np.empty((min(min(per_tile, last - first) * _CHUNK_ROWS, n), cols))
-        for t in range(first, last, per_tile):
+        scratch = np.empty((min(per_tile * _CHUNK_ROWS, n), cols))
+        last = -(-hi // _CHUNK_ROWS)
+        for t in range(-(-lo // _CHUNK_ROWS), last, per_tile):
             t_end = min(t + per_tile, last)
             t_lo, t_hi = t * _CHUNK_ROWS, min(t_end * _CHUNK_ROWS, n)
-            if tile is not None:
-                tile(t_lo, t_hi, scratch[:t_hi - t_lo])
+            if fill is not None:
+                fill(t_lo, t_hi, scratch[:t_hi - t_lo])
             for i in range(t, t_end):
                 start = i * _CHUNK_ROWS
                 stop = min(start + _CHUNK_ROWS, n)
@@ -475,19 +491,22 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
     width = x.shape[1]
 
     def product(lo, hi, rows):
-        # rows = op[lo:hi] @ x by the routine csr @ dense calls, band after
-        # band on zeroed rows: each row adds its entries in column order,
-        # as one call on the whole matrix would. Row pointers are views
-        # (absolute offsets into the band's entries)
-        rows.fill(0.0)
-        for b in range(0, op._ptr.size - 1, op.n):
-            _sparsetools.csr_matvecs(hi - lo, op.n, width, op._ptr[b + lo:b + hi + 1],
-                                     op._idx, op._w, x.reshape(-1), rows.reshape(-1))
+        # rows = op[lo:hi] @ x by the routine csr @ dense calls, a tile at a
+        # time, band after band on the tile's zeroed rows: each row adds its
+        # entries in column order, as one call on the whole matrix would.
+        # Row pointers are views (absolute offsets into the entries)
+        for t in range(lo, hi, _TILE_ROWS):
+            stop = min(t + _TILE_ROWS, hi)
+            tile = rows[t - lo:stop - lo]
+            tile.fill(0.0)
+            for b in range(0, op._ptr.size - 1, op.n):
+                _sparsetools.csr_matvecs(stop - t, op.n, width, op._ptr[b + t:b + stop + 1],
+                                         op._idx, op._w, x.reshape(-1), tile.reshape(-1))
 
     if then is not None:
         if out is not None:
             raise ValueError("out and then are exclusive")
-        results = _chunked(op, width, then, width, tile=product)
+        results = _chunked(op, width, then, width, fill=product)
         _SPMM_CALLS += 1
         return results
 
@@ -497,13 +516,8 @@ def spmm(op: SparseOperator, m: np.ndarray, *, out: np.ndarray | None = None,
           or not out.flags.c_contiguous or np.may_share_memory(out, x)):
         raise ValueError("out must be a C-contiguous float64 array shaped like "
                          "the operand and apart from it")
-
-    def block(lo, hi):
-        for t in range(lo, hi, _TILE_ROWS):
-            stop = min(t + _TILE_ROWS, hi)
-            product(t, stop, out[t:stop])
-
-    _run_blocks(op._cuts if _threaded(op, width) else (0, op.n), block)
+    _run_blocks(op._cuts if _threaded(op, width) else (0, op.n),
+                lambda lo, hi: product(lo, hi, out[lo:hi]))
     _SPMM_CALLS += 1
     res = out[:, 0] if squeeze else out
     return res if dtype == np.float64 else res.astype(dtype)
