@@ -354,11 +354,11 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
         mat.sort_indices()
         indptr, indices, data = mat.indptr, mat.indices, mat.data
         del mat
-    return SparseOperator(kind=kind, graph=g, **_banded(indptr, indices, data),
-                          _cuts=_row_cuts(indptr, max(1, _CORES // seed_threads())))
+    return SparseOperator(kind, g, *_banded(indptr, indices, data),
+                          _row_cuts(indptr, max(1, _CORES // seed_threads())))
 
 
-def _banded(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> dict:
+def _banded(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> tuple:
     """The band-major arrays of a CSR matrix with sorted rows.
 
     A stable counting sort of the entries by (band, row) puts each band's
@@ -377,7 +377,7 @@ def _banded(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> dict:
     _sparsetools.coo_tocsr(nb * n, n, nnz, key, indices, data, ptr, idx, w)
     for a in (ptr, idx, w):
         a.setflags(write=False)
-    return {"_ptr": ptr, "_idx": idx, "_w": w}
+    return ptr, idx, w
 
 
 def _row_cuts(indptr: np.ndarray, blocks: int) -> tuple:
@@ -416,10 +416,10 @@ def _run_blocks(cuts: tuple, block) -> None:
 
 def _chunked(op: SparseOperator, width: int, fn, cols: int, fill=None) -> list:
     """``row_chunks`` with ``fn(lo, hi, rows)``, where ``rows`` is a float64
-    scratch of hi - lo rows and ``cols`` columns. With ``fill``, each block
-    takes its chunks a tile of ``_TILE_ROWS`` rows at a time: ``fill(lo,
-    hi, rows)`` first fills the tile's rows of a scratch the block reuses,
-    then ``fn`` gets each chunk's rows of it."""
+    scratch of hi - lo rows and ``cols`` columns. Each block takes its
+    chunks a tile of ``_TILE_ROWS`` rows at a time in a scratch it reuses;
+    ``fill(lo, hi, rows)``, if given, first fills the tile's rows, then
+    ``fn`` gets each chunk's rows of them."""
     n = op.n
     if not _threaded(op, width):
         rows = np.empty((n, cols))
@@ -427,7 +427,7 @@ def _chunked(op: SparseOperator, width: int, fn, cols: int, fill=None) -> list:
             fill(0, n, rows)
         return [fn(0, n, rows)]
     results = [None] * -(-n // _CHUNK_ROWS)
-    per_tile = max(1, _TILE_ROWS // _CHUNK_ROWS) if fill is not None else 1
+    per_tile = max(1, _TILE_ROWS // _CHUNK_ROWS)
 
     def block(lo, hi):
         scratch = np.empty((min(per_tile * _CHUNK_ROWS, n), cols))

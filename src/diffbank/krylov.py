@@ -237,7 +237,8 @@ def tridiag_eig(diag, offdiag):
     vector column sign-fixed so its first nonzero entry is positive. Raises
     NumericalError when the matrix is not finite or LAPACK fails on it.
     """
-    from scipy.linalg import LinAlgError, eigh_tridiagonal  # Krylov paths only
+    # imported on first use: scipy.linalg adds about 75 ms to a cold start
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     d = np.asarray(diag, dtype=np.float64)
     n = d.shape[0]
