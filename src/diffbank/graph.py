@@ -21,11 +21,14 @@ An operator stores its entries once, band-major: the columns are cut into
 bands of ``_BAND_COLS``, and each band has a row pointer over all n rows
 into its column indices and weights. That costs 12 bytes per entry (int32
 index, float64 weight) plus 4 bytes per band and row, 5 MB at 100k nodes;
-a graph of at most ``_BAND_COLS`` nodes is one band, plain CSR. The bands
-are built in O(entries) by one stable counting sort on (band, row). The
-operator as one scipy CSR matrix, ``_matrix``, is derived from the bands
-on first use and cached: tests, dense solvers on small graphs and tracing
-read it; products never do.
+a graph of at most ``_BAND_COLS`` nodes is one band, plain CSR. Bands
+widen so there are no more of them than stored entries per row, and at
+least one: an operator holds at most max(n, entries) + 1 row pointers, so
+it is O(n + entries) at any n. The bands are built in O(entries) by one
+stable counting sort on (band, row). The operator as one scipy CSR
+matrix, ``_matrix``, is derived from the bands on first use and cached:
+tests, dense solvers on small graphs and tracing read it; products never
+do.
 
 Matrix products accumulate in 64-bit partial sums regardless of the input
 dtype and reduce each output row over neighbors in ascending column order.
@@ -280,7 +283,8 @@ class SparseOperator:
     the adjacency part does not cover, each rounded to float32 and stored
     as float64 so products accumulate in 64-bit arithmetic. They are
     stored once, band-major: ``_idx`` and ``_w`` hold the column indices
-    and weights of each band of ``_BAND_COLS`` columns in turn, row by row
+    and weights of each column band in turn (``_BAND_COLS`` columns, or
+    wider on a graph with few entries per row), row by row
     and in column order within a row, and ``_ptr[b * n:(b + 1) * n + 1]``
     is band b's row pointer into them. ``_cuts`` are the row bounds of the
     kernel's blocks.
@@ -367,12 +371,15 @@ def _banded(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> tuple:
     pointer, one after another. Indices are int32 where they fit.
     """
     n, nnz = indptr.size - 1, data.size
-    nb = -(-n // _BAND_COLS)
+    # bands of _BAND_COLS columns, widened so there are at most nnz // n
+    # bands (one if nnz < n): nb * n row pointers never outnumber the entries
+    cols = max(_BAND_COLS, -(-n // max(1, nnz // n)))
+    nb = -(-n // cols)
     itype = np.int32 if max(nb * n + 1, nnz) < 2**31 else np.int64
     indices = indices.astype(itype, copy=False)
     key = np.empty(nnz, dtype=itype)
     _sparsetools.expandptr(n, indptr.astype(itype, copy=False), key)
-    key += indices // _BAND_COLS * n
+    key += indices // cols * n
     ptr, idx, w = np.empty(nb * n + 1, itype), np.empty(nnz, itype), np.empty(nnz)
     _sparsetools.coo_tocsr(nb * n, n, nnz, key, indices, data, ptr, idx, w)
     for a in (ptr, idx, w):

@@ -390,6 +390,23 @@ def test_an_operator_stores_its_entries_once(monkeypatch, kind):
     assert "_matrix" not in vars(op)
 
 
+def test_a_sparse_graph_gets_no_more_bands_than_entries_per_row(monkeypatch):
+    # 100-column bands would give a 20,000-node ring (2 entries per row) 200
+    # row pointers per row; wider bands keep them no larger than the entries
+    monkeypatch.setattr(graph, "_BAND_COLS", 100)
+    n = 20_000
+    ring = build_graph(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
+    x = seeded_features(ring, 3, 1).astype(np.float64)
+    for kind in ("dad", "shifted"):
+        op = make_operator(ring, kind)
+        assert op._ptr.size == 2 * n + 1
+        assert op._ptr.nbytes <= op._idx.nbytes + op._w.nbytes
+        assert np.array_equal(_bits(spmm(op, x)), _bits(op._matrix @ x))
+    # fewer entries than rows: one band, the plain CSR row pointer
+    bare = build_graph(np.zeros((0, 2), dtype=np.int64), 500)
+    assert make_operator(bare, "dad")._ptr.size == make_operator(bare, "shifted")._ptr.size == 501
+
+
 @pytest.fixture(scope="module")
 def ragged(soup):
     """The soup's graph with a self-loop and isolated nodes 90-96, so the
