@@ -18,6 +18,9 @@ the generic formula has a (2k+a+b) denominator that vanishes for a+b in
 denominator 2(k+1)(k+a+b+1)(2k+a+b) is strictly positive whenever both
 weights exceed -1, which the calibration clamp guarantees.
 
+Every family runs on ``recurrence``, the one three-term loop, which
+``calibration.estimate_moments`` shares: monomial slabs take the
+coefficients (1, 0, 0), the Jacobi families ``jacobi_coefficients``.
 Every bank build issues exactly K sparse products. The recurrence runs in
 float64 working precision and slabs are stored as float32. A build holds
 two float64 (n, d) working blocks, X_{k-1} and X_k, besides the slabs:
@@ -41,6 +44,7 @@ __all__ = [
     "ConditioningReport",
     "jacobi_coefficients",
     "jacobi_endpoint_values",
+    "recurrence",
     "monomial_bank",
     "jacobi_bank",
     "chebyshev_bank",
@@ -135,77 +139,82 @@ def jacobi_endpoint_values(hops: int, alpha: float, beta: float) -> np.ndarray:
     return vals
 
 
-def _provenance(op: SparseOperator, basis: str, hops: int, **extra) -> dict:
-    p = {"basis": basis, "operator": op.kind, "hops": hops}
-    p.update(extra)
-    return p
+def recurrence(op: SparseOperator, x: np.ndarray, a, b, c, emit) -> list:
+    """Run X_{k+1} = (a_k S + b_k I) X_k - c_k X_{k-1} from X_0 = x for
+    k < len(a), one sparse product per step; c_0 must be 0.
+
+    Holds two float64 (n, d) working blocks, X_{k-1} and X_k. Each step's
+    product arrives one row chunk at a time (``spmm``'s ``then``); the
+    chunk's rows of X_{k+1} are written over the same rows of X_{k-1},
+    which no chunk's product reads, and ``emit(k + 1, lo, hi, rows,
+    scratch)`` gets them with the chunk's product scratch, free once the
+    term is written. Returns each step's ``emit`` results in chunk order.
+    """
+    prev, cur = np.empty(x.shape), np.array(x, dtype=np.float64, order="C")
+    results = []
+    for k in range(len(a)):
+        ak, bk, ck = a[k], b[k], c[k]
+
+        def step(lo, hi, y):
+            y *= ak
+            if bk != 0.0:
+                y += cur[lo:hi] * bk
+            rows = prev[lo:hi]
+            if ck != 0.0:
+                rows *= ck
+                np.subtract(y, rows, out=rows)
+            else:
+                rows[...] = y
+            return emit(k + 1, lo, hi, rows, y)
+
+        results.append(spmm(op, cur, then=step))
+        prev, cur = cur, prev
+    return results
+
+
+def _bank(op: SparseOperator, x: np.ndarray, hops: int, a, b, c, basis: str,
+          scale: np.ndarray | None = None, **extra) -> HopBank:
+    """Slab k is X_k of ``recurrence``, divided by scale[k] if given."""
+    _check_budget(hops)
+    x = _check_features(op, x)
+    slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
+    slabs[0] = x
+
+    def store(k, lo, hi, rows, _):
+        if scale is None:
+            slabs[k, lo:hi] = rows
+        else:
+            np.divide(rows, scale[k], out=slabs[k, lo:hi])
+        _check_slab(slabs, k, basis, slice(lo, hi))
+
+    recurrence(op, x, a, b, c, store)
+    return HopBank(hops=hops, slabs=slabs,
+                   provenance={"basis": basis, "operator": op.kind, "hops": hops, **extra})
 
 
 def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     """Plain power bank: slab k is S^k X. Works on any operator kind."""
-    _check_budget(hops)
-    x = _check_features(op, x)
-    slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
-    slabs[0] = x.astype(np.float32, copy=True)
-    cur, nxt = np.array(x, dtype=np.float64), np.empty(x.shape)
-    for k in range(1, hops + 1):
-        def step(lo, hi, rows):
-            nxt[lo:hi] = rows
-            slabs[k, lo:hi] = rows
-            _check_slab(slabs, k, "monomial", slice(lo, hi))
+    return _bank(op, x, hops, [1.0] * hops, [0.0] * hops, [0.0] * hops, "monomial")
 
-        spmm(op, cur, then=step)
-        cur, nxt = nxt, cur
-    return HopBank(hops=hops, slabs=slabs, provenance=_provenance(op, "monomial", hops))
+
+def _jacobi_family(op: SparseOperator, x: np.ndarray, hops: int, alpha: float,
+                   beta: float, basis: str, scale: np.ndarray | None = None) -> HopBank:
+    if op.kind != "shifted":
+        raise ValueError(f"{basis} banks require the 'shifted' operator, got {op.kind!r}")
+    rc = jacobi_coefficients(hops, alpha, beta)
+    return _bank(op, x, hops, rc.a, rc.b, rc.c, basis, scale, alpha=alpha, beta=beta)
 
 
 def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
-                alpha: float, beta: float, *,
-                _basis_tag: str = "jacobi", _rescale: np.ndarray | None = None) -> HopBank:
+                alpha: float, beta: float) -> HopBank:
     """Jacobi polynomial bank on the shifted operator: slab k is exactly
     P_k^(alpha, beta)(S) X, rounded to float32."""
-    if op.kind != "shifted":
-        raise ValueError(f"jacobi banks require the 'shifted' operator, got {op.kind!r}")
-    _check_budget(hops)
-    x = _check_features(op, x)
-    rc = jacobi_coefficients(hops, alpha, beta)
-
-    slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
-    slabs[0] = x.astype(np.float32, copy=True)
-    # X_{k-1} and X_k; each step writes X_{k+1} over X_{k-1}'s rows, which
-    # no chunk's product reads
-    prev, cur = np.empty(x.shape), np.empty(x.shape)
-    cur[...] = x
-    for k in range(hops):
-        a, b, c = rc.a[k], rc.b[k], rc.c[k]
-
-        def step(lo, hi, y):
-            y *= a
-            if b != 0.0:
-                y += cur[lo:hi] * b
-            nxt = prev[lo:hi]
-            if c != 0.0:  # c[0] = 0, so step 0 never reads prev
-                nxt *= c
-                np.subtract(y, nxt, out=nxt)
-            else:
-                nxt[...] = y
-            rows = slabs[k + 1, lo:hi]
-            if _rescale is None:
-                rows[...] = nxt
-            else:
-                np.divide(nxt, _rescale[k + 1], out=rows)
-            _check_slab(slabs, k + 1, _basis_tag, slice(lo, hi))
-
-        spmm(op, cur, then=step)
-        prev, cur = cur, prev
-
-    return HopBank(hops=hops, slabs=slabs,
-                   provenance=_provenance(op, _basis_tag, hops, alpha=alpha, beta=beta))
+    return _jacobi_family(op, x, hops, alpha, beta, "jacobi")
 
 
 def legendre_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     """Jacobi bank at weights (0, 0)."""
-    return jacobi_bank(op, x, hops, 0.0, 0.0, _basis_tag="legendre")
+    return _jacobi_family(op, x, hops, 0.0, 0.0, "legendre")
 
 
 def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
@@ -214,9 +223,8 @@ def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
     Built as the Jacobi (-1/2, -1/2) bank with each slab divided by the
     polynomial's value at 1, which rescales that family to T_k exactly.
     """
-    rescale = jacobi_endpoint_values(hops, -0.5, -0.5)
-    return jacobi_bank(op, x, hops, -0.5, -0.5, _basis_tag="chebyshev",
-                       _rescale=rescale)
+    return _jacobi_family(op, x, hops, -0.5, -0.5, "chebyshev",
+                          jacobi_endpoint_values(hops, -0.5, -0.5))
 
 
 @dataclass(frozen=True)

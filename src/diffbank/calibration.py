@@ -11,7 +11,9 @@ where M_low and M_high are the density mass on [-1, 0] and [0, 1]. The score
 is mapped to Jacobi weights (alpha, beta) that tilt polynomial resolution
 toward the heavier side of the spectrum: a graph whose mass sits above zero
 gets alpha < 0, one whose mass sits below zero gets beta < 0, and a balanced
-graph degrades to Legendre (0, 0).
+graph degrades to Legendre (0, 0). The trace moments run on
+``banks.recurrence``, the loop that builds the polynomial banks, with the
+coefficients of T_k.
 
 Grid densities are integrated against the arcsine weight in closed form per
 cell. A plain trapezoid rule systematically starves lobes that sit near the
@@ -24,8 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .banks import recurrence
 from .errors import ConfigError, NumericalError
-from .graph import SparseOperator, row_chunks, spmm
+# spmm is imported only for perfbench's tracer binding (ROADMAP item 4,
+# "perfbench binds the bank builders in experiment"); recurrence multiplies
+from .graph import SparseOperator, row_chunks, spmm  # noqa: F401
 from .rng import rng_for
 
 __all__ = [
@@ -86,14 +91,13 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     """Stochastic Chebyshev trace moments of the shifted operator.
 
     Runs the three-term recurrence v_{k+1} = 2 S v_k - v_{k-1} on a block of
-    random probe vectors z and averages <z, v_k> over probes. Each step's
-    product arrives one row chunk at a time (``spmm``'s ``then``), where
-    the chunk's rows of v_{k+1} are computed, stored and dotted with z.
-    Each <z, v_k> adds those per-chunk sums in chunk order, so the moments
-    do not depend on the thread count; besides z the recurrence holds two
-    (n, probes) blocks. Exactly ``order`` sparse products are issued. m_0
-    concentrates near n with standard error about n * sqrt(2/n) /
-    sqrt(probes) for Gaussian probes.
+    random probe vectors z with ``banks.recurrence`` and averages <z, v_k>
+    over probes. Each chunk's rows of v_{k+1} are dotted with z as they
+    are written, and each <z, v_k> adds those per-chunk sums in chunk
+    order, so the moments do not depend on the thread count; besides z the
+    recurrence holds two (n, probes) blocks. Exactly ``order`` sparse
+    products are issued. m_0 concentrates near n with standard error about
+    n * sqrt(2/n) / sqrt(probes) for Gaussian probes.
     """
     _require_shifted(op)
     if order < 1:
@@ -110,35 +114,17 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     else:
         z = rng.integers(0, 2, size=(n, probes)).astype(np.float64) * 2.0 - 1.0
 
-    def dot(lo, hi, rows):
-        # this chunk's part of <z, v> for the v whose rows lo:hi are in rows
-        return np.sum(np.multiply(z[lo:hi], rows, out=rows))
-
     def mean(parts):
         return functools.reduce(np.add, parts) / probes
 
     m = np.empty(order + 1, dtype=np.float64)
     m[0] = mean(row_chunks(op, probes, lambda lo, hi: np.sum(z[lo:hi] * z[lo:hi])))
-    # v_{k-1} and v_k; from v_3 on, v_{k+1} is written over v_{k-1}, and z,
-    # which is v_0, is only read
-    v_prev, v = z, np.empty_like(z)
-
-    def first(lo, hi, rows):
-        v[lo:hi] = rows
-        return dot(lo, hi, rows)
-
-    m[1] = mean(spmm(op, z, then=first))
-    for k in range(2, order + 1):
-        nxt = np.empty_like(z) if k == 2 else v_prev
-
-        def step(lo, hi, y):
-            y *= 2.0
-            y -= v_prev[lo:hi]
-            nxt[lo:hi] = y
-            return dot(lo, hi, y)
-
-        m[k] = mean(spmm(op, v, then=step))
-        v_prev, v = v, nxt
+    # v_1 = S z, then v_{k+1} = 2 S v_k - v_{k-1}; a chunk's part of
+    # <z, v_k> is multiplied into the free product scratch
+    steps = recurrence(op, z, [1.0] + [2.0] * (order - 1), [0.0] * order,
+                       [0.0] + [1.0] * (order - 1),
+                       lambda k, lo, hi, rows, y: np.sum(np.multiply(z[lo:hi], rows, out=y)))
+    m[1:] = [mean(parts) for parts in steps]
     return MomentVector(values=m, probes=probes, seed=seed, probe_kind=probe_kind)
 
 
@@ -197,30 +183,29 @@ def _split_masses(grid: np.ndarray, rho: np.ndarray):
     return m_low, m_high
 
 
-def reconstruct_density(moments: MomentVector, n: int, grid_points: int = DEFAULT_GRID,
-                        margin: float = DEFAULT_MARGIN) -> SpectralDensity:
+def reconstruct_density(moments: MomentVector, n: int,
+                        grid: int = DEFAULT_GRID) -> SpectralDensity:
     """Jackson-damped Chebyshev reconstruction of the eigenvalue density.
 
-    Evaluates the damped series on a uniform grid over [-1 + margin,
-    1 - margin], clamps negative ripples to zero and renormalizes to unit
-    mass. Raises NumericalError when clamping leaves nothing, which happens
-    for moment vectors that do not come from any positive measure.
+    Evaluates the damped series on ``grid`` uniform points over
+    [-1 + DEFAULT_MARGIN, 1 - DEFAULT_MARGIN], clamps negative ripples to
+    zero and renormalizes to unit mass. Raises NumericalError when clamping
+    leaves nothing, which happens for moment vectors that do not come from
+    any positive measure.
     """
-    if grid_points < 8:
+    if grid < 8:
         raise ConfigError("density grid needs at least 8 points")
-    if not (0.0 < margin < 0.5):
-        raise ConfigError("margin must lie in (0, 0.5)")
     vals = np.asarray(moments.values, dtype=np.float64)
     coef = jackson_coefficients(vals.size - 1) * (vals / float(n))
     coef[1:] *= 2.0
-    grid = np.linspace(-1.0 + margin, 1.0 - margin, grid_points)
-    series = np.polynomial.chebyshev.chebval(grid, coef)
-    rho = np.clip(series, 0.0, None) / (np.pi * np.sqrt(1.0 - grid * grid))
-    m_low, m_high = _split_masses(grid, rho)
+    xs = np.linspace(-1.0 + DEFAULT_MARGIN, 1.0 - DEFAULT_MARGIN, grid)
+    series = np.polynomial.chebyshev.chebval(xs, coef)
+    rho = np.clip(series, 0.0, None) / (np.pi * np.sqrt(1.0 - xs * xs))
+    m_low, m_high = _split_masses(xs, rho)
     total = m_low + m_high
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("density vanished after clamping; moments are degenerate")
-    return SpectralDensity(grid=grid, rho=rho / total)
+    return SpectralDensity(grid=xs, rho=rho / total)
 
 
 def spectral_imbalance(density: SpectralDensity) -> float:
@@ -252,8 +237,7 @@ def calibrate_jacobi(delta: float, gamma: float = DEFAULT_GAMMA) -> JacobiWeight
 
 
 def calibrate(op: SparseOperator, *, order: int = DEFAULT_ORDER, probes: int = DEFAULT_PROBES,
-              grid_points: int = DEFAULT_GRID, gamma: float = DEFAULT_GAMMA,
-              margin: float = DEFAULT_MARGIN, seed: int = 0,
+              grid: int = DEFAULT_GRID, gamma: float = DEFAULT_GAMMA, seed: int = 0,
               probe_kind: str = "gaussian", exact: bool = False):
     """Full calibration pass: moments -> density -> delta -> weights.
 
@@ -265,7 +249,7 @@ def calibrate(op: SparseOperator, *, order: int = DEFAULT_ORDER, probes: int = D
     else:
         moments = estimate_moments(op, order=order, probes=probes, seed=seed,
                                    probe_kind=probe_kind)
-    density = reconstruct_density(moments, op.n, grid_points=grid_points, margin=margin)
+    density = reconstruct_density(moments, op.n, grid=grid)
     delta = spectral_imbalance(density)
     weights = calibrate_jacobi(delta, gamma=gamma)
     return weights, density, moments

@@ -14,8 +14,8 @@ Options restate no library default: an option the user leaves out is
 absent from the parsed arguments (``argparse.SUPPRESS``), so the
 dataclass, ``calibrate`` or config default applies. An option's ``dest``
 names where its value goes, with dots for nesting: ``preprocess --gamma``
-sets ``calibration.gamma`` of a config that ``validate_config`` checks like
-any config file.
+and ``calibrate --gamma`` set ``calibration.gamma`` of a config that
+``validate_config`` checks like any config file, before any file is read.
 
 ``train`` adds nothing to the run but its files: ``model.mdl`` and
 ``bank.hbk`` (the best stage's checkpoint and bank), ``report.json`` (the
@@ -40,7 +40,7 @@ from .calibration import calibrate
 from .config import (CONFIG_SCHEMA, config_hash, load_config, to_train_config,
                      validate_config)
 from .errors import ConfigError, DataError, DiffbankError, NumericalError
-from .experiment import (build_bank, load_feature_file, load_graph,
+from .experiment import (build_bank, check_auc_labels, load_feature_file, load_graph,
                          run_ablation, run_experiment, run_seed)
 from .graph import make_operator
 from .hrp import build_model, evaluate_split
@@ -98,10 +98,11 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    given = _given(args)
-    out = given.pop("out", None)
-    op = make_operator(load_graph(given.pop("dataset")), "shifted")
-    weights, density, moments = calibrate(op, **given)
+    raw = _given(args)
+    out = raw.pop("out", None)
+    cfg = validate_config(raw)
+    op = make_operator(load_graph(cfg["dataset"]), "shifted")
+    weights, density, moments = calibrate(op, **cfg["calibration"])
     payload = {
         "delta": weights.delta,
         "alpha": weights.alpha,
@@ -171,11 +172,11 @@ def _cmd_evaluate(args) -> int:
     if got != want:
         raise DataError("checkpoint parameters do not fit the model described "
                         "by its own config block")
-    out = {}
-    for split, mask in (("train", lv.train_mask), ("val", lv.val_mask),
-                        ("test", lv.test_mask)):
-        if mask.any():
-            out[split] = evaluate_split(model, params, bank, lv, mask, tcfg.metric)
+    splits = [s for s in ("train", "val", "test") if getattr(lv, f"{s}_mask").any()]
+    if tcfg.metric == "roc_auc":
+        check_auc_labels(lv, splits, model_cfg["num_classes"])
+    out = {s: evaluate_split(model, params, bank, lv, getattr(lv, f"{s}_mask"), tcfg.metric)
+           for s in splits}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -290,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = add("calibrate", help="spectral density and Jacobi weights")
     _add_graph_args(c, features=False)
-    c.add_argument("--cheb-order", dest="order", type=int)
-    c.add_argument("--probes", type=int)
-    c.add_argument("--gamma", type=float)
-    c.add_argument("--exact", action="store_true")
-    c.add_argument("--seed", type=int)
+    c.add_argument("--cheb-order", dest="calibration.order", type=int)
+    c.add_argument("--probes", dest="calibration.probes", type=int)
+    c.add_argument("--gamma", dest="calibration.gamma", type=float)
+    c.add_argument("--exact", dest="calibration.exact", action="store_true")
+    c.add_argument("--seed", dest="calibration.seed", type=int)
     c.add_argument("--out", help="JSON output path (default stdout)")
     c.set_defaults(func=_cmd_calibrate)
 

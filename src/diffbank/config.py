@@ -29,18 +29,19 @@ from .backbone import TrainConfig
 from .banks import MAX_HOPS
 from .calibration import calibrate
 from .errors import ConfigError
-from .hrp import StagePlan, blend_alphas, krylov_order
+from .graph import OPERATOR_KINDS
+from .hrp import RECIPE_BASES, StagePlan, blend_alphas, krylov_order
 from .krylov import MAX_LANCZOS_STEPS
 from .synth import SyntheticSpec
 
 __all__ = [
-    "CONFIG_SCHEMA", "DEFAULTS", "CALIBRATION_ARGS", "load_config",
+    "CONFIG_SCHEMA", "DEFAULTS", "load_config",
     "validate_config", "config_hash", "to_train_config", "to_stage_plan",
     "to_synthetic_spec",
 ]
 
-_OPERATORS = ["dad", "da", "lap", "shifted"]
-_BASES = ["monomial", "chebyshev", "legendre", "jacobi", "auto", "krylov"]
+_OPERATORS = list(OPERATOR_KINDS)
+_BASES = [*RECIPE_BASES, "auto"]  # auto: a calibrated jacobi recipe
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -157,9 +158,6 @@ CONFIG_SCHEMA = {
     "required": ["dataset"],
 }
 
-# calibration config key -> calibrate() keyword, where the two differ
-CALIBRATION_ARGS = {"grid": "grid_points"}
-
 _CALIBRATE_PARAMS = inspect.signature(calibrate).parameters
 
 DEFAULTS = {
@@ -168,7 +166,7 @@ DEFAULTS = {
     "hops": 6,
     "jacobi": {"alpha": 0.0, "beta": 0.0},
     "calibration": {
-        key: _CALIBRATE_PARAMS[CALIBRATION_ARGS.get(key, key)].default
+        key: _CALIBRATE_PARAMS[key].default
         for key in CONFIG_SCHEMA["properties"]["calibration"]["properties"]},
     "krylov": {"order": None},
     "backbone": "mlp",

@@ -44,11 +44,10 @@ import numpy as np
 
 from .backbone import label_features
 # imported only for perfbench's tracer bindings, as are the krylov names (ROADMAP
-# item 5, "perfbench binds the bank builders in experiment"); hrp.diffuse builds banks
+# item 4, "perfbench binds the bank builders in experiment"); hrp.diffuse builds banks
 from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank  # noqa: F401
 from .calibration import calibrate
-from .config import (CALIBRATION_ARGS, config_hash, to_stage_plan,
-                     to_synthetic_spec, to_train_config)
+from .config import config_hash, to_stage_plan, to_synthetic_spec, to_train_config
 from .errors import ConfigError, DataError
 from .graph import check_fits, graph_hash, make_operator, seed_threads, spmm_call_count
 from .hrp import RunResult, StageResult, diffuse, evaluate_split, run_hrp_training
@@ -56,8 +55,8 @@ from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank  # noqa: F401
 from .synth import generate
 
-__all__ = ["prepare_dataset", "load_graph", "load_feature_file", "build_bank",
-           "run_seed", "run_experiment", "run_ablation", "summarize"]
+__all__ = ["prepare_dataset", "check_auc_labels", "load_graph", "load_feature_file",
+           "build_bank", "run_seed", "run_experiment", "run_ablation", "summarize"]
 
 
 def _array_hash(a: np.ndarray) -> str:
@@ -124,6 +123,18 @@ def _load_files(ds: dict):
         return _FILE_MEMO["data"]
 
 
+def check_auc_labels(lv, splits, num_classes: int | None = None) -> None:
+    """Raise DataError unless ``roc_auc`` can score ``splits`` of the labels:
+    2 classes in the labels (and in a model's ``num_classes``, if given),
+    and both among each split's nodes."""
+    for what, count in (("the labels have", lv.num_classes), ("the model has", num_classes)):
+        if count not in (None, 2):
+            raise DataError(f"roc_auc needs 2 classes, {what} {count}")
+    for split in splits:
+        if np.unique(lv.labels[getattr(lv, f"{split}_mask")]).size < 2:
+            raise DataError(f"roc_auc needs both classes among the {split} nodes")
+
+
 def prepare_dataset(cfg: dict, seed: int):
     """Return (graph, features, labels, info). Synthetic specs draw from the
     seed; file datasets are seed-independent, need a ``labels`` file, and
@@ -142,15 +153,11 @@ def prepare_dataset(cfg: dict, seed: int):
             raise ConfigError("file-based dataset is missing labels")
         g, x, lv, hashes = _load_files(ds)
         info = {"source": "files", "edges": ds["edges"]}
-    auc = cfg["metric"] == "roc_auc"
-    if auc and lv.num_classes != 2:
-        raise DataError(f"roc_auc needs 2 classes, the labels have {lv.num_classes}")
     for split in ("train", "val", "test"):
-        ys = lv.labels[getattr(lv, f"{split}_mask")]
-        if ys.size == 0:
+        if not getattr(lv, f"{split}_mask").any():
             raise DataError(f"the labels have no {split} nodes")
-        if auc and split != "train" and np.unique(ys).size < 2:
-            raise DataError(f"roc_auc needs both classes among the {split} nodes")
+    if cfg["metric"] == "roc_auc":
+        check_auc_labels(lv, ("val", "test"))
     if cfg.get("label_diffusion"):
         op = make_operator(g, "da")
         x = np.concatenate([x, label_features(lv, op)], axis=1)
@@ -184,8 +191,7 @@ def build_bank(cfg: dict, graph, x):
     # diffuse reads only the keys its basis needs
     recipe = {"basis": basis, **cfg["jacobi"], **cfg["krylov"]}
     if basis == "auto":
-        weights, density, moments = calibrate(
-            op, **{CALIBRATION_ARGS.get(k, k): v for k, v in cfg["calibration"].items()})
+        weights, density, moments = calibrate(op, **cfg["calibration"])
         details["calibration"] = {
             "delta": weights.delta, "alpha": weights.alpha,
             "beta": weights.beta, "gamma": weights.gamma,

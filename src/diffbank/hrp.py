@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 MAX_STAGES = 7
-_RECIPE_BASES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
+RECIPE_BASES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
 
 
 @dataclass
@@ -110,6 +110,9 @@ class StagePlan:
         if self.schedule == "perhop":
             if self.alpha_vectors is None or len(self.alpha_vectors) != self.stages - 1:
                 raise ConfigError("perhop schedule needs stages-1 alpha vectors")
+        elif self.alpha_vectors is not None:
+            raise ConfigError(f"alpha_vectors set the perhop schedule only; the "
+                              f"{self.schedule} schedule would ignore them")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
 
@@ -408,10 +411,6 @@ def _store_hidden(hidden: np.ndarray, workdir, seed: int, stage: int, epoch: int
     return path
 
 
-def _load_hidden(snap):
-    return np.load(snap) if isinstance(snap, str) else snap
-
-
 def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
                      cfg: TrainConfig, *, model_kind: str = "mlp",
                      workdir=None) -> RunResult:
@@ -434,7 +433,7 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     lap_op = base_sig = None
     recipe = bank.provenance  # checked here, so a bank no recipe rebuilds fails before stage 1
     need = ("operator", "alpha", "beta") if recipe.get("basis") == "jacobi" else ("operator",)
-    if plan.stages > 1 and (recipe.get("basis") not in _RECIPE_BASES
+    if plan.stages > 1 and (recipe.get("basis") not in RECIPE_BASES
                             or any(k not in recipe for k in need)):
         raise ConfigError(f"no bank recipe in the input bank's provenance {recipe!r}")
     stage_results = []

@@ -149,6 +149,28 @@ def test_bench_pairs_judges_gain_and_bound(tmp_path, change_train_s, gain, withi
     assert (res["gain_met"]["test_acc"], res["within_bound"]["test_acc"]) == (False, True)
 
 
+@pytest.mark.parametrize("change_train_s,unresolved", [
+    # the parent's quartiles are 2.5 apart, wider than 1% of its 5.5
+    # median, and the change's runs overlap the parent's: unresolved
+    ([3.9, 4.9, 5.9, 6.9], True),
+    ([3.0, 4.0, 6.5, 4.5], True),
+    # every change run beats every parent run: resolved despite the spread
+    ([1.0, 2.0, 3.0, 3.9], False),
+])
+def test_bench_pairs_reports_unresolved_metrics(tmp_path, change_train_s, unresolved):
+    log = tmp_path / "calls.log"
+    canned = {"parent": CANNED["parent"],
+              "change": {**CANNED["parent"], "train_s": change_train_s}}
+    sides = [make_checkout(tmp_path, side, log, canned=canned)
+             for side in ("parent", "change")]
+    load_tool().main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                      "--workload", "w1", "--pairs", "4", "--seed", "100",
+                      "--out", str(tmp_path)])
+    res = json.loads((tmp_path / "BENCH_w1.json").read_text())
+    # test_acc: every run equal, no spread, so resolved
+    assert res["unresolved"] == {"train_s": unresolved, "test_acc": False}
+
+
 @pytest.mark.parametrize("parent_failed,change_failed,ok", [
     ([0, 0, 0, 0], [0, 0, 0, 0], True),
     ([0, 1, 0, 0], [0, 0, 1, 0], True),  # equal shares, failed in other pairs

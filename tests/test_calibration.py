@@ -140,9 +140,7 @@ def test_density_degenerate_moments_raise():
 def test_density_grid_args(k3):
     m = exact_moments(make_operator(k3, "shifted"), order=8)
     with pytest.raises(ConfigError):
-        reconstruct_density(m, 3, grid_points=4)
-    with pytest.raises(ConfigError):
-        reconstruct_density(m, 3, margin=0.7)
+        reconstruct_density(m, 3, grid=4)
 
 
 def test_imbalance_symmetric_spectrum_is_zero(p2):

@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import SyntheticSpec, generate, graph, load_bank_file
+from diffbank import SyntheticSpec, TrainConfig, cli, generate, graph, load_bank_file
 from diffbank.cli import main
 from diffbank.config import config_hash, load_config
-from diffbank.experiment import run_seed
-from diffbank.io import (load_features, save_checkpoint, save_edge_list, save_features,
+from diffbank.experiment import prepare_dataset, run_seed
+from diffbank.hrp import build_model
+from diffbank.io import (load_checkpoint, load_features, save_checkpoint, save_edge_list,
+                         save_features,
                          save_labels)
 
 
@@ -153,6 +155,14 @@ def test_calibrate_emits_json(dataset, tmp_path, capsys):
     assert json.loads(out.read_text())["delta"] == payload["delta"]
 
 
+def test_calibrate_checks_its_options_before_any_product(dataset, capsys):
+    before = graph.spmm_call_count()
+    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"), "--gamma", "1.5"])
+    assert rc == 2
+    assert "gamma must lie in (0, 1)" in capsys.readouterr().err
+    assert graph.spmm_call_count() == before
+
+
 def test_train_then_evaluate_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -184,6 +194,47 @@ def test_train_then_evaluate_round_trip(tmp_path, capsys):
     scores = json.loads(capsys.readouterr().out)
     assert set(scores) == {"train", "val", "test"}
     assert scores["test"] == pytest.approx(report["test_metric"], abs=1e-12)
+
+
+def test_evaluate_refuses_labels_roc_auc_cannot_score(tmp_path, capsys, monkeypatch):
+    three = {"synthetic": {"generator": "sbm", "n": 40, "blocks": 3,
+                           "p_intra": 0.2, "p_inter": 0.05, "feature_dim": 3}}
+    cfg = write_config(tmp_path, dataset=three)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    _, _, lv, _ = prepare_dataset(load_config(str(cfg)), 0)
+    save_labels(str(tmp_path / "three.tsv"), lv)
+    rows = (tmp_path / "three.tsv").read_text().splitlines()
+    # the same nodes in classes 0 and 1 only, then without class 1 among val
+    (tmp_path / "two.tsv").write_text("".join(r.replace("\t2\t", "\t1\t") + "\n"
+                                              for r in rows))
+    (tmp_path / "val0.tsv").write_text("".join(
+        r.replace("\t2\t", "\t1\t") + "\n" for r in rows
+        if not (r.endswith("\tval") and "\t0\t" not in r)))
+    # a two-class checkpoint on the same bank
+    params, model_cfg = load_checkpoint(str(run_dir / "model.mdl"))
+    bank = load_bank_file(str(run_dir / "bank.hbk"))
+    two = build_model("mlp", bank.hops, bank.width, 2, TrainConfig(trunk=model_cfg["trunk"]))
+    save_checkpoint(str(tmp_path / "two.mdl"), two.init(seed=0),
+                    {**model_cfg, "num_classes": 2})
+    scored = []
+    real = cli.evaluate_split
+    monkeypatch.setattr(cli, "evaluate_split", lambda *a: scored.append(a) or real(*a))
+    capsys.readouterr()
+    for model, labels, says in (
+            (run_dir / "model.mdl", "three.tsv", "the labels have 3"),
+            (run_dir / "model.mdl", "two.tsv", "the model has 3"),
+            (tmp_path / "two.mdl", "val0.tsv", "both classes among the val nodes")):
+        rc = main(["evaluate", "--model", str(model), "--bank", str(run_dir / "bank.hbk"),
+                   "--labels", str(tmp_path / labels), "--metric", "roc_auc"])
+        assert rc == 3
+        assert says in capsys.readouterr().err
+        assert scored == []
+    rc = main(["evaluate", "--model", str(tmp_path / "two.mdl"),
+               "--bank", str(run_dir / "bank.hbk"),
+               "--labels", str(tmp_path / "two.tsv"), "--metric", "roc_auc"])
+    assert rc == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"train", "val", "test"}
 
 
 def test_diagnose_writes_sidecars(dataset, tmp_path, capsys):
@@ -246,6 +297,8 @@ def test_config_error_exits_2(tmp_path, capsys):
               "alpha_vectors": [[0.5, 0.5, 0.5, 0.5]]}}, "exactly 1"),
     ({"hrp": {"stages": 8, "epochs": 2}}, "maximum of 7"),
     ({"basis": "krylov", "krylov": {"order": 3}}, "hops + 1 = 4"),
+    ({"hrp": {"stages": 2, "epochs": 2, "alpha_vectors": [[1.0, 0.9, 0.9, 0.9]]}},
+     "perhop schedule only"),
 ])
 def test_config_only_errors_exit_2_before_any_product(tmp_path, capsys, over, says):
     cfg = write_config(tmp_path, **over)

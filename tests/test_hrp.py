@@ -16,12 +16,17 @@ from diffbank.banks import HopBank
 from diffbank.config import validate_config
 from diffbank.experiment import build_bank, prepare_dataset, run_seed
 from diffbank.graph import LabelVector, build_graph, spmm_call_count
-from diffbank.hrp import (_load_hidden, build_model, diffuse, evaluate_split,
-                          moment_signature, spectral_distance)
+from diffbank.hrp import (build_model, diffuse, evaluate_split, moment_signature,
+                          spectral_distance)
 from diffbank.krylov import ritz_bank, ritz_bank_as_hopbank
 from diffbank.rng import rng_for
 
 from conftest import random_graph, seeded_features
+
+
+def _load_hidden(snap):
+    """A hidden snapshot, kept in memory or spilled to an .npy path."""
+    return np.load(snap) if isinstance(snap, str) else snap
 
 
 def make_case(seed=0, n=24, d=3, hops=3, num_classes=2):

@@ -344,14 +344,19 @@ def test_chunked_recurrences_match_the_whole_array_ones(soup, monkeypatch, cores
         assert np.array_equal(_bits(got), _bits(want))
 
 
+# each returns the bytes it keeps besides the recurrence: a bank its slabs,
+# the moments their (n, probes) probe block z, d probes here
 @pytest.mark.parametrize("build", [
-    lambda op, x, hops: legendre_bank(op, x, hops),
-    lambda op, x, hops: jacobi_bank(op, x, hops, 0.3, -0.4),  # b != 0
-], ids=["legendre", "jacobi"])
+    lambda op, x, hops: legendre_bank(op, x, hops).slabs.nbytes,
+    lambda op, x, hops: jacobi_bank(op, x, hops, 0.3, -0.4).slabs.nbytes,  # b != 0
+    lambda op, x, hops: monomial_bank(op, x, hops).slabs.nbytes,
+    lambda op, x, hops: estimate_moments(op, hops, x.shape[1]).probes * op.n * 8,
+], ids=["legendre", "jacobi", "monomial", "moments"])
 def test_a_recurrence_holds_two_working_blocks(monkeypatch, build):
-    # above the work floor a build allocates its slabs, X_{k-1} and X_k, and
-    # per block a tile of product rows (and a chunk of b X_k rows when
-    # b != 0); a tile of two chunks keeps that well under one (n, d) block
+    # above the work floor a recurrence allocates what it keeps, X_{k-1}
+    # and X_k, and per block a tile of product rows (and a chunk of b X_k
+    # rows when b != 0); a tile of two chunks keeps that well under one
+    # (n, d) block
     _kernel(monkeypatch, 2)
     monkeypatch.setattr(graph, "_TILE_ROWS", 2 * graph._CHUNK_ROWS)
     n, d, hops = 20_000, 16, 4
@@ -362,12 +367,11 @@ def test_a_recurrence_holds_two_working_blocks(monkeypatch, build):
     tile = 2 * chunk
     tracemalloc.start()
     try:
-        bank = build(op, x, hops)
+        kept = build(op, x, hops)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    slabs = bank.slabs.nbytes
-    assert peak <= slabs + 2 * block + 2 * (tile + chunk) + chunk
+    assert peak <= kept + 2 * block + 2 * (tile + chunk) + chunk
 
 
 @pytest.mark.parametrize("kind", ["dad", "lap"])  # without and with diagonal terms

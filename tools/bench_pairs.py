@@ -22,7 +22,12 @@ the core count, pair count, seconds and seeds. For each metric it holds:
     the distance between the parent's quartiles;
 ``within_bound``
     whether the change's median is no worse than the parent's by more
-    than the metric's bound, a fraction of the parent's median.
+    than the metric's bound, a fraction of the parent's median;
+``unresolved``
+    whether the runs spread too widely to tell: the distance between the
+    parent's quartiles is wider than the bound times the parent's median,
+    and not every change run is better than every parent run. An unresolved metric is not shown to
+    be unchanged, whatever ``within_bound`` says.
 
 Which direction is better, and each bound, come from the change's
 ``BENCHMARK.json``. ``fail_rate_ok`` holds whether the change's fail rate
@@ -72,11 +77,15 @@ def spread(values: list) -> dict:
 
 def judge(parent: dict, change: dict, wins: int, pairs: int, better: str,
           bound: float) -> dict:
-    """``gain_met`` and ``within_bound`` of one metric from both sides'
-    ``spread`` summaries and the change's pair wins."""
-    gap = (change["median"] - parent["median"]) * (1 if better == "higher" else -1)
-    return {"gain_met": 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"],
-            "within_bound": gap >= -bound * abs(parent["median"])}
+    """``gain_met``, ``within_bound`` and ``unresolved`` of one metric from
+    both sides' ``spread`` summaries and the change's pair wins."""
+    sign = 1 if better == "higher" else -1
+    gap = (change["median"] - parent["median"]) * sign
+    width = parent["q3"] - parent["q1"]
+    beats_all = min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])
+    return {"gain_met": 10 * wins >= 9 * pairs and gap > width,
+            "within_bound": gap >= -bound * abs(parent["median"]),
+            "unresolved": width > bound * abs(parent["median"]) and not beats_all}
 
 
 def main(argv=None) -> int:
@@ -121,7 +130,7 @@ def main(argv=None) -> int:
     verdicts = {m: judge(out["parent"]["metrics"][m], out["change"]["metrics"][m],
                          out["change_wins"][m], args.pairs, b, bound[m])
                 for m, b in better.items()}
-    for key in ("gain_met", "within_bound"):
+    for key in ("gain_met", "within_bound", "unresolved"):
         out[key] = {m: v[key] for m, v in verdicts.items()}
     out["fail_rate_ok"] = out["change"]["fail_rate"] <= out["parent"]["fail_rate"]
     pairs = list(zip(runs["parent"], runs["change"]))
