@@ -130,7 +130,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg["seeds"][0] if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
-    row, result = run_seed(cfg, seed, workdir=args.out)
+    row, result = run_seed(cfg, seed)
     chash = config_hash(cfg)
     tcfg = to_train_config(cfg, seed)
     model_cfg = {
@@ -173,6 +173,8 @@ def _cmd_evaluate(args) -> int:
         raise DataError("checkpoint parameters do not fit the model described "
                         "by its own config block")
     splits = [s for s in ("train", "val", "test") if getattr(lv, f"{s}_mask").any()]
+    if not splits:
+        raise DataError(f"{args.labels}: the labels put no node in any split")
     if tcfg.metric == "roc_auc":
         check_auc_labels(lv, splits, model_cfg["num_classes"])
     out = {s: evaluate_split(model, params, bank, lv, getattr(lv, f"{s}_mask"), tcfg.metric)
@@ -216,13 +218,13 @@ def _cmd_diagnose(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     if args.ablation:
-        result = run_ablation(cfg, workdir=args.workdir)
+        result = run_ablation(cfg)
         for name, arm in result["arms"].items():
             s = arm["summary"]
             print(f"{name}: {s['mean']:.4f} +/- {s['std']:.4f} "
                   f"({len(s['per_seed'])} seeds)")
     else:
-        result = run_experiment(cfg, workdir=args.workdir)
+        result = run_experiment(cfg)
         s = result["summary"]
         print(f"{cfg['metric']}: {s['mean']:.4f} +/- {s['std']:.4f} over "
               f"{len(s['per_seed'])} seeds")
@@ -324,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--config", required=True)
     x.add_argument("--ablation", action="store_true",
                    help="run baseline / robust / robust+staged arms")
-    x.add_argument("--workdir", default=None,
-                   help="spill directory for hidden-state snapshots")
     x.add_argument("--out", default=None, help="JSON report path")
     x.set_defaults(func=_cmd_experiment)
     return ap

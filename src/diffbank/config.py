@@ -144,7 +144,6 @@ CONFIG_SCHEMA = {
                 },
                 "warm_start": {"type": "boolean"},
                 "patience": {"type": "integer", "minimum": 1},
-                "diagnostics": {"type": "boolean"},
             },
         },
         "metric": {"enum": ["accuracy", "roc_auc"]},

@@ -28,9 +28,6 @@ so no number depends on either thread count. SpMM counts come from the
 module-global counter in ``graph``, so per-phase attribution is exact only
 with one seed worker; totals and every reported metric are the same at
 any thread count.
-
-``run_experiment`` creates the ``workdir`` for hidden-state snapshots, or
-refuses an unusable one, before any seed runs.
 """
 
 import hashlib
@@ -214,15 +211,13 @@ def _stage_dict(r: StageResult) -> dict:
         "val_metric": r.val_metric,
         "epochs_run": len(r.history),
         "stopped_early": r.stopped_early,
-        "spectral_distance_to_x": r.spectral_distance_to_x,
         "diffusion_spmm": r.diffusion_spmm,
-        "diagnostic_spmm": r.diagnostic_spmm,
         "train_seconds": r.train_seconds,
         "diffusion_seconds": r.diffusion_seconds,
     }
 
 
-def run_seed(cfg: dict, seed: int, *, workdir=None) -> tuple[dict, RunResult]:
+def run_seed(cfg: dict, seed: int) -> tuple[dict, RunResult]:
     """One complete run for one seed.
 
     Returns the flat report row and the ``RunResult``, whose best model,
@@ -233,13 +228,12 @@ def run_seed(cfg: dict, seed: int, *, workdir=None) -> tuple[dict, RunResult]:
     plan = to_stage_plan(cfg)
     tcfg = to_train_config(cfg, seed)
     result = run_hrp_training(plan, bank, g, lv, tcfg,
-                              model_kind=cfg["backbone"], workdir=workdir)
+                              model_kind=cfg["backbone"])
     test = evaluate_split(result.model, result.params, result.bank, lv,
                           lv.test_mask, cfg["metric"])
     stages = result.stages
     diffusion = sum(r.diffusion_spmm for r in stages)
-    diagnostic = sum(r.diagnostic_spmm for r in stages)
-    total_spmm = bank_info["spmm"] + diffusion + diagnostic
+    total_spmm = bank_info["spmm"] + diffusion
     row = {
         "seed": seed,
         "test_metric": float(test),
@@ -250,7 +244,6 @@ def run_seed(cfg: dict, seed: int, *, workdir=None) -> tuple[dict, RunResult]:
         "data": data_info,
         "stages": [_stage_dict(r) for r in stages],
         "total_diffusion_spmm": diffusion,
-        "total_diagnostic_spmm": diagnostic,
         "preprocess_spmm": bank_info["spmm"],
         "total_spmm": total_spmm,
         "hrp_spmm_share": diffusion / total_spmm if total_spmm else 0.0,
@@ -269,16 +262,11 @@ def summarize(rows: list) -> dict:
     }
 
 
-def run_experiment(cfg: dict, *, workdir=None) -> dict:
+def run_experiment(cfg: dict) -> dict:
     seeds = cfg["seeds"]
-    if workdir is not None:
-        try:
-            os.makedirs(workdir, exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"cannot use --workdir {workdir}: {exc}") from exc
     with ThreadPoolExecutor(max_workers=seed_threads()) as pool:
         # keep only the row, so no bank outlives its seed
-        rows = list(pool.map(lambda s: run_seed(cfg, s, workdir=workdir)[0], seeds))
+        rows = list(pool.map(lambda s: run_seed(cfg, s)[0], seeds))
     return {
         "config_hash": config_hash(cfg),
         "metric": cfg["metric"],
@@ -305,7 +293,7 @@ def _arm_config(cfg: dict, *, basis=None, operator=None, stages=None) -> dict:
     return arm
 
 
-def run_ablation(cfg: dict, *, workdir=None) -> dict:
+def run_ablation(cfg: dict) -> dict:
     """Three arms on shared seeds: power baseline, robust basis, full plan.
 
     Every arm's stage plan is checked before any seed runs, so a plan an arm
@@ -322,7 +310,7 @@ def run_ablation(cfg: dict, *, workdir=None) -> dict:
     out = {"config_hash": config_hash(cfg), "metric": cfg["metric"],
            "seeds": list(cfg["seeds"]), "arms": {}}
     for name, arm_cfg in arms.items():
-        res = run_experiment(arm_cfg, workdir=workdir)
+        res = run_experiment(arm_cfg)
         out["arms"][name] = {
             "summary": res["summary"],
             "runs": res["runs"],

@@ -25,13 +25,6 @@ A bank's provenance is the recipe that rebuilds it (basis, operator, Jacobi
 weights, Lanczos order), and ``diffuse`` builds every bank from a recipe, so
 hidden states are diffused exactly as the features were. A multi-stage run
 refuses, before stage 1, a bank whose provenance is not such a recipe.
-
-The next stage continues from that checkpoint. With ``diagnostics`` on,
-the first three epochs' params are copied as well, for hidden snapshots,
-and the selected hidden states' spectral distance from the raw features is
-measured; the Laplacian and the raw features' moment signature are made
-once per run, on first use. With a ``workdir`` given, the snapshots spill
-to ``hidden_seed{seed}_s{stage}_e{epoch}.npy`` there.
 """
 
 import copy
@@ -44,7 +37,8 @@ from .backbone import (ConcatMLP, HopGRU, TrainConfig, accuracy, adam_step,
                        init_adam, model_scores, roc_auc, softmax_xent)
 from .banks import HopBank, chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
 from .errors import ConfigError, NumericalError
-from .graph import Graph, make_operator, spmm, spmm_call_count
+# spmm is imported only for perfbench's tracer bindings (ROADMAP item 4)
+from .graph import Graph, make_operator, spmm, spmm_call_count  # noqa: F401
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 from .rng import rng_for
 
@@ -58,8 +52,6 @@ __all__ = [
     "diffuse",
     "repropagate",
     "blend",
-    "moment_signature",
-    "spectral_distance",
     "build_model",
     "train_stage",
     "evaluate_split",
@@ -73,15 +65,7 @@ RECIPE_BASES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
 @dataclass
 class StagePlan:
     """Stage schedule. Re-propagation reuses the input bank's recipe, and
-    every stage continues from its best-validation checkpoint.
-
-    ``diagnostics=True`` additionally records hidden snapshots of the first
-    three epochs, whose checkpoints are copied only then, and the spectral
-    distance between the selected hidden states and the raw features. The
-    distances cost extra sparse products, booked separately from
-    the re-propagation itself so the report's diffusion share stays a
-    statement about HRP proper.
-    """
+    every stage continues from its best-validation checkpoint."""
 
     stages: int = 1
     epochs: int | list = TrainConfig.epochs
@@ -90,7 +74,6 @@ class StagePlan:
     alpha_vectors: list | None = None
     warm_start: bool = True
     patience: int = TrainConfig.patience
-    diagnostics: bool = False
 
     def __post_init__(self):
         if self.stages < 1:
@@ -123,10 +106,7 @@ class StageResult:
     selected_epoch: int
     val_metric: float
     history: list
-    hidden_snapshots: dict
-    spectral_distance_to_x: float | None
     diffusion_spmm: int
-    diagnostic_spmm: int
     train_seconds: float
     diffusion_seconds: float
     stopped_early: bool
@@ -267,59 +247,6 @@ def blend(bank: HopBank, htilde: HopBank, alphas, *, out: np.ndarray | None = No
     return HopBank(hops=bank.hops, slabs=slabs, provenance=prov)
 
 
-def moment_signature(x: np.ndarray, lap_op, max_power: int = 4):
-    """Per-channel normalized energy profile under repeated Laplacian powers.
-
-    Channel c yields (mu_0..mu_K) with mu_k = ||L^k x_c||^2 / ||x_c||^2,
-    normalized to sum to one. Returns (signatures, channel_ids); zero
-    channels are dropped.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("signature input must be (n, d)")
-    norms0 = np.sum(x * x, axis=0)
-    keep = np.nonzero(norms0 > 0.0)[0]
-    mus = np.empty((max_power + 1, keep.size))
-    cur = x[:, keep]
-    mus[0] = 1.0
-    for k in range(1, max_power + 1):
-        cur = spmm(lap_op, cur)
-        mus[k] = np.sum(cur * cur, axis=0) / norms0[keep]
-    sig = mus.T
-    sig = sig / sig.sum(axis=1, keepdims=True)
-    return sig, keep
-
-
-def _jensen_shannon(p, q):
-    m = 0.5 * (p + q)
-
-    def kl(a, b):
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
-
-    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
-
-
-def spectral_distance(x: np.ndarray, y: np.ndarray, lap_op, max_power: int = 4) -> float:
-    """Mean per-channel Jensen-Shannon distance, in nats, between the moment
-    signatures of two matrices."""
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("channel counts differ")
-    return _signature_distance(moment_signature(x, lap_op, max_power),
-                               moment_signature(y, lap_op, max_power))
-
-
-def _signature_distance(a, b) -> float:
-    """``spectral_distance`` between two ``moment_signature`` results, so a
-    signature used against many matrices is computed once."""
-    (sx, cx), (sy, cy) = a, b
-    common, ix, iy = np.intersect1d(cx, cy, return_indices=True)
-    if common.size == 0:
-        raise NumericalError("no channel is nonzero in both matrices")
-    total = sum(_jensen_shannon(a, b) for a, b in zip(sx[ix], sy[iy]))
-    return total / common.size
-
-
 def _metric_fn(metric):
     if metric == "accuracy":
         return lambda logits, labels, mask: accuracy(logits, labels, mask)
@@ -339,8 +266,7 @@ def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accura
 
 
 def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
-                stage: int, epochs: int, seed: int, patience: int | None = None,
-                diagnostics: bool = False):
+                stage: int, epochs: int, seed: int, patience: int | None = None):
     """Train one stage in place and return its bookkeeping.
 
     The random streams for shuffling and dropout are keyed by (seed, stage,
@@ -349,9 +275,7 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
     dropout stream is only made when a dropout rate is nonzero.
 
     Returns a dict with the epoch history, the best checkpoint (params and
-    optimizer state are deep copies), the early-stop flag, and under the
-    stage plan's ``diagnostics`` flag deep copies of the first three epochs'
-    params (``early``, for hidden snapshots; empty otherwise).
+    optimizer state are deep copies) and the early-stop flag.
     """
     train_ids = np.nonzero(lv.train_mask)[0]
     if train_ids.size == 0:
@@ -359,7 +283,6 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
     eff_patience = min(patience if patience is not None else cfg.patience, epochs)
     drops = cfg.dropout > 0.0 or cfg.input_dropout > 0.0
     best = {"epoch": 0, "val": -np.inf, "params": None, "adam": None}
-    early = {}
     history = []
     since_best = 0
     stopped = False
@@ -383,8 +306,6 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
         row = {"stage": stage, "epoch": epoch,
                "train_loss": float(np.mean(losses)), "val_metric": float(val)}
         history.append(row)
-        if diagnostics and epoch <= 3:
-            early[epoch] = copy.deepcopy(params)
         if val > best["val"]:
             best = {"epoch": epoch, "val": float(val),
                     "params": copy.deepcopy(params), "adam": copy.deepcopy(adam)}
@@ -394,26 +315,11 @@ def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,
         if since_best >= eff_patience:
             stopped = True
             break
-    return {"history": history, "best": best, "early": early,
-            "stopped_early": stopped}
-
-
-def _store_hidden(hidden: np.ndarray, workdir, seed: int, stage: int, epoch: int):
-    """Keep a snapshot in memory, or spill to an .npy file named by seed,
-    stage and epoch when a workdir is given (the CLI does, to bound resident
-    memory on long runs; seeds sharing a workdir keep their own files)."""
-    if workdir is None:
-        return hidden
-    import os
-
-    path = os.path.join(str(workdir), f"hidden_seed{seed}_s{stage}_e{epoch}.npy")
-    np.save(path, hidden)
-    return path
+    return {"history": history, "best": best, "stopped_early": stopped}
 
 
 def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
-                     cfg: TrainConfig, *, model_kind: str = "mlp",
-                     workdir=None) -> RunResult:
+                     cfg: TrainConfig, *, model_kind: str = "mlp") -> RunResult:
     """Full staged run.
 
     Returns the globally best checkpoint across stages together with the
@@ -429,8 +335,6 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
     model = build_model(model_kind, hops, bank.width, lv.num_classes, cfg)
     params = model.init(seed=cfg.seed, dtype=np.float32)
     adam = init_adam(params)
-    # the Laplacian and the raw features' moment signature, made on first use
-    lap_op = base_sig = None
     recipe = bank.provenance  # checked here, so a bank no recipe rebuilds fails before stage 1
     need = ("operator", "alpha", "beta") if recipe.get("basis") == "jacobi" else ("operator",)
     if plan.stages > 1 and (recipe.get("basis") not in RECIPE_BASES
@@ -446,33 +350,14 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         t0 = time.perf_counter()
         out = train_stage(model, params, adam, stage_bank, lv, cfg, stage=s,
                           epochs=plan.epochs[s - 1], seed=cfg.seed,
-                          patience=plan.patience, diagnostics=plan.diagnostics)
+                          patience=plan.patience)
         train_secs = time.perf_counter() - t0
         selected = out["best"]
 
         t1 = time.perf_counter()
-        snapshots = {}
-        dist = None
-        diff_spmm = diag_spmm = 0
+        diff_spmm = 0
         if s < plan.stages:
             hidden = extract_hidden(model, selected["params"], stage_bank)
-            if plan.diagnostics:
-                pre = spmm_call_count()
-                if base_sig is None:
-                    lap_op = make_operator(graph, "lap")
-                    base_sig = moment_signature(bank.slabs[0], lap_op)
-                try:  # distance from hop 0, which no stage changes
-                    dist = _signature_distance(moment_signature(hidden, lap_op),
-                                               base_sig)
-                except NumericalError:  # no channel is nonzero in both
-                    pass
-                for e, early_params in out["early"].items():
-                    snapshots[e] = _store_hidden(
-                        extract_hidden(model, early_params, stage_bank),
-                        workdir, cfg.seed, s, e)
-                snapshots[selected["epoch"]] = _store_hidden(
-                    hidden, workdir, cfg.seed, s, selected["epoch"])
-                diag_spmm = spmm_call_count() - pre
             pre = spmm_call_count()
             htilde = repropagate(
                 graph, hidden, hops, family=recipe["basis"], operator=recipe["operator"],
@@ -488,10 +373,9 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
 
         stage_results.append(StageResult(
             stage=s, selected_epoch=selected["epoch"], val_metric=selected["val"],
-            history=out["history"], hidden_snapshots=snapshots,
-            spectral_distance_to_x=dist, diffusion_spmm=diff_spmm,
-            diagnostic_spmm=diag_spmm, train_seconds=train_secs,
-            diffusion_seconds=diff_secs, stopped_early=out["stopped_early"]))
+            history=out["history"], diffusion_spmm=diff_spmm,
+            train_seconds=train_secs, diffusion_seconds=diff_secs,
+            stopped_early=out["stopped_early"]))
 
         if selected["val"] > best_overall["val"]:
             best_overall = {"val": selected["val"], "stage": s,

@@ -46,7 +46,7 @@ def load_tool():
 
 
 def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN,
-                  canned: dict = CANNED) -> Path:
+                  canned: dict = CANNED, named: bool = True) -> Path:
     co = root / side
     (co / "perfbench").mkdir(parents=True)
     (co / "perfbench" / "run.py").write_text(script)
@@ -60,7 +60,7 @@ def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN,
                                    "blas_threads": 2, **c.get("env", [{}] * 4)[i]}}
             for i in range(4)}
     (co / "canned.json").write_text(json.dumps(
-        {"log": str(log), "sha": f"sha-{side}", "runs": runs}))
+        {"log": str(log), "sha": f"sha-{side}" if named else None, "runs": runs}))
     return co
 
 
@@ -88,6 +88,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert res["parent"]["checkout"] == "parent"
     assert res["parent"]["git_sha"] == "sha-parent"
     assert res["change"]["git_sha"] == "sha-change"
+    assert res["commits_named"] is True
     # only the metrics BENCHMARK.json declares are summarised
     assert set(res["parent"]["metrics"]) == {"train_s", "test_acc"}
     # exclusive quartiles: the (n + 1) * j / 4-th order statistic, interpolated
@@ -210,3 +211,18 @@ def test_bench_pairs_checks_outputs_and_inputs(tmp_path, change, identical, matc
     res = json.loads((tmp_path / "BENCH_w1.json").read_text())
     assert res["outputs_identical"] is identical
     assert res["inputs_match"] is match
+
+
+@pytest.mark.parametrize("unnamed", ["parent", "change"])
+def test_bench_pairs_flags_a_side_that_names_no_commit(tmp_path, capsys, unnamed):
+    log = tmp_path / "calls.log"
+    sides = [make_checkout(tmp_path, side, log, named=side != unnamed)
+             for side in ("parent", "change")]
+    rc = load_tool().main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                           "--workload", "w1", "--pairs", "4", "--seed", "100",
+                           "--out", str(tmp_path)])
+    assert rc == 0
+    res = json.loads((tmp_path / "BENCH_w1.json").read_text())
+    assert res[unnamed]["git_sha"] is None
+    assert res["commits_named"] is False
+    assert "names no git commit" in capsys.readouterr().err

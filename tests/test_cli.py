@@ -103,16 +103,6 @@ def test_generate_defaults_are_the_spec_defaults(tmp_path, capsys):
         assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes()
 
 
-def test_train_honours_hrp_diagnostics(tmp_path, capsys):
-    cfg = write_config(tmp_path, hrp={"stages": 2, "diagnostics": True})
-    run_dir = tmp_path / "run"
-    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
-    assert rc == 0
-    report = json.loads((run_dir / "report.json").read_text())
-    assert report["total_diagnostic_spmm"] > 0
-    assert report["stages"][0]["spectral_distance_to_x"] is not None
-
-
 def _untimed(report):
     """A report without its wall-clock fields."""
     out = {k: v for k, v in report.items()
@@ -235,6 +225,21 @@ def test_evaluate_refuses_labels_roc_auc_cannot_score(tmp_path, capsys, monkeypa
                "--labels", str(tmp_path / "two.tsv"), "--metric", "roc_auc"])
     assert rc == 0
     assert set(json.loads(capsys.readouterr().out)) == {"train", "val", "test"}
+
+
+def test_evaluate_refuses_labels_that_label_no_node(tmp_path, capsys):
+    cfg = write_config(tmp_path, hrp={"stages": 1, "epochs": 2})
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(run_dir / "model.mdl"),
+               "--bank", str(run_dir / "bank.hbk"), "--labels", str(empty)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "no node" in captured.err
 
 
 def test_diagnose_writes_sidecars(dataset, tmp_path, capsys):
@@ -380,34 +385,6 @@ def test_graph_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     rc = main(["calibrate", "--edges", str(edges)])
     assert rc == 3
     assert "physical memory" in capsys.readouterr().err
-
-
-def _spill_config(tmp_path):
-    return write_config(tmp_path, train={"epochs": 2, "batch_size": 16, "trunk": [8],
-                                         "lr": 0.05},
-                        hrp={"stages": 2, "epochs": 2, "diagnostics": True})
-
-
-def test_experiment_creates_a_missing_workdir(tmp_path, capsys):
-    work = tmp_path / "spill" / "deeper"
-    rc = main(["experiment", "--config", str(_spill_config(tmp_path)),
-               "--workdir", str(work)])
-    assert rc == 0
-    assert sorted(work.glob("hidden_seed0_s1_e*.npy"))
-
-
-def test_experiment_refuses_an_unusable_workdir_before_training(tmp_path, capsys,
-                                                                monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("a seed ran before the workdir was checked")
-
-    monkeypatch.setattr("diffbank.experiment.run_seed", no_training)
-    blocker = tmp_path / "blocker"
-    blocker.write_text("a file, not a directory\n")
-    rc = main(["experiment", "--config", str(_spill_config(tmp_path)),
-               "--workdir", str(blocker / "spill")])
-    assert rc == 3
-    assert "workdir" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -47,6 +47,9 @@ def test_unknown_keys_rejected_with_dotted_path():
         validate_config(raw)
     with pytest.raises(ConfigError, match="<root>|dataset"):
         validate_config({"dataset": {}, "turbo": True})
+    # the retired staged-run diagnostics switch fails loudly, not silently
+    with pytest.raises(ConfigError, match="hrp"):
+        validate_config({**minimal(), "hrp": {"diagnostics": True}})
 
 
 def test_dataset_exclusivity_and_required_files():

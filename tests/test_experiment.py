@@ -265,20 +265,6 @@ def test_run_experiment_summary_and_hash():
     assert len(res["config_hash"]) == 64
 
 
-def test_seeds_sharing_a_workdir_keep_their_own_snapshots(tmp_path):
-    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 3, "diagnostics": True},
-                   seeds=[0, 1])
-    rows = run_experiment(cfg, workdir=tmp_path)["runs"]
-    assert [r["seed"] for r in rows] == [0, 1]
-    per_seed = [sorted(tmp_path.glob(f"hidden_seed{seed}_s1_e*.npy"))
-                for seed in (0, 1)]
-    assert per_seed[0] and len(per_seed[0]) == len(per_seed[1])
-    assert len(list(tmp_path.iterdir())) == 2 * len(per_seed[0])
-    for a, b in zip(*per_seed):
-        assert a.name.replace("seed0", "seed1") == b.name
-        assert not np.array_equal(np.load(a), np.load(b))
-
-
 def test_summarize_single_row_has_zero_std():
     s = summarize([{"test_metric": 0.75}])
     assert s["mean"] == 0.75 and s["std"] == 0.0

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diffbank import (ConfigError, NumericalError, StagePlan, TrainConfig,
+from diffbank import (ConfigError, StagePlan, TrainConfig,
                       batched_lanczos, blend, blend_alphas, chebyshev_bank,
                       cosine_blend_weight, extract_hidden, init_adam, jacobi_bank,
                       legendre_bank, make_operator, monomial_bank, repropagate,
@@ -16,17 +16,11 @@ from diffbank.banks import HopBank
 from diffbank.config import validate_config
 from diffbank.experiment import build_bank, prepare_dataset, run_seed
 from diffbank.graph import LabelVector, build_graph, spmm_call_count
-from diffbank.hrp import (build_model, diffuse, evaluate_split, moment_signature,
-                          spectral_distance)
+from diffbank.hrp import build_model, diffuse, evaluate_split
 from diffbank.krylov import ritz_bank, ritz_bank_as_hopbank
 from diffbank.rng import rng_for
 
 from conftest import random_graph, seeded_features
-
-
-def _load_hidden(snap):
-    """A hidden snapshot, kept in memory or spilled to an .npy path."""
-    return np.load(snap) if isinstance(snap, str) else snap
 
 
 def make_case(seed=0, n=24, d=3, hops=3, num_classes=2):
@@ -217,46 +211,6 @@ def test_extract_hidden_matches_direct_forward():
     assert np.array_equal(hid, direct.astype(np.float32))
 
 
-def test_moment_signature_on_laplacian_eigenvectors(p2):
-    lap = make_operator(p2, "lap")
-    x = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.float64)
-    sig, keep = moment_signature(x, lap, max_power=4)
-    assert list(keep) == [0, 1]
-    assert np.allclose(sig[0], [1, 0, 0, 0, 0], atol=1e-12)
-    powers = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
-    assert np.allclose(sig[1], powers / powers.sum(), atol=1e-6)
-    assert np.allclose(sig.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_moment_signature_drops_zero_channels(k3):
-    lap = make_operator(k3, "lap")
-    x = np.zeros((3, 3))
-    x[:, 2] = [1.0, 2.0, 3.0]
-    sig, keep = moment_signature(x, lap)
-    assert list(keep) == [2]
-    assert sig.shape == (1, 5)
-
-
-def test_spectral_distance_properties(path4):
-    lap = make_operator(path4, "lap")
-    rng = rng_for(6, "dist")
-    x = rng.normal(size=(4, 3))
-    assert spectral_distance(x, x, lap) == pytest.approx(0.0, abs=1e-12)
-    smooth = np.ones((4, 1))
-    rough = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    d = spectral_distance(smooth, rough, lap)
-    assert d > 0.1
-    assert spectral_distance(rough, smooth, lap) == pytest.approx(d, abs=1e-12)
-    with pytest.raises(ValueError):
-        spectral_distance(x, x[:, :2], lap)
-    a = np.zeros((4, 2))
-    b = np.zeros((4, 2))
-    a[:, 0] = 1.0
-    b[:, 1] = 1.0
-    with pytest.raises(NumericalError):
-        spectral_distance(a, b, lap)
-
-
 def test_train_stage_checkpoint_retention(monkeypatch):
     g, x, bank, lv = make_case(seed=7)
     cfg = small_cfg(epochs=8)
@@ -276,19 +230,13 @@ def test_train_stage_checkpoint_retention(monkeypatch):
     assert out["best"]["epoch"] == min(e for e in vals
                                        if vals[e] == max(vals.values()))
     assert out["best"]["params"] is not params  # deep copy, not a live view
-    # a best-val run without diagnostics copies the params and the Adam
-    # state of each improving epoch, and nothing else
-    assert out["early"] == {}
-    assert not any(key.startswith("top") for key in out)
+    # a best-val run copies the params and the Adam state of each improving
+    # epoch, and nothing else
+    assert set(out) == {"history", "best", "stopped_early"}
     improving = sum(vals[e] > max([-np.inf] + [vals[p] for p in range(1, e)])
                     for e in vals)
     assert len(copied) == 2 * improving
     assert all(p is params and a is adam for p, a in zip(copied[::2], copied[1::2]))
-
-    params = model.init(seed=0)
-    out = train_stage(model, params, init_adam(params), bank, lv, cfg, stage=1,
-                      epochs=8, seed=0, diagnostics=True)
-    assert sorted(out["early"]) == [1, 2, 3]
 
 
 def test_train_stage_early_stop_with_frozen_params():
@@ -311,7 +259,6 @@ def test_run_single_stage_needs_no_graph():
     res = run_hrp_training(plan, bank, None, lv, cfg)
     assert res.best_stage == 1
     assert res.stages[0].diffusion_spmm == 0
-    assert res.stages[0].diagnostic_spmm == 0
     with pytest.raises(ConfigError):
         run_hrp_training(StagePlan(stages=2, epochs=2), bank, None, lv, cfg)
 
@@ -325,8 +272,6 @@ def test_run_two_stages_preserves_raw_hop0_and_counts_spmm():
     assert len(res.stages) == 2
     # one legendre re-propagation of K hops between the two stages
     assert [s.diffusion_spmm for s in res.stages] == [bank.hops, 0]
-    assert [s.diagnostic_spmm for s in res.stages] == [0, 0]
-    assert res.stages[0].hidden_snapshots == {}
     assert np.array_equal(res.bank.slabs[0], bank.slabs[0])
     assert res.best_val == max(s.val_metric for s in res.stages)
 
@@ -372,23 +317,6 @@ def test_blend_in_place_matches_a_new_blend():
     assert got.provenance == want.provenance
 
 
-def test_run_diagnostics_record_snapshots_and_distances(tmp_path):
-    g, x, bank, lv = make_case(seed=11)
-    cfg = small_cfg(epochs=4)
-    plan = StagePlan(stages=2, epochs=4, diagnostics=True)
-    res = run_hrp_training(plan, bank, g, lv, cfg, workdir=tmp_path)
-    st = res.stages[0]
-    assert st.diagnostic_spmm > 0
-    assert st.spectral_distance_to_x is not None
-    assert set(st.hidden_snapshots) >= {1, 2, 3}
-    for e, snap in st.hidden_snapshots.items():
-        assert snap == str(tmp_path / f"hidden_seed{cfg.seed}_s1_e{e}.npy")
-        arr = _load_hidden(snap)
-        assert arr.shape == (g.n, bank.width)
-    # final stage never re-propagates, so it records no snapshots
-    assert res.stages[1].hidden_snapshots == {}
-
-
 def test_cold_restart_matches_fresh_training():
     g, x, bank, lv = make_case(seed=12)
     cfg = small_cfg(epochs=2)
@@ -417,19 +345,6 @@ def test_evaluate_split_chunking_and_auc():
     assert a == b
     auc = evaluate_split(model, params, bank, lv, lv.val_mask, "roc_auc")
     assert 0.0 <= auc <= 1.0
-
-
-def test_raw_feature_signature_is_computed_once_per_run():
-    g, x, bank, lv = make_case(seed=14)
-    plan = StagePlan(stages=3, epochs=3, diagnostics=True)
-    res = run_hrp_training(plan, bank, g, lv, small_cfg(epochs=3))
-    # 4 products per moment signature: the raw features once, at stage 1,
-    # and the selected hidden states of each stage that re-propagates
-    assert [st.diagnostic_spmm for st in res.stages] == [8, 4, 0]
-    for st in res.stages[:2]:
-        hidden = st.hidden_snapshots[st.selected_epoch]
-        assert st.spectral_distance_to_x == spectral_distance(
-            hidden, x, make_operator(g, "lap"))
 
 
 def test_train_stage_without_dropout_draws_only_shuffles(monkeypatch):
@@ -486,9 +401,7 @@ def test_train_stage_dropout_masks_keyed_by_stage_epoch_and_batch():
     assert [r["train_loss"] for r in undropped] != [r["train_loss"] for r in got]
 
 
-@pytest.mark.parametrize("diagnostics, laplacians", [(False, 0), (True, 1)])
-def test_laplacian_is_built_only_to_measure_distances(monkeypatch, diagnostics,
-                                                      laplacians):
+def test_re_propagation_builds_only_the_shifted_operator(monkeypatch):
     g, x, bank, lv = make_case(seed=17)
     kinds = []
     real = hrp.make_operator
@@ -498,11 +411,5 @@ def test_laplacian_is_built_only_to_measure_distances(monkeypatch, diagnostics,
         return real(graph, kind)
 
     monkeypatch.setattr(hrp, "make_operator", counting)
-    plan = StagePlan(stages=3, epochs=2, diagnostics=diagnostics)
-    res = run_hrp_training(plan, bank, g, lv, small_cfg(epochs=2))
-    # with diagnostics both re-propagating stages measure a distance, on one
-    # Laplacian
-    assert [s.spectral_distance_to_x is not None for s in res.stages] == \
-        [diagnostics, diagnostics, False]
-    assert kinds.count("lap") == laplacians
-    assert kinds.count("shifted") == 2  # one per re-propagation
+    run_hrp_training(StagePlan(stages=3, epochs=2), bank, g, lv, small_cfg(epochs=2))
+    assert kinds == ["shifted", "shifted"]  # one per re-propagation

@@ -40,6 +40,10 @@ the record:
 ``inputs_match``
     in every pair both sides' env lines agree on ``inputs_sha256``,
     ``nproc`` and ``blas_threads``: same inputs on the same threads.
+
+``commits_named`` holds whether both sides name their git commit. When
+either does not, a warning goes to stderr: such a file cannot say which
+code it compared.
 """
 
 import argparse
@@ -138,6 +142,10 @@ def main(argv=None) -> int:
                                    for p, c in pairs for k in OUTPUTS)
     out["inputs_match"] = all(p["env"].get(k) == c["env"].get(k)
                               for p, c in pairs for k in INPUTS)
+    out["commits_named"] = all(out[side]["git_sha"] is not None for side in sides)
+    if not out["commits_named"]:
+        print("warning: a side names no git commit, so this file cannot say "
+              "which code it compared", file=sys.stderr)
     path = args.out / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
