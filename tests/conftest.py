@@ -21,12 +21,6 @@ def k3():
 
 
 @pytest.fixture
-def path4():
-    """Path on four nodes."""
-    return build_graph(np.array([[0, 1], [1, 2], [2, 3]]), 4)
-
-
-@pytest.fixture
 def star5():
     """Star: hub 0 with four leaves."""
     return build_graph(np.array([[0, i] for i in range(1, 5)]), 5)
