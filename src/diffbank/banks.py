@@ -248,8 +248,13 @@ def bank_report(bank: HopBank) -> ConditioningReport:
     """Measure hop-column collinearity per channel."""
     k1 = bank.hops + 1
     d = bank.width
-    cols = bank.slabs.astype(np.float64).transpose(2, 1, 0)  # (d, n, k1)
-    gram = np.einsum("dnk,dnl->dkl", cols, cols)
+    slabs = bank.slabs
+    gram = np.empty((d, k1, k1))
+    for k in range(k1):
+        for j in range(k + 1):
+            # float64 sums of float32 products, with no float64 copy of the bank
+            gram[:, k, j] = gram[:, j, k] = np.einsum("nd,nd->d", slabs[k], slabs[j],
+                                                      dtype=np.float64)
     norms = np.sqrt(np.einsum("dkk->dk", gram))
     zero = np.nonzero(np.any(norms <= 0.0, axis=1))[0]
     cond = np.full(d, np.inf)

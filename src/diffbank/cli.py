@@ -7,7 +7,7 @@ Subcommands mirror the pipeline phases::
     diffbank calibrate   estimate the spectral density and Jacobi weights
     diffbank train       one seed's run (``run_seed``) saved as artifacts
     diffbank evaluate    score a saved checkpoint on a split
-    diffbank diagnose    conditioning and Ritz diagnostics for a saved bank
+    diffbank diagnose    per-channel hop conditioning of a saved bank
     diffbank experiment  multi-seed run or ablation from a config file
 
 Options restate no library default: an option the user leaves out is
@@ -44,7 +44,6 @@ from .experiment import (build_bank, check_auc_labels, load_feature_file, load_g
                          run_ablation, run_experiment, run_seed)
 from .graph import make_operator
 from .hrp import build_model, evaluate_split
-from .krylov import batched_lanczos, ritz_bank, ritz_triples
 from .synth import SyntheticSpec, generate
 
 __all__ = ["main"]
@@ -128,6 +127,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
+    if args.seed is not None:  # the override obeys a config file's seeds rule
+        validate_config({**cfg, "seeds": [args.seed]})
     seed = cfg["seeds"][0] if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
     row, result = run_seed(cfg, seed)
@@ -198,20 +199,6 @@ def _cmd_diagnose(args) -> int:
           f"mean |cos| {np.mean(rep.mean_abs_cos):.4f} -> {cond_path}")
     if len(rep.zero_norm_channels):
         print(f"zero-norm channels: {list(rep.zero_norm_channels)}")
-
-    ds = _given(args).get("dataset", {})
-    if "edges" in ds and "features" in ds:
-        g = load_graph(ds)
-        x = load_feature_file(ds["features"], g.n)
-        op = make_operator(g, "shifted")
-        fact = batched_lanczos(op, x, args.krylov_order)
-        rb = ritz_bank(fact, n=g.n)
-        ritz_path = os.path.join(args.out, "ritz.csv")
-        with open(ritz_path, "w", encoding="utf-8") as fh:
-            fh.write("channel,ritz_value,weight\n")
-            for t in ritz_triples(rb):
-                fh.write(f"{t['channel']},{t['value']:.10e},{t['weight']:.10e}\n")
-        print(f"ritz sidecar -> {ritz_path}")
     return 0
 
 
@@ -236,17 +223,25 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_graph_args(p, features=True, required=True):
-    p.add_argument("--edges", dest="dataset.edges", metavar="PATH",
-                   required=required, help="tab-separated edge list")
+def _add_graph_args(p, features=True):
+    p.add_argument("--edges", dest="dataset.edges", metavar="PATH", required=True,
+                   help="tab-separated edge list")
     if features:
-        p.add_argument("--features", dest="dataset.features", metavar="PATH",
-                       required=required,
+        p.add_argument("--features", dest="dataset.features", metavar="PATH", required=True,
                        help="feature matrix (.fmx binary or delimited text)")
     p.add_argument("--nodes", dest="dataset.num_nodes", metavar="N", type=int,
                    help="node count (default: inferred from the edge list)")
     p.add_argument("--directed", dest="dataset.undirected", action="store_false")
     p.add_argument("--self-loops", dest="dataset.add_self_loops", action="store_true")
+
+
+def _add_calibration_args(p):
+    p.add_argument("--cheb-order", dest="calibration.order", type=int)
+    p.add_argument("--probes", dest="calibration.probes", type=int)
+    p.add_argument("--gamma", dest="calibration.gamma", type=float)
+    p.add_argument("--exact", dest="calibration.exact", action="store_true",
+                   help="dense trace moments (small graphs only)")
+    p.add_argument("--seed", dest="calibration.seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,23 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hops", type=int)
     p.add_argument("--alpha", dest="jacobi.alpha", type=float)
     p.add_argument("--beta", dest="jacobi.beta", type=float)
-    p.add_argument("--cheb-order", dest="calibration.order", type=int)
-    p.add_argument("--probes", dest="calibration.probes", type=int)
-    p.add_argument("--gamma", dest="calibration.gamma", type=float)
-    p.add_argument("--exact", dest="calibration.exact", action="store_true",
-                   help="dense trace moments (small graphs only)")
+    _add_calibration_args(p)
     p.add_argument("--krylov-order", dest="krylov.order", type=int)
-    p.add_argument("--seed", dest="calibration.seed", type=int)
     p.add_argument("--out", required=True, help="output bank file (.hbk)")
     p.set_defaults(func=_cmd_preprocess)
 
     c = add("calibrate", help="spectral density and Jacobi weights")
     _add_graph_args(c, features=False)
-    c.add_argument("--cheb-order", dest="calibration.order", type=int)
-    c.add_argument("--probes", dest="calibration.probes", type=int)
-    c.add_argument("--gamma", dest="calibration.gamma", type=float)
-    c.add_argument("--exact", dest="calibration.exact", action="store_true")
-    c.add_argument("--seed", dest="calibration.seed", type=int)
+    _add_calibration_args(c)
     c.add_argument("--out", help="JSON output path (default stdout)")
     c.set_defaults(func=_cmd_calibrate)
 
@@ -315,10 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--metric", choices=schema["metric"]["enum"])
     e.set_defaults(func=_cmd_evaluate)
 
-    d = add("diagnose", help="conditioning and Ritz diagnostics")
+    d = add("diagnose", help="per-channel hop conditioning")
     d.add_argument("--bank", required=True)
-    _add_graph_args(d, required=False)
-    d.add_argument("--krylov-order", type=int, default=8)
     d.add_argument("--out", required=True, help="output directory")
     d.set_defaults(func=_cmd_diagnose)
 

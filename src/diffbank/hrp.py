@@ -197,7 +197,7 @@ def diffuse(op, x: np.ndarray, hops: int, recipe: dict) -> HopBank:
         return jacobi_bank(op, x, hops, recipe["alpha"], recipe["beta"])
     if basis == "krylov":
         fact = batched_lanczos(op, x, krylov_order(hops, recipe.get("order")))
-        return ritz_bank_as_hopbank(ritz_bank(fact, n=op.n), hops, raw_hop0=x)
+        return ritz_bank_as_hopbank(ritz_bank(fact), hops, raw_hop0=x)
     raise ConfigError(f"no bank recipe for basis {basis!r}")
 
 

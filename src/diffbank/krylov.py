@@ -8,8 +8,9 @@ batched full reorthogonalization passes against Q[:j+1]. A column whose
 residual norm falls below ``BREAKDOWN_TOL`` (an invariant subspace was
 found) leaves the live set with zero basis vectors after it; the others
 keep iterating. A Krylov bank holds that tensor, 8 * order * n * c bytes,
-plus its float32 slabs: slab k is Q contracted with component k's
-(order, c) coefficients, written straight into the (n, d) slab.
+plus its float32 slabs: slab 0 is the raw features and slab k >= 1 is
+Q contracted with component k's (order, c) coefficients, written straight
+into the (n, d) slab.
 Per-channel objects are views of the tensor.
 
 Everything but the product runs as ``graph.row_chunks`` passes over fixed
@@ -64,7 +65,6 @@ __all__ = [
     "ritz_components",
     "ritz_bank",
     "ritz_bank_as_hopbank",
-    "ritz_triples",
 ]
 
 MAX_LANCZOS_STEPS = 15
@@ -276,15 +276,12 @@ class RitzChannel:
 
 @dataclass(frozen=True)
 class RitzBank:
-    """Ritz data of every channel; component k of basis channel i is
+    """Ritz coefficients of every channel; component k of basis channel i is
     sum_j fact.q[j, :, i] * coeffs[k, j, i]. Entries past a channel's steps
     are zero."""
 
-    n: int
     fact: LanczosFactorization
-    values: np.ndarray   # (order, c), ascending within each channel's steps
-    weights: np.ndarray  # (order, c)
-    coeffs: np.ndarray   # (order, order, c): component, basis vector, channel
+    coeffs: np.ndarray  # (order, order, c): component, basis vector, channel
 
     @property
     def width(self) -> int:
@@ -293,11 +290,6 @@ class RitzBank:
     @property
     def order(self) -> int:
         return self.fact.order
-
-    @property
-    def channels(self) -> list:
-        """Per-channel Ritz data with explicit (n, m) component matrices."""
-        return [ritz_components(cf) for cf in self.fact.channels]
 
 
 def ritz_components(fact: ChannelFactorization) -> RitzChannel:
@@ -309,69 +301,49 @@ def ritz_components(fact: ChannelFactorization) -> RitzChannel:
                        weights=weights, components=components)
 
 
-def ritz_bank(fact: LanczosFactorization, n: int | None = None) -> RitzBank:
-    """Solve each channel's tridiagonal eigenproblem into coefficient tensors."""
-    if n is None:
-        if not fact.ids.size:
-            raise ValueError("cannot infer node count from an all-zero feature matrix")
-        n = fact.q.shape[1]
-    values = np.zeros(fact.alphas.shape)
-    weights = np.zeros(fact.alphas.shape)
+def ritz_bank(fact: LanczosFactorization) -> RitzBank:
+    """Solve each channel's tridiagonal eigenproblem into a coefficient tensor."""
     coeffs = np.zeros((fact.order,) + fact.alphas.shape)
     for i, cf in enumerate(fact.channels):
         m = cf.steps
-        values[:m, i], weights[:m, i], coeffs[:m, :m, i] = _ritz(
-            cf.alphas, cf.betas, cf.x_norm)
-    return RitzBank(n=n, fact=fact, values=values, weights=weights, coeffs=coeffs)
+        coeffs[:m, :m, i] = _ritz(cf.alphas, cf.betas, cf.x_norm)[2]
+    return RitzBank(fact=fact, coeffs=coeffs)
 
 
-def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray | None = None):
-    """Lay Ritz components out as hop slabs.
+def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray):
+    """Lay Ritz components out as hop slabs behind the raw features.
 
-    Slab k carries each channel's (k+1)-th ascending component, so the
-    K+1 slabs jointly hold components 1..K+1 and summing them channel-wise
-    reconstructs the input when the order equals K+1. Passing ``raw_hop0``
-    (the pipeline default) puts the raw features in slab 0 instead, so the
-    bank keeps the unblended 0-hop contract of staged training; omit it
-    only for reconstruction diagnostics. Channels that broke down early pad
-    their missing slabs with zeros; zero channels stay zero everywhere. The
-    provenance lists both, as ``breakdown_channels`` and ``skipped_channels``.
-    A slab that is not finite in float32 raises NumericalError. The slabs
-    are filled in one row-chunked pass; nothing is summed across rows, so
-    they do not depend on the chunking.
+    Slab 0 is ``raw_hop0``, the input features, as in every polynomial
+    bank, so the bank keeps the unblended 0-hop contract of staged training.
+    Slab k >= 1 carries each channel's (k+1)-th ascending component.
+    Channels that broke down early pad their missing slabs with zeros; zero
+    channels stay zero everywhere. The provenance lists both, as
+    ``breakdown_channels`` and ``skipped_channels``. A slab that is not
+    finite in float32 raises NumericalError. The slabs are filled in one
+    row-chunked pass; nothing is summed across rows, so they do not depend
+    on the chunking.
     """
     _check_budget(hops)
     if hops + 1 > rb.order:
         raise ConfigError(f"bank needs {hops + 1} components per channel but the "
                           f"factorization order is {rb.order}")
-    if raw_hop0 is not None and np.shape(raw_hop0) != (rb.n, rb.width):
-        raise ValueError("raw hop-0 features do not match the bank shape")
-    slabs = np.zeros((hops + 1, rb.n, rb.width), dtype=np.float32)
-    if raw_hop0 is not None:
-        slabs[0] = raw_hop0
     fact = rb.fact
-    first = 0 if raw_hop0 is None else 1
+    if np.shape(raw_hop0) != (fact.op.n, rb.width):
+        raise ValueError("raw hop-0 features do not match the bank shape")
+    slabs = np.zeros((hops + 1, fact.op.n, rb.width), dtype=np.float32)
+    slabs[0] = raw_hop0
 
     def fill(lo, hi):
         # every slab's rows lo:hi from one read of the basis rows
         q = fact.q[:, lo:hi]
         part = np.empty(q.shape[1:])
-        for k in range(first, hops + 1):
+        for k in range(1, hops + 1):
             slabs[k, lo:hi][:, fact.cols] = np.einsum("jnc,jc->nc", q, rb.coeffs[k],
                                                       out=part)
             _check_slab(slabs, k, "krylov", slice(lo, hi))
 
     row_chunks(fact.op, fact.ids.size, fill)
     prov = {"basis": "krylov", "operator": "shifted", "hops": hops,
-            "order": rb.order, "raw_hop0": raw_hop0 is not None,
-            "skipped_channels": rb.fact.skipped.tolist(),
-            "breakdown_channels": rb.fact.ids[rb.fact.steps < rb.order].tolist()}
+            "order": rb.order, "skipped_channels": fact.skipped.tolist(),
+            "breakdown_channels": fact.ids[fact.steps < rb.order].tolist()}
     return HopBank(hops=hops, slabs=slabs, provenance=prov)
-
-
-def ritz_triples(rb: RitzBank) -> list:
-    """Flat (channel, value, weight) records for the diagnostics sidecar."""
-    fact = rb.fact
-    return [{"channel": int(c), "value": float(v), "weight": float(w)}
-            for i, (c, m) in enumerate(zip(fact.ids, fact.steps))
-            for v, w in zip(rb.values[:m, i], rb.weights[:m, i])]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import eval_chebyt, eval_jacobi, eval_legendre
@@ -195,6 +197,21 @@ def test_report_flags_zero_norm_channels():
     assert list(rep.zero_norm_channels) == [1]
     assert rep.summary["zero_norm_channels"] == 1
     assert np.isnan(rep.mean_abs_cos[1])
+
+
+def test_report_makes_no_float64_copy_of_the_bank():
+    rng = np.random.default_rng(5)
+    slabs = rng.standard_normal((5, 20_000, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        rep = bank_report(HopBank(hops=4, slabs=slabs, provenance={}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < slabs.nbytes / 8
+    cols = slabs.astype(np.float64).transpose(2, 1, 0)
+    assert np.allclose(rep.gram, np.einsum("dnk,dnl->dkl", cols, cols),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_orthogonal_family_better_conditioned_than_powers():

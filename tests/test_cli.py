@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -249,21 +250,12 @@ def test_diagnose_writes_sidecars(dataset, tmp_path, capsys):
           "--basis", "monomial", "--operator", "dad", "--hops", "4",
           "--out", str(bank_path)])
     out_dir = tmp_path / "diag"
-    rc = main(["diagnose", "--bank", str(bank_path),
-               "--edges", str(dataset / "edges.tsv"),
-               "--features", str(dataset / "features.fmx"),
-               "--krylov-order", "5", "--out", str(out_dir)])
+    rc = main(["diagnose", "--bank", str(bank_path), "--out", str(out_dir)])
     assert rc == 0
+    assert os.listdir(out_dir) == ["conditioning.csv"]
     cond = (out_dir / "conditioning.csv").read_text().splitlines()
     assert cond[0] == "channel,cond,mean_abs_cos,g0,g1,g2,g3,g4"
     assert len(cond) == 1 + 3  # one row per channel
-    ritz = (out_dir / "ritz.csv").read_text().splitlines()
-    assert ritz[0] == "channel,ritz_value,weight"
-    assert len(ritz) > 1
-    only = tmp_path / "diag2"
-    rc = main(["diagnose", "--bank", str(bank_path), "--out", str(only)])
-    assert rc == 0
-    assert not (only / "ritz.csv").exists()
 
 
 def test_experiment_and_ablation(tmp_path, capsys):
@@ -313,6 +305,15 @@ def test_config_only_errors_exit_2_before_any_product(tmp_path, capsys, over, sa
     assert says in capsys.readouterr().err
     assert graph.spmm_call_count() == before
     assert not (tmp_path / "r").exists()
+
+
+def test_a_negative_seed_override_exits_2_before_the_run(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    rc = main(["train", "--config", str(write_config(tmp_path)), "--seed", "-1",
+               "--out", str(run_dir)])
+    assert rc == 2
+    assert "config field seeds.0" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_labels_a_run_cannot_use_exit_3_before_the_bank(dataset, tmp_path, capsys):
@@ -413,3 +414,17 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_options_restate_no_library_default():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    checked = set()
+    for name, parser in sub.choices.items():
+        if parser.argument_default is not argparse.SUPPRESS:
+            continue
+        checked.add(name)
+        for action in parser._actions:
+            if action.option_strings:
+                assert action.default is argparse.SUPPRESS, (name, action.option_strings)
+    assert checked == {"generate", "preprocess", "calibrate", "evaluate", "diagnose"}

@@ -140,7 +140,7 @@ def test_repropagate_dispatches_to_bank_builders():
     assert np.array_equal(got.slabs,
                           monomial_bank(make_operator(g, "dad"), hidden, 3).slabs)
     got = repropagate(g, hidden, 3, family="krylov")
-    rb = ritz_bank(batched_lanczos(op, hidden, 4), n=g.n)
+    rb = ritz_bank(batched_lanczos(op, hidden, 4))
     assert np.array_equal(got.slabs,
                           ritz_bank_as_hopbank(rb, 3, raw_hop0=hidden).slabs)
     with pytest.raises(ConfigError):

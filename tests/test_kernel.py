@@ -237,9 +237,9 @@ def test_chunked_ritz_slabs_match_the_one_chunk_path(soup, monkeypatch):
     _kernel(monkeypatch, 2)
     rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, 7))
     monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
-    chunked = ritz_bank_as_hopbank(rb, 6).slabs
+    chunked = ritz_bank_as_hopbank(rb, 6, raw_hop0=x).slabs
     monkeypatch.setattr(graph, "_WORK_FLOOR", 10**12)
-    whole = ritz_bank_as_hopbank(rb, 6).slabs
+    whole = ritz_bank_as_hopbank(rb, 6, raw_hop0=x).slabs
     assert np.array_equal(_bits(chunked), _bits(whole))
 
 

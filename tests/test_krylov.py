@@ -4,10 +4,10 @@ import scipy.linalg
 
 from diffbank import (ConfigError, NumericalError, batched_lanczos, make_operator,
                       reset_spmm_count, spmm_call_count)
-from diffbank.banks import bank_report
+from diffbank.banks import HopBank, bank_report
 from diffbank.graph import build_graph
 from diffbank.krylov import (MAX_LANCZOS_STEPS, ritz_bank, ritz_bank_as_hopbank,
-                             ritz_components, ritz_triples, tridiag_eig)
+                             ritz_components, tridiag_eig)
 from diffbank.rng import rng_for
 
 from conftest import dense_shifted, random_graph, seeded_features
@@ -128,15 +128,15 @@ def test_hopbank_layout_and_conditioning():
     g = random_graph(rng, 13)
     x = seeded_features(g, 3, 4)
     fact = batched_lanczos(make_operator(g, "shifted"), x, order=7)
-    rb = ritz_bank(fact, n=g.n)
-    bank = ritz_bank_as_hopbank(rb, hops=6)
+    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=6, raw_hop0=x)
     assert bank.slabs.shape == (7, 13, 3)
-    for rc in rb.channels:
+    for rc in map(ritz_components, fact.channels):
         take = min(7, rc.components.shape[1])
-        for k in range(take):
+        for k in range(1, take):
             assert np.array_equal(bank.slabs[k, :, rc.channel],
                                   rc.components[:, k].astype(np.float32))
-    rep = bank_report(bank)
+    # slab 0 is the raw features; the components after it are orthogonal
+    rep = bank_report(HopBank(hops=5, slabs=bank.slabs[1:], provenance={}))
     live = np.setdiff1d(np.arange(3), rep.zero_norm_channels)
     assert np.all(np.abs(rep.cond[live] - 1.0) < 1e-5)
     assert bank.provenance["basis"] == "krylov"
@@ -147,12 +147,13 @@ def test_hopbank_raw_hop0_override():
     g = random_graph(rng, 10)
     x = seeded_features(g, 4, 5)
     fact = batched_lanczos(make_operator(g, "shifted"), x, order=5)
-    rb = ritz_bank(fact, n=g.n)
+    rb = ritz_bank(fact)
     bank = ritz_bank_as_hopbank(rb, hops=4, raw_hop0=x)
     assert np.array_equal(bank.slabs[0], x.astype(np.float32))
-    assert bank.provenance["raw_hop0"] is True
-    plain = ritz_bank_as_hopbank(rb, hops=4)
-    assert np.array_equal(bank.slabs[1:], plain.slabs[1:])
+    # the components do not depend on what slab 0 holds
+    other = ritz_bank_as_hopbank(rb, hops=4, raw_hop0=np.zeros_like(x))
+    assert np.all(other.slabs[0] == 0.0)
+    assert np.array_equal(bank.slabs[1:], other.slabs[1:])
 
 
 def test_eigenvector_start_breaks_down_after_one_step(p2):
@@ -164,9 +165,9 @@ def test_eigenvector_start_breaks_down_after_one_step(p2):
     assert cf.breakdown and cf.steps == 1
     rc = ritz_components(cf)
     assert rc.values[0] == pytest.approx(-1.0, abs=1e-12)
-    rb = ritz_bank(fact, n=2)
-    bank = ritz_bank_as_hopbank(rb, hops=1)
-    assert np.allclose(bank.slabs[0, :, 0], [1.0, 1.0], atol=1e-7)
+    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=1, raw_hop0=x)
+    assert np.array_equal(bank.slabs[0], x)
+    assert np.allclose(rc.components[:, 0], [1.0, 1.0], atol=1e-7)
     assert np.all(bank.slabs[1] == 0.0)
 
 
@@ -179,7 +180,7 @@ def test_zero_channels_are_skipped():
     assert list(fact.skipped) == [1]
     assert fact.width == 3
     assert sorted(cf.channel for cf in fact.channels) == [0, 2]
-    bank = ritz_bank_as_hopbank(ritz_bank(fact, n=g.n), hops=3)
+    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=3, raw_hop0=x)
     assert np.all(bank.slabs[:, :, 1] == 0.0)
 
 
@@ -190,18 +191,6 @@ def test_spmm_cost_is_exactly_order():
     reset_spmm_count()
     batched_lanczos(make_operator(g, "shifted"), x, order=9)
     assert spmm_call_count() == 9
-
-
-def test_ritz_triples_flat_records():
-    rng = rng_for(11, "triples")
-    g = random_graph(rng, 9)
-    x = seeded_features(g, 2, 3)
-    rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, order=4), n=g.n)
-    rows = ritz_triples(rb)
-    assert {r["channel"] for r in rows} <= {0, 1}
-    total = sum(len(rc.values) for rc in rb.channels)
-    assert len(rows) == total
-    assert all(set(r) == {"channel", "value", "weight"} for r in rows)
 
 
 def test_argument_validation(k3):
@@ -220,19 +209,18 @@ def test_argument_validation(k3):
         batched_lanczos(op, x[:, 0], order=2)
     fact = batched_lanczos(op, x, order=3)
     with pytest.raises(ConfigError):
-        ritz_bank_as_hopbank(ritz_bank(fact, n=3), hops=3)
+        ritz_bank_as_hopbank(ritz_bank(fact), hops=3, raw_hop0=x)
     with pytest.raises(ValueError):
-        ritz_bank_as_hopbank(ritz_bank(fact, n=3), hops=2,
+        ritz_bank_as_hopbank(ritz_bank(fact), hops=2,
                              raw_hop0=np.ones((4, 2), dtype=np.float32))
 
 
 def test_all_zero_features_cannot_infer_node_count(k3):
     fact = batched_lanczos(make_operator(k3, "shifted"),
                            np.zeros((3, 2), dtype=np.float32), order=2)
-    with pytest.raises(ValueError):
-        ritz_bank(fact)
-    rb = ritz_bank(fact, n=3)
-    assert rb.width == 2 and len(rb.channels) == 0
+    # the node count is the operator's, so no feature column is needed
+    rb = ritz_bank(fact)
+    assert rb.width == 2 and rb.coeffs.size == 0
 
 
 def reference_lanczos(s, col, order):
@@ -270,11 +258,10 @@ def test_mixed_batch_matches_single_column_runs():
     assert list(fact.skipped) == [2] and list(fact.ids) == [0, 1, 3]
     assert list(fact.steps) == [order, 1, order]
     assert [cf.breakdown for cf in fact.channels] == [False, True, False]
-    rb = ritz_bank(fact)
-    bank = ritz_bank_as_hopbank(rb, hops=order - 1)
+    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=order - 1, raw_hop0=x)
     assert np.all(bank.slabs[1:, :, 1] == 0.0)
     assert np.all(bank.slabs[:, :, 2] == 0.0)
-    for cf, rc in zip(fact.channels, rb.channels):
+    for cf, rc in zip(fact.channels, map(ritz_components, fact.channels)):
         one = batched_lanczos(op, x[:, [cf.channel]], order)
         (alone,) = one.channels
         assert alone.steps == cf.steps
@@ -284,7 +271,7 @@ def test_mixed_batch_matches_single_column_runs():
         q, alphas, betas = reference_lanczos(dense_shifted(g), x[:, cf.channel], order)
         for a, b in ((q, cf.q), (alphas, cf.alphas), (betas, cf.betas)):
             assert np.max(np.abs(a - b), initial=0.0) < 1e-12
-        (rc_alone,) = ritz_bank(one).channels
+        rc_alone = ritz_components(alone)
         assert np.max(np.abs(rc_alone.components - rc.components)) < 1e-12
         assert np.max(np.abs(rc_alone.values - rc.values)) < 1e-12
 
@@ -308,8 +295,8 @@ def test_overflowing_krylov_slabs_raise_numerical_error():
     g = random_graph(rng, 10)
     x = 1e39 * seeded_features(g, 2, 4).astype(np.float64)
     rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, order=3))
-    with pytest.raises(NumericalError, match="krylov bank slab 0 is not finite"):
-        ritz_bank_as_hopbank(rb, hops=2)
+    with pytest.raises(NumericalError, match="krylov bank slab 1 is not finite"):
+        ritz_bank_as_hopbank(rb, hops=2, raw_hop0=x)
 
 
 def whole_array_lanczos(op, x, order):
