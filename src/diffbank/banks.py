@@ -272,6 +272,7 @@ def bank_report(bank: HopBank) -> ConditioningReport:
         "channels": d,
         "zero_norm_channels": int(zero.size),
         "mean_cond": float(np.mean(cond[clean])) if clean.size else float("nan"),
+        "median_cond": float(np.median(cond[clean])) if clean.size else float("nan"),
         "max_cond": float(np.max(cond[clean])) if clean.size else float("nan"),
         "mean_abs_cos": float(np.mean(mean_abs[clean])) if clean.size else float("nan"),
     }

@@ -31,8 +31,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io as dio
 from .backbone import TrainConfig
 from .banks import bank_report
@@ -195,10 +193,10 @@ def _cmd_diagnose(args) -> int:
         for c in range(bank.width):
             diags = ",".join(f"{rep.gram[c][k, k]:.8e}" for k in range(bank.hops + 1))
             fh.write(f"{c},{rep.cond[c]:.8e},{rep.mean_abs_cos[c]:.8e},{diags}\n")
-    print(f"conditioning: median cond {np.median(rep.cond):.3e}, "
-          f"mean |cos| {np.mean(rep.mean_abs_cos):.4f} -> {cond_path}")
+    print(f"conditioning: median cond {rep.summary['median_cond']:.3e}, "
+          f"mean |cos| {rep.summary['mean_abs_cos']:.4f} -> {cond_path}")
     if len(rep.zero_norm_channels):
-        print(f"zero-norm channels: {list(rep.zero_norm_channels)}")
+        print(f"zero-norm channels: {rep.zero_norm_channels.tolist()}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Experiment configuration: JSON schema, defaults, and dataclass adapters.
 
 A config file is a single JSON object. Unknown keys are rejected so typos
-fail loudly instead of silently running the default. Numeric budgets (hop
-count, Lanczos steps and the Krylov order floor), the stage plan and its
-blend weights are checked here as well as at the point of use, so a bad
-config dies before any graph is loaded.
+fail loudly instead of silently running the default, and so are NaN and
+infinity. Numeric budgets (hop count, Lanczos steps and the Krylov order
+floor), the stage plan and its blend weights are checked here as well as
+at the point of use, so a bad config dies before any graph is loaded.
 
 The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
 onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
@@ -22,6 +22,7 @@ import copy
 import hashlib
 import inspect
 import json
+import math
 
 import jsonschema
 
@@ -187,6 +188,15 @@ def _merge(base, override):
     return out
 
 
+def _check_finite(node, path=()) -> None:
+    """Raise ConfigError naming the field of a NaN or infinity, which ``json`` reads."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config field {'.'.join(map(str, path))}: {node} is not finite")
+    for key, value in (node.items() if isinstance(node, dict) else
+                       enumerate(node) if isinstance(node, list) else ()):
+        _check_finite(value, (*path, key))
+
+
 def validate_config(raw: dict) -> dict:
     """Validate against the schema, apply defaults, and enforce budgets."""
     try:
@@ -194,6 +204,7 @@ def validate_config(raw: dict) -> dict:
     except jsonschema.ValidationError as exc:
         path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config field {path}: {exc.message}") from None
+    _check_finite(raw)
 
     cfg = _merge(DEFAULTS, raw)
 

@@ -14,20 +14,14 @@ operator, the configured robust basis without staging, and the full staged
 plan. All arms of one seed draw the same dataset, and on a spectral-signal
 dataset they share its dense eigendecomposition: ``synth`` memoizes it per
 (spec, seed) process-wide for the 64 most recent specs, so for up to 64
-seeds the second and third arm, and any thread running the same seed, do
-not decompose again. A file dataset is parsed once per process while its
-files are unchanged, so every seed and arm shares one read-only graph,
-feature matrix and label set.
+seeds the second and third arm do not decompose again. A file dataset is
+parsed once per process while its files are unchanged, so every seed and
+arm shares one read-only graph, feature matrix and label set.
 
-Seeds always run on a thread pool of ``DIFFBANK_THREADS`` workers (default
-1, which runs them one after another). Each seed's sparse products run on
-the ``graph`` kernel's threads: the usable cores divided by
-``DIFFBANK_THREADS``, at least 1, so the two pools never ask for more
-threads than there are cores. The kernel gives every row the serial sum,
-so no number depends on either thread count. SpMM counts come from the
-module-global counter in ``graph``, so per-phase attribution is exact only
-with one seed worker; totals and every reported metric are the same at
-any thread count.
+Seeds run one after another on the calling thread, so each seed's product
+counts are its own. Its sparse products and the dense passes around them
+run on the ``graph`` kernel's threads, one per core, which give every row
+the serial sum: no number depends on the thread count.
 """
 
 import hashlib
@@ -35,7 +29,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,7 +39,7 @@ from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank  # 
 from .calibration import calibrate
 from .config import config_hash, to_stage_plan, to_synthetic_spec, to_train_config
 from .errors import ConfigError, DataError
-from .graph import check_fits, graph_hash, make_operator, seed_threads, spmm_call_count
+from .graph import check_fits, graph_hash, make_operator, spmm_call_count
 from .hrp import RunResult, StageResult, diffuse, evaluate_split, run_hrp_training
 from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank  # noqa: F401
@@ -264,9 +257,7 @@ def summarize(rows: list) -> dict:
 
 def run_experiment(cfg: dict) -> dict:
     seeds = cfg["seeds"]
-    with ThreadPoolExecutor(max_workers=seed_threads()) as pool:
-        # keep only the row, so no bank outlives its seed
-        rows = list(pool.map(lambda s: run_seed(cfg, s)[0], seeds))
+    rows = [run_seed(cfg, s)[0] for s in seeds]  # only the row: no bank outlives its seed
     return {
         "config_hash": config_hash(cfg),
         "metric": cfg["metric"],

@@ -42,12 +42,12 @@ read per pass, so they stay in cache, and each output row still starts
 from 0 and adds its entries in ascending column order, the same
 operations as one call on the whole matrix. So every product is the
 serial whole-matrix product bit for bit at any band width, tile size and
-thread count. Kernel threads are the cores this process may use over the
-seeds ``DIFFBANK_THREADS`` runs at once, at least 1, so the two never
-oversubscribe the cores; a product with fewer than ``_WORK_FLOOR`` stored
-entries times columns runs as one block on the calling thread. Every
-product bumps a module-level counter, on the calling thread, used by cost
-assertions and stage reports.
+thread count. Kernel threads are the cores this process may use; the pool
+is the package's only one, and seeds run one after another, so products
+never compete for the cores. A product with fewer than ``_WORK_FLOOR``
+stored entries times columns runs as one block on the calling thread.
+Every product bumps a module-level counter, on the calling thread, used by
+cost assertions and stage reports.
 
 ``row_chunks`` runs the dense passes around the products (Krylov's
 Lanczos arithmetic and Ritz slab fill, the calibration's probe dot
@@ -80,7 +80,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 __all__ = [
     "Graph",
@@ -92,7 +92,6 @@ __all__ = [
     "make_operator",
     "reset_spmm_count",
     "row_chunks",
-    "seed_threads",
     "spmm",
     "spmm_call_count",
     "OPERATOR_KINDS",
@@ -104,7 +103,7 @@ MAX_NODES = 3_037_000_499
 
 _SPMM_CALLS = 0
 
-# cores this process may use; kernel threads are these over seed threads
+# cores this process may use, one kernel block each
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
 # stored entries x width below which a product runs as one block on the
@@ -122,7 +121,7 @@ _CHUNK_ROWS = 1024
 _BAND_COLS = 8192
 _TILE_ROWS = 16 * _CHUNK_ROWS
 _POOL = None
-_POOL_LOCK = threading.Lock()  # seed threads may start the pool at once
+_POOL_LOCK = threading.Lock()  # API callers on their own threads may start it at once
 
 
 def spmm_call_count() -> int:
@@ -133,15 +132,6 @@ def spmm_call_count() -> int:
 def reset_spmm_count() -> None:
     global _SPMM_CALLS
     _SPMM_CALLS = 0
-
-
-def seed_threads() -> int:
-    """Seeds run at once, from ``DIFFBANK_THREADS`` (default 1)."""
-    raw = os.environ.get("DIFFBANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"DIFFBANK_THREADS must be an integer, got {raw!r}")
 
 
 def _physical_bytes() -> int:
@@ -358,8 +348,7 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
         mat.sort_indices()
         indptr, indices, data = mat.indptr, mat.indices, mat.data
         del mat
-    return SparseOperator(kind, g, *_banded(indptr, indices, data),
-                          _row_cuts(indptr, max(1, _CORES // seed_threads())))
+    return SparseOperator(kind, g, *_banded(indptr, indices, data), _row_cuts(indptr, _CORES))
 
 
 def _banded(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> tuple:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diffbank import SyntheticSpec, TrainConfig, cli, generate, graph, load_bank_file
+from diffbank.banks import bank_report
 from diffbank.cli import main
 from diffbank.config import config_hash, load_config
 from diffbank.experiment import prepare_dataset, run_seed
@@ -258,6 +259,28 @@ def test_diagnose_writes_sidecars(dataset, tmp_path, capsys):
     assert len(cond) == 1 + 3  # one row per channel
 
 
+def test_diagnose_summarises_the_channels_with_no_zero_norm_hop(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["generate", "--generator", "sbm", "--nodes", "60", "--feature-dim", "3",
+          "--seed", "1", "--out", str(data)])
+    x = load_features(str(data / "features.fmx"))
+    x[:, 1:] = 0.0
+    save_features(str(data / "features.fmx"), x)
+    bank_path = tmp_path / "bank.hbk"
+    main(["preprocess", "--edges", str(data / "edges.tsv"),
+          "--features", str(data / "features.fmx"), "--basis", "legendre",
+          "--out", str(bank_path)])
+    capsys.readouterr()
+    rc = main(["diagnose", "--bank", str(bank_path), "--out", str(tmp_path / "diag")])
+    assert rc == 0
+    summary, zero = capsys.readouterr().out.splitlines()
+    rep = bank_report(load_bank_file(str(bank_path)))
+    assert np.isfinite(rep.cond[0]) and np.isfinite(rep.mean_abs_cos[0])
+    assert summary.startswith(f"conditioning: median cond {rep.cond[0]:.3e}, "
+                              f"mean |cos| {rep.mean_abs_cos[0]:.4f} -> ")
+    assert zero == "zero-norm channels: [1, 2]"
+
+
 def test_experiment_and_ablation(tmp_path, capsys):
     cfg = write_config(tmp_path, seeds=[0], hrp={"stages": 1, "epochs": 2},
                        train={"epochs": 2, "batch_size": 16, "trunk": [8],
@@ -305,6 +328,28 @@ def test_config_only_errors_exit_2_before_any_product(tmp_path, capsys, over, sa
     assert says in capsys.readouterr().err
     assert graph.spmm_call_count() == before
     assert not (tmp_path / "r").exists()
+
+
+def test_a_non_finite_config_number_exits_2_before_the_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, train={"epochs": 3, "batch_size": 16, "trunk": [8],
+                                        "lr": float("nan")})
+    assert "NaN" in cfg.read_text()  # json writes and reads it
+    run_dir = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
+    assert rc == 2
+    assert "config field train.lr" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_a_non_finite_option_exits_2_before_the_bank(dataset, tmp_path, capsys):
+    before = graph.spmm_call_count()
+    rc = main(["preprocess", "--edges", str(dataset / "edges.tsv"),
+               "--features", str(dataset / "features.fmx"), "--basis", "jacobi",
+               "--alpha", "nan", "--out", str(tmp_path / "b.hbk")])
+    assert rc == 2
+    assert "config field jacobi.alpha" in capsys.readouterr().err
+    assert graph.spmm_call_count() == before
+    assert not (tmp_path / "b.hbk").exists()
 
 
 def test_a_negative_seed_override_exits_2_before_the_run(tmp_path, capsys):

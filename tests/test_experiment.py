@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from diffbank import ConfigError, DataError, validate_config
-from diffbank import experiment, graph, synth
+from diffbank import experiment, graph
 from diffbank.experiment import (build_bank, prepare_dataset, run_ablation,
                                  run_experiment, run_seed, summarize)
-from diffbank.graph import build_graph, seed_threads, spmm_call_count
+from diffbank.graph import build_graph, spmm_call_count
 from diffbank.io import save_edge_list, save_features, save_labels
 
 
@@ -98,9 +98,11 @@ def count_edge_list_loads(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_ablation_parses_a_file_dataset_once(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("DIFFBANK_THREADS", threads)
+@pytest.mark.parametrize("cores", [1, 2])
+def test_ablation_parses_a_file_dataset_once(tmp_path, monkeypatch, cores):
+    # one parse whether the kernel runs on one thread or two
+    monkeypatch.setattr(graph, "_WORK_FLOOR", 0)
+    monkeypatch.setattr(graph, "_CORES", cores)
     cfg = write_file_dataset(tmp_path, seeds=[0, 1])
     calls = count_edge_list_loads(monkeypatch)
     res = run_ablation(cfg)
@@ -270,29 +272,23 @@ def test_summarize_single_row_has_zero_std():
     assert s["mean"] == 0.75 and s["std"] == 0.0
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("DIFFBANK_THREADS", raising=False)
-    assert seed_threads() == 1
-    monkeypatch.setenv("DIFFBANK_THREADS", "4")
-    assert seed_threads() == 4
-    monkeypatch.setenv("DIFFBANK_THREADS", "0")
-    assert seed_threads() == 1
-    monkeypatch.setenv("DIFFBANK_THREADS", "many")
-    with pytest.raises(ConfigError):
-        seed_threads()
+def _without_seconds(node):
+    """A report row with every ``*seconds`` field left out, at any depth."""
+    if isinstance(node, dict):
+        return {k: _without_seconds(v) for k, v in node.items() if not k.endswith("seconds")}
+    if isinstance(node, list):
+        return [_without_seconds(v) for v in node]
+    return node
 
 
 def assert_threads_match_serial(monkeypatch, cfg):
-    synth._spectrum_slot.cache_clear()  # the threads fill the spectrum memo
-    monkeypatch.setenv("DIFFBANK_THREADS", "2")
+    # operators cut their blocks when made, so each run makes its own
+    monkeypatch.setattr(graph, "_WORK_FLOOR", 0)
+    monkeypatch.setattr(graph, "_CORES", 2)
     threaded = run_experiment(cfg)["runs"]
-    monkeypatch.setenv("DIFFBANK_THREADS", "1")
+    monkeypatch.setattr(graph, "_CORES", 1)
     serial = run_experiment(cfg)["runs"]
-    for t, s in zip(threaded, serial, strict=True):
-        assert t["seed"] == s["seed"]
-        assert t["data"] == s["data"]
-        assert t["test_metric"] == s["test_metric"]
-        assert t["val_metric"] == s["val_metric"]
+    assert [_without_seconds(r) for r in threaded] == [_without_seconds(r) for r in serial]
     return serial
 
 

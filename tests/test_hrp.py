@@ -283,7 +283,6 @@ def test_a_stage_boundary_holds_fewer_than_three_banks(monkeypatch):
     # included
     monkeypatch.setattr(graph, "_CORES", 2)
     monkeypatch.setattr(graph, "_WORK_FLOOR", 0)
-    monkeypatch.delenv("DIFFBANK_THREADS", raising=False)
     n, d, hops = 20_000, 64, 10
     g = build_graph(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
     bank = legendre_bank(make_operator(g, "shifted"),

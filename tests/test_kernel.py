@@ -33,7 +33,6 @@ from diffbank.rng import rng_for
 def _kernel(monkeypatch, cores):
     monkeypatch.setattr(graph, "_CORES", cores)
     monkeypatch.setattr(graph, "_WORK_FLOOR", 0)
-    monkeypatch.delenv("DIFFBANK_THREADS", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -172,19 +171,9 @@ def test_callers_on_many_threads_share_the_pool(soup, monkeypatch):
                for pair in got for b, w in zip(pair, want))
 
 
-def test_seed_threads_take_the_kernel_threads(soup, monkeypatch):
-    g, _ = soup
-    monkeypatch.setattr(graph, "_CORES", 2)
-    monkeypatch.setenv("DIFFBANK_THREADS", "2")
-    assert make_operator(g, "shifted")._cuts == (0, g.n)
-    monkeypatch.setenv("DIFFBANK_THREADS", "1")
-    assert len(make_operator(g, "shifted")._cuts) == 3
-
-
 def test_small_products_run_as_one_block(soup, monkeypatch):
     g, x = soup
     monkeypatch.setattr(graph, "_CORES", 2)
-    monkeypatch.delenv("DIFFBANK_THREADS", raising=False)
     op = make_operator(g, "shifted")
     assert len(op._cuts) == 3 and op._matrix.nnz * x.shape[1] < graph._WORK_FLOOR
     calls = []

@@ -24,3 +24,14 @@ def test_every_raised_exception_class_is_in_scope(stem):
                and not hasattr(module, node.exc.func.id)
                and not hasattr(builtins, node.exc.func.id)]
     assert not missing
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_module_reads_the_environment(stem):
+    # a setting is a config key, validated with the rest, never a variable
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    reads = [f"{stem}.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and {a.name for a in node.names} & {"environ", "getenv"}]
+    assert not reads
