@@ -287,31 +287,24 @@ def _sigmoid(x):
     return out
 
 
-def softmax_xent(logits, labels, mask=None):
-    """Mean cross-entropy over masked rows.
+def softmax_xent(logits, labels):
+    """Mean cross-entropy over every row given.
 
-    Returns (loss, dlogits) where dlogits already carries the 1/|mask|
-    factor and is zero on unmasked rows. ``mask=None`` means all rows.
+    Returns (loss, dlogits) where dlogits already carries the 1/rows factor.
     """
     logits = np.asarray(logits)
     labels = np.asarray(labels)
-    if mask is None:
-        mask = np.ones(logits.shape[0], dtype=bool)
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        raise ValueError("empty mask in cross-entropy")
-    sel = logits[idx]
-    y = labels[idx]
-    if np.any(y < 0) or np.any(y >= logits.shape[1]):
+    rows = logits.shape[0]
+    if rows == 0:
+        raise ValueError("no rows in cross-entropy")
+    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
         raise DataError("label outside [0, num_classes)")
-    shifted = sel - sel.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.mean(logz - shifted[np.arange(idx.size), y]))
+    loss = float(np.mean(logz - shifted[np.arange(rows), labels]))
     soft = np.exp(shifted - logz[:, None])
-    soft[np.arange(idx.size), y] -= 1.0
-    dlogits = np.zeros_like(logits)
-    dlogits[idx] = soft / idx.size
-    return loss, dlogits
+    soft[np.arange(rows), labels] -= 1.0
+    return loss, soft / rows
 
 
 def init_adam(params: dict) -> dict:
@@ -358,34 +351,29 @@ def adam_step(params, grads, state, lr, *, weight_decay=0.0,
     return state
 
 
-def accuracy(logits, labels, mask):
-    idx = np.nonzero(np.asarray(mask))[0]
-    if idx.size == 0:
-        raise ValueError("empty mask in accuracy")
-    pred = np.argmax(np.asarray(logits)[idx], axis=1)
-    return float(np.mean(pred == np.asarray(labels)[idx]))
+def accuracy(logits, labels):
+    logits = np.asarray(logits)
+    if logits.shape[0] == 0:
+        raise ValueError("no rows in accuracy")
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
-def roc_auc(scores, labels, mask):
+def roc_auc(scores, labels):
     """Binary ROC AUC from scores, ties handled by midranks."""
-    idx = np.nonzero(np.asarray(mask))[0]
-    s = np.asarray(scores, dtype=np.float64)[idx]
-    y = np.asarray(labels)[idx]
-    pos = y == 1
+    s = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
     n_pos = int(pos.sum())
-    n_neg = int(idx.size - n_pos)
+    n_neg = int(s.size - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC AUC needs both classes present in the mask")
+        raise ValueError("ROC AUC needs both classes present")
+    # a run of tied scores at sorted positions first..first+size-1 shares
+    # the midrank first + (size + 1) / 2; NaN scores are runs of one
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(idx.size, dtype=np.float64)
     sorted_s = s[order]
-    i = 0
-    while i < idx.size:
-        j = i
-        while j + 1 < idx.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    size = np.diff(np.r_[first, s.size])
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat(first + (size + 1) / 2, size)
     r_pos = ranks[pos].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

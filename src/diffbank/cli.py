@@ -16,6 +16,8 @@ dataclass, ``calibrate`` or config default applies. An option's ``dest``
 names where its value goes, with dots for nesting: ``preprocess --gamma``
 and ``calibrate --gamma`` set ``calibration.gamma`` of a config that
 ``validate_config`` checks like any config file, before any file is read.
+``generate``'s options but ``--seed`` and ``--out`` are the keys of a
+``dataset.synthetic`` section, checked the same way before it writes.
 
 ``train`` adds nothing to the run but its files: ``model.mdl`` and
 ``bank.hbk`` (the best stage's checkpoint and bank), ``report.json`` (the
@@ -35,8 +37,8 @@ from . import io as dio
 from .backbone import TrainConfig
 from .banks import bank_report
 from .calibration import calibrate
-from .config import (CONFIG_SCHEMA, config_hash, load_config, to_train_config,
-                     validate_config)
+from .config import (CONFIG_SCHEMA, config_hash, load_config, to_synthetic_spec,
+                     to_train_config, validate_config)
 from .errors import ConfigError, DataError, DiffbankError, NumericalError
 from .experiment import (build_bank, check_auc_labels, load_feature_file, load_graph,
                          run_ablation, run_experiment, run_seed)
@@ -67,7 +69,9 @@ def _given(args) -> dict:
 def _cmd_generate(args) -> int:
     given = _given(args)
     out = given.pop("out")
-    g, x, lv = generate(SyntheticSpec(**given))
+    seed = given.pop("seed", SyntheticSpec.seed)
+    cfg = validate_config({"dataset": {"synthetic": given}})
+    g, x, lv = generate(to_synthetic_spec(cfg, seed))
     os.makedirs(out, exist_ok=True)
     dio.save_edge_list(os.path.join(out, "edges.tsv"), g)
     dio.save_features(os.path.join(out, "features.fmx"), x)

@@ -3,8 +3,9 @@
 A config file is a single JSON object. Unknown keys are rejected so typos
 fail loudly instead of silently running the default, and so are NaN and
 infinity. Numeric budgets (hop count, Lanczos steps and the Krylov order
-floor), the stage plan and its blend weights are checked here as well as
-at the point of use, so a bad config dies before any graph is loaded.
+floor), the operator a graph's direction allows and the stage plan are
+checked here as well as at the point of use, so a bad config dies before
+any graph is loaded.
 
 The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
 onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
@@ -31,7 +32,7 @@ from .banks import MAX_HOPS
 from .calibration import calibrate
 from .errors import ConfigError
 from .graph import OPERATOR_KINDS
-from .hrp import RECIPE_BASES, StagePlan, blend_alphas, krylov_order
+from .hrp import RECIPE_BASES, StagePlan, krylov_order
 from .krylov import MAX_LANCZOS_STEPS
 from .synth import SyntheticSpec
 
@@ -138,11 +139,7 @@ CONFIG_SCHEMA = {
                     ]
                 },
                 "lambda0": {"type": "number", "minimum": 0, "maximum": 1},
-                "schedule": {"enum": ["cosine", "constant", "perhop"]},
-                "alpha_vectors": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
+                "schedule": {"enum": ["cosine", "constant"]},
                 "warm_start": {"type": "boolean"},
                 "patience": {"type": "integer", "minimum": 1},
             },
@@ -224,6 +221,9 @@ def validate_config(raw: dict) -> dict:
                           f"budget of {MAX_LANCZOS_STEPS}")
     if cfg["basis"] != "monomial" and cfg["operator"] != "shifted":
         raise ConfigError(f"the {cfg['basis']} basis runs on the shifted operator only")
+    if not ds.get("undirected", True) and cfg["operator"] != "da":
+        raise ConfigError(f"dataset.undirected false needs operator da; operator "
+                          f"{cfg['operator']} runs on undirected graphs only")
     if not (0.0 < cfg["calibration"]["gamma"] < 1.0):
         raise ConfigError("calibration gamma must lie in (0, 1)")
     if cfg["basis"] == "krylov":
@@ -232,9 +232,7 @@ def validate_config(raw: dict) -> dict:
     for key in ("epochs", "patience"):
         if key in cfg["train"]:
             cfg["hrp"].setdefault(key, cfg["train"][key])
-    plan = to_stage_plan(cfg)
-    for s in range(1, plan.stages):
-        blend_alphas(plan, s, cfg["hops"])
+    to_stage_plan(cfg)
     return cfg
 
 

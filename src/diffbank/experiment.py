@@ -279,8 +279,6 @@ def _arm_config(cfg: dict, *, basis=None, operator=None, stages=None) -> dict:
         eps = hrp.get("epochs")
         if isinstance(eps, list):
             hrp["epochs"] = eps[:stages] if len(eps) >= stages else eps[0]
-        if hrp.get("alpha_vectors") is not None:
-            hrp["alpha_vectors"] = hrp["alpha_vectors"][:stages - 1]
     return arm
 
 

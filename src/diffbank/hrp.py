@@ -9,9 +9,11 @@ per-hop convex blend
 
     Z^(s+1)_k = alpha_{s,k} Z^(s)_k + (1 - alpha_{s,k}) Htilde_k,
 
-with alpha_{s,0} pinned to 1 so hop 0 never drifts from the raw features.
-The default schedule lowers the re-propagated share along a half cosine,
-lambda_s = lambda0 * (1 + cos(pi s / S)) / 2, so late stages blend less.
+with alpha_{s,0} pinned to 1 so hop 0 never drifts from the raw features,
+and alpha_{s,k} = 1 - lambda_s for every hop k >= 1. The default schedule
+lowers the re-propagated share lambda_s along a half cosine,
+lambda_s = lambda0 * (1 + cos(pi s / S)) / 2, so late stages blend less;
+the constant schedule keeps lambda_s = lambda0.
 
 Blending at weight exactly 1 or exactly 0 copies the corresponding slab
 instead of multiplying through, so a schedule that degenerates to plain
@@ -71,7 +73,6 @@ class StagePlan:
     epochs: int | list = TrainConfig.epochs
     lambda0: float = 0.5
     schedule: str = "cosine"
-    alpha_vectors: list | None = None
     warm_start: bool = True
     patience: int = TrainConfig.patience
 
@@ -88,14 +89,8 @@ class StagePlan:
             raise ConfigError("need one positive epoch budget per stage")
         if not (0.0 <= self.lambda0 <= 1.0):
             raise ConfigError("lambda0 must lie in [0, 1]")
-        if self.schedule not in ("cosine", "constant", "perhop"):
+        if self.schedule not in ("cosine", "constant"):
             raise ConfigError(f"unknown blend schedule {self.schedule!r}")
-        if self.schedule == "perhop":
-            if self.alpha_vectors is None or len(self.alpha_vectors) != self.stages - 1:
-                raise ConfigError("perhop schedule needs stages-1 alpha vectors")
-        elif self.alpha_vectors is not None:
-            raise ConfigError(f"alpha_vectors set the perhop schedule only; the "
-                              f"{self.schedule} schedule would ignore them")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
 
@@ -131,18 +126,8 @@ def cosine_blend_weight(s: int, stages: int, lambda0: float) -> float:
 
 
 def blend_alphas(plan: StagePlan, s: int, hops: int) -> np.ndarray:
-    """Per-hop weights of the blend entering stage s+1; a per-hop vector
-    must hold hops + 1 weights in [0, 1], the first exactly 1."""
-    if plan.schedule == "perhop":
-        alpha = np.asarray(plan.alpha_vectors[s - 1], dtype=np.float64)
-        if alpha.shape != (hops + 1,):
-            raise ConfigError(f"per-hop alpha vector {s} has the wrong length: "
-                              f"need hops + 1 = {hops + 1} weights")
-        if alpha[0] != 1.0:
-            raise ConfigError("hop-0 blend weight must be exactly 1")
-        if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
-            raise ConfigError(f"per-hop alpha vector {s} has a weight outside [0, 1]")
-        return alpha
+    """Per-hop weights of the blend entering stage s+1: 1 at hop 0 and
+    1 - lambda_s at every other hop."""
     if plan.schedule == "constant":
         w = plan.lambda0
     else:
@@ -247,12 +232,6 @@ def blend(bank: HopBank, htilde: HopBank, alphas, *, out: np.ndarray | None = No
     return HopBank(hops=bank.hops, slabs=slabs, provenance=prov)
 
 
-def _metric_fn(metric):
-    if metric == "accuracy":
-        return lambda logits, labels, mask: accuracy(logits, labels, mask)
-    return lambda logits, labels, mask: roc_auc(model_scores(logits), labels, mask)
-
-
 def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accuracy",
                    chunk: int = 8192) -> float:
     """Deterministic eval-mode metric over an arbitrary node mask."""
@@ -262,7 +241,9 @@ def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accura
         sel = ids[lo:lo + chunk]
         lg, _, _ = model.forward(params, bank.slabs, sel, train=False)
         logits[lo:lo + len(sel)] = lg
-    return _metric_fn(metric)(logits, lv.labels[ids], np.ones(ids.size, dtype=bool))
+    if metric == "accuracy":
+        return accuracy(logits, lv.labels[ids])
+    return roc_auc(model_scores(logits), lv.labels[ids])
 
 
 def train_stage(model, params, adam, bank: HopBank, lv, cfg: TrainConfig, *,

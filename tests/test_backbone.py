@@ -123,29 +123,29 @@ def test_xent_against_finite_difference():
     rng = rng_for(0, "xentfd")
     logits = rng.normal(size=(6, 4))
     labels = rng.integers(0, 4, size=6)
-    mask = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
-    loss, dlogits = softmax_xent(logits, labels, mask)
-    assert np.all(dlogits[~mask] == 0.0)
+    loss, dlogits = softmax_xent(logits, labels)
     eps = 1e-6
     for i in range(6):
         for j in range(4):
             orig = logits[i, j]
             logits[i, j] = orig + eps
-            hi, _ = softmax_xent(logits, labels, mask)
+            hi, _ = softmax_xent(logits, labels)
             logits[i, j] = orig - eps
-            lo, _ = softmax_xent(logits, labels, mask)
+            lo, _ = softmax_xent(logits, labels)
             logits[i, j] = orig
             assert (hi - lo) / (2 * eps) == pytest.approx(dlogits[i, j], abs=1e-8)
 
 
 def test_xent_mask_mean_and_stability():
-    # huge logits must not overflow, and the mean is over masked rows only
+    # huge logits must not overflow, and the mean is over the masked rows
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0], [5.0, 5.0]])
     labels = np.array([0, 0, 1])
-    loss, _ = softmax_xent(logits, labels, np.array([True, False, True]))
+    mask = np.array([True, False, True])
+    loss, dlogits = softmax_xent(logits[mask], labels[mask])
     assert loss == pytest.approx(0.5 * (0.0 + np.log(2.0)), abs=1e-9)
+    assert dlogits.shape == (2, 2)
     with pytest.raises(ValueError):
-        softmax_xent(logits, labels, np.zeros(3, dtype=bool))
+        softmax_xent(logits[:0], labels[:0])
     with pytest.raises(DataError):
         softmax_xent(logits, np.array([0, 2, 1]))
 
@@ -330,9 +330,9 @@ def test_accuracy_hand_case():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 1, 1, 1])
     mask = np.array([True, True, True, False])
-    assert accuracy(logits, labels, mask) == pytest.approx(2.0 / 3.0)
+    assert accuracy(logits[mask], labels[mask]) == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
-        accuracy(logits, labels, np.zeros(4, dtype=bool))
+        accuracy(logits[:0], labels[:0])
 
 
 def naive_auc(scores, labels):
@@ -356,7 +356,7 @@ def test_roc_auc_matches_pairwise_oracle_with_ties():
         mask = rng.random(n) < 0.8
         if labels[mask].size == 0 or labels[mask].min() == labels[mask].max():
             mask[:] = True
-        got = roc_auc(scores, labels, mask)
+        got = roc_auc(scores[mask], labels[mask])
         want = naive_auc(scores[mask], labels[mask])
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -364,12 +364,13 @@ def test_roc_auc_matches_pairwise_oracle_with_ties():
 def test_roc_auc_edges():
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     labels = np.array([1, 1, 0, 0])
-    mask = np.ones(4, dtype=bool)
-    assert roc_auc(scores, labels, mask) == 1.0
-    assert roc_auc(-scores, labels, mask) == 0.0
-    assert roc_auc(np.zeros(4), labels, mask) == 0.5
+    assert roc_auc(scores, labels) == 1.0
+    assert roc_auc(-scores, labels) == 0.0
+    assert roc_auc(np.zeros(4), labels) == 0.5
     with pytest.raises(ValueError):
-        roc_auc(scores, np.ones(4, dtype=int), mask)
+        roc_auc(scores, np.ones(4, dtype=int))
+    with pytest.raises(ValueError):
+        roc_auc(scores[:0], labels[:0])
 
 
 def test_model_scores_binary_only():

@@ -92,6 +92,33 @@ def test_preprocess_validates_like_a_config_file(dataset, tmp_path, capsys):
     assert load_bank_file(str(tmp_path / "b.hbk")).provenance["basis"] == "jacobi"
 
 
+@pytest.mark.parametrize("flag, value", [("--snr", "nan"), ("--snr", "-1")])
+def test_generate_validates_its_options_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "D"
+    rc = main(["generate", "--nodes", "40", flag, value, "--out", str(out)])
+    assert rc == 2
+    assert "dataset.synthetic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_directed_graph_needs_the_da_operator(dataset, tmp_path, capsys):
+    # a train config with undirected false is a case of the config-only test
+    common = ["--edges", str(dataset / "edges.tsv"), "--directed"]
+    rc = main(["calibrate", *common])
+    assert rc == 2
+    assert "operator da" in capsys.readouterr().err
+    bank = tmp_path / "b.hbk"
+    pre = ["preprocess", *common, "--features", str(dataset / "features.fmx"),
+           "--out", str(bank)]
+    rc = main(pre)
+    assert rc == 2
+    assert "operator da" in capsys.readouterr().err
+    assert not bank.exists()
+    rc = main(pre + ["--operator", "da", "--basis", "monomial"])
+    assert rc == 0
+    assert load_bank_file(str(bank)).provenance["operator"] == "da"
+
+
 def test_generate_defaults_are_the_spec_defaults(tmp_path, capsys):
     rc = main(["generate", "--out", str(tmp_path / "cli")])
     assert rc == 0
@@ -309,16 +336,11 @@ def test_config_error_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("over, says", [
-    ({"hrp": {"stages": 2, "epochs": 2, "schedule": "perhop",
-              "alpha_vectors": [[1.0, 0.5, 1.5, 0.5]]}}, "outside [0, 1]"),
-    ({"hrp": {"stages": 2, "epochs": 2, "schedule": "perhop",
-              "alpha_vectors": [[1.0, 0.5, 0.5]]}}, "hops + 1 = 4"),
-    ({"hrp": {"stages": 2, "epochs": 2, "schedule": "perhop",
-              "alpha_vectors": [[0.5, 0.5, 0.5, 0.5]]}}, "exactly 1"),
+    ({"hrp": {"schedule": "perhop"}}, "hrp.schedule"),
+    ({"hrp": {"alpha_vectors": [[1.0, 0.5, 0.5, 0.5]]}}, "alpha_vectors"),
+    ({"dataset": {"edges": "e.tsv", "undirected": False}}, "dataset.undirected"),
     ({"hrp": {"stages": 8, "epochs": 2}}, "maximum of 7"),
     ({"basis": "krylov", "krylov": {"order": 3}}, "hops + 1 = 4"),
-    ({"hrp": {"stages": 2, "epochs": 2, "alpha_vectors": [[1.0, 0.9, 0.9, 0.9]]}},
-     "perhop schedule only"),
 ])
 def test_config_only_errors_exit_2_before_any_product(tmp_path, capsys, over, says):
     cfg = write_config(tmp_path, **over)

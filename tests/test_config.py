@@ -50,6 +50,9 @@ def test_unknown_keys_rejected_with_dotted_path():
     # the retired staged-run diagnostics switch fails loudly, not silently
     with pytest.raises(ConfigError, match="hrp"):
         validate_config({**minimal(), "hrp": {"diagnostics": True}})
+    # so do the retired per-hop blend weights
+    with pytest.raises(ConfigError, match="hrp"):
+        validate_config({**minimal(), "hrp": {"alpha_vectors": [[1.0]]}})
 
 
 def test_dataset_exclusivity_and_required_files():

@@ -331,9 +331,9 @@ def test_ablation_arms_share_seeds_and_differ_in_plan():
     assert robust["data"]["graph_hash"] == staged["data"]["graph_hash"]
 
 
-def test_perhop_ablation_runs_every_arm():
-    cfg = tiny_cfg(hrp={"stages": 2, "epochs": [2, 1], "schedule": "perhop",
-                        "alpha_vectors": [[1.0, 0.5, 0.25, 0.125]]})
+def test_epoch_list_ablation_runs_every_arm():
+    # a per-stage epoch list: the single-stage arms keep its first budget
+    cfg = tiny_cfg(hrp={"stages": 2, "epochs": [2, 1], "schedule": "cosine"})
     res = run_ablation(cfg)
     staged = res["arms"]["robust-basis+hrp"]["runs"][0]
     assert [len(a["runs"]) for a in res["arms"].values()] == [1, 1, 1]
@@ -342,11 +342,10 @@ def test_perhop_ablation_runs_every_arm():
 
 
 def test_ablation_refuses_a_bad_arm_before_any_seed_runs():
-    # two alpha vectors for a two-stage plan: the staged arm is refused
-    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 2, "schedule": "perhop",
-                        "alpha_vectors": [[1.0, 0.5, 0.25, 0.125]]})
-    cfg["hrp"]["alpha_vectors"].append([1.0, 0.5, 0.25, 0.125])
+    # an API caller's dict, validated and then changed: every arm is refused
+    cfg = tiny_cfg(hrp={"stages": 2, "epochs": 2})
+    cfg["hrp"]["lambda0"] = 1.5
     before = spmm_call_count()
-    with pytest.raises(ConfigError, match="stages-1 alpha vectors"):
+    with pytest.raises(ConfigError, match="lambda0"):
         run_ablation(cfg)
     assert spmm_call_count() == before

@@ -66,15 +66,6 @@ def test_blend_alphas_schedules():
     a1 = blend_alphas(plan, 1, 4)
     a2 = blend_alphas(plan, 2, 4)
     assert np.all(a1[1:] < a2[1:])  # later stages blend less in
-    plan = StagePlan(stages=2, epochs=2, schedule="perhop",
-                     alpha_vectors=[[1.0, 0.5, 0.25]])
-    assert np.allclose(blend_alphas(plan, 1, 2), [1.0, 0.5, 0.25])
-    with pytest.raises(ConfigError):
-        blend_alphas(plan, 1, 3)  # wrong length
-    bad = StagePlan(stages=2, epochs=2, schedule="perhop",
-                    alpha_vectors=[[0.9, 0.5, 0.25]])
-    with pytest.raises(ConfigError):
-        blend_alphas(bad, 1, 2)  # hop 0 must stay raw
 
 
 def test_stage_plan_validation():
@@ -90,8 +81,6 @@ def test_stage_plan_validation():
         StagePlan(stages=1, epochs=1, lambda0=1.5)
     with pytest.raises(ConfigError):
         StagePlan(stages=1, epochs=1, schedule="linear")
-    with pytest.raises(ConfigError):
-        StagePlan(stages=2, epochs=1, schedule="perhop")
     with pytest.raises(ConfigError):
         StagePlan(stages=1, epochs=1, patience=0)
     plan = StagePlan(stages=3, epochs=5)
