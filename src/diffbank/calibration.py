@@ -28,8 +28,8 @@ import numpy as np
 
 from .banks import recurrence
 from .errors import ConfigError, NumericalError
-# spmm is imported only for perfbench's tracer binding (ROADMAP item 4,
-# "perfbench binds the bank builders in experiment"); recurrence multiplies
+# spmm is imported only for perfbench's tracer binding (ROADMAP item 6,
+# "a per-phase cost meter"); recurrence multiplies
 from .graph import SparseOperator, row_chunks, spmm  # noqa: F401
 from .rng import rng_for
 
@@ -52,6 +52,7 @@ DEFAULT_GRID = 512
 DEFAULT_GAMMA = 0.5
 DEFAULT_MARGIN = 1e-3
 WEIGHT_FLOOR = -0.99
+EXACT_MAX_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,6 @@ class MomentVector:
 
     values: np.ndarray
     probes: int
-    seed: int | None
-    probe_kind: str
 
 
 @dataclass(frozen=True)
@@ -86,33 +85,25 @@ def _require_shifted(op: SparseOperator) -> None:
 
 
 def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
-                     probes: int = DEFAULT_PROBES, seed: int = 0,
-                     probe_kind: str = "gaussian") -> MomentVector:
+                     probes: int = DEFAULT_PROBES, seed: int = 0) -> MomentVector:
     """Stochastic Chebyshev trace moments of the shifted operator.
 
     Runs the three-term recurrence v_{k+1} = 2 S v_k - v_{k-1} on a block of
-    random probe vectors z with ``banks.recurrence`` and averages <z, v_k>
+    Gaussian probe vectors z with ``banks.recurrence`` and averages <z, v_k>
     over probes. Each chunk's rows of v_{k+1} are dotted with z as they
     are written, and each <z, v_k> adds those per-chunk sums in chunk
     order, so the moments do not depend on the thread count; besides z the
     recurrence holds two (n, probes) blocks. Exactly ``order`` sparse
     products are issued. m_0 concentrates near n with standard error about
-    n * sqrt(2/n) / sqrt(probes) for Gaussian probes.
+    n * sqrt(2/n) / sqrt(probes).
     """
     _require_shifted(op)
     if order < 1:
         raise ConfigError("moment order must be >= 1")
     if probes < 1:
         raise ConfigError("probe count must be >= 1")
-    if probe_kind not in ("gaussian", "rademacher"):
-        raise ConfigError(f"unknown probe kind {probe_kind!r}")
 
-    rng = rng_for(seed, "chebyshev-probes", probe_kind)
-    n = op.n
-    if probe_kind == "gaussian":
-        z = rng.standard_normal((n, probes))
-    else:
-        z = rng.integers(0, 2, size=(n, probes)).astype(np.float64) * 2.0 - 1.0
+    z = rng_for(seed, "chebyshev-probes", "gaussian").standard_normal((op.n, probes))
 
     def mean(parts):
         return functools.reduce(np.add, parts) / probes
@@ -125,15 +116,14 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
                        [0.0] + [1.0] * (order - 1),
                        lambda k, lo, hi, rows, y: np.sum(np.multiply(z[lo:hi], rows, out=y)))
     m[1:] = [mean(parts) for parts in steps]
-    return MomentVector(values=m, probes=probes, seed=seed, probe_kind=probe_kind)
+    return MomentVector(values=m, probes=probes)
 
 
-def exact_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
-                  max_nodes: int = 64) -> MomentVector:
+def exact_moments(op: SparseOperator, order: int = DEFAULT_ORDER) -> MomentVector:
     """Exact traces Tr T_k(S) by dense recurrence; guarded to small graphs."""
     _require_shifted(op)
-    if op.n > max_nodes:
-        raise ConfigError(f"exact moments limited to {max_nodes} nodes, got {op.n}")
+    if op.n > EXACT_MAX_NODES:
+        raise ConfigError(f"exact moments limited to {EXACT_MAX_NODES} nodes, got {op.n}")
     s = op._matrix.toarray()
     m = np.empty(order + 1, dtype=np.float64)
     t_prev = np.eye(op.n)
@@ -144,7 +134,7 @@ def exact_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
         t_next = 2.0 * (s @ t) - t_prev
         t_prev, t = t, t_next
         m[k] = np.trace(t)
-    return MomentVector(values=m, probes=0, seed=None, probe_kind="exact")
+    return MomentVector(values=m, probes=0)
 
 
 def jackson_coefficients(order: int) -> np.ndarray:
@@ -183,22 +173,19 @@ def _split_masses(grid: np.ndarray, rho: np.ndarray):
     return m_low, m_high
 
 
-def reconstruct_density(moments: MomentVector, n: int,
-                        grid: int = DEFAULT_GRID) -> SpectralDensity:
+def reconstruct_density(moments: MomentVector, n: int) -> SpectralDensity:
     """Jackson-damped Chebyshev reconstruction of the eigenvalue density.
 
-    Evaluates the damped series on ``grid`` uniform points over
+    Evaluates the damped series on ``DEFAULT_GRID`` uniform points over
     [-1 + DEFAULT_MARGIN, 1 - DEFAULT_MARGIN], clamps negative ripples to
     zero and renormalizes to unit mass. Raises NumericalError when clamping
     leaves nothing, which happens for moment vectors that do not come from
     any positive measure.
     """
-    if grid < 8:
-        raise ConfigError("density grid needs at least 8 points")
     vals = np.asarray(moments.values, dtype=np.float64)
     coef = jackson_coefficients(vals.size - 1) * (vals / float(n))
     coef[1:] *= 2.0
-    xs = np.linspace(-1.0 + DEFAULT_MARGIN, 1.0 - DEFAULT_MARGIN, grid)
+    xs = np.linspace(-1.0 + DEFAULT_MARGIN, 1.0 - DEFAULT_MARGIN, DEFAULT_GRID)
     series = np.polynomial.chebyshev.chebval(xs, coef)
     rho = np.clip(series, 0.0, None) / (np.pi * np.sqrt(1.0 - xs * xs))
     m_low, m_high = _split_masses(xs, rho)
@@ -237,19 +224,18 @@ def calibrate_jacobi(delta: float, gamma: float = DEFAULT_GAMMA) -> JacobiWeight
 
 
 def calibrate(op: SparseOperator, *, order: int = DEFAULT_ORDER, probes: int = DEFAULT_PROBES,
-              grid: int = DEFAULT_GRID, gamma: float = DEFAULT_GAMMA, seed: int = 0,
-              probe_kind: str = "gaussian", exact: bool = False):
+              gamma: float = DEFAULT_GAMMA, seed: int = 0, exact: bool = False):
     """Full calibration pass: moments -> density -> delta -> weights.
 
     Returns (weights, density, moments). ``exact=True`` replaces the
-    stochastic trace with a dense recurrence and is limited to 64 nodes.
+    stochastic trace with a dense recurrence and is limited to
+    ``EXACT_MAX_NODES`` nodes.
     """
     if exact:
         moments = exact_moments(op, order=order)
     else:
-        moments = estimate_moments(op, order=order, probes=probes, seed=seed,
-                                   probe_kind=probe_kind)
-    density = reconstruct_density(moments, op.n, grid=grid)
+        moments = estimate_moments(op, order=order, probes=probes, seed=seed)
+    density = reconstruct_density(moments, op.n)
     delta = spectral_imbalance(density)
     weights = calibrate_jacobi(delta, gamma=gamma)
     return weights, density, moments

@@ -232,7 +232,8 @@ def _add_graph_args(p, features=True):
         p.add_argument("--features", dest="dataset.features", metavar="PATH", required=True,
                        help="feature matrix (.fmx binary or delimited text)")
     p.add_argument("--nodes", dest="dataset.num_nodes", metavar="N", type=int,
-                   help="node count (default: inferred from the edge list)")
+                   help="node count (default: the edge list's '# nodes:' line, "
+                        "else the largest id + 1)")
     p.add_argument("--directed", dest="dataset.undirected", action="store_false")
     p.add_argument("--self-loops", dest="dataset.add_self_loops", action="store_true")
 
@@ -241,8 +242,6 @@ def _add_calibration_args(p):
     p.add_argument("--cheb-order", dest="calibration.order", type=int)
     p.add_argument("--probes", dest="calibration.probes", type=int)
     p.add_argument("--gamma", dest="calibration.gamma", type=float)
-    p.add_argument("--exact", dest="calibration.exact", action="store_true",
-                   help="dense trace moments (small graphs only)")
     p.add_argument("--seed", dest="calibration.seed", type=int)
 
 
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--feature-dim", type=int)
     g.add_argument("--snr", type=float)
     g.add_argument("--noise", type=float)
-    g.add_argument("--homophily", action=argparse.BooleanOptionalAction)
     g.add_argument("--signal-quantile", type=float)
     g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True)

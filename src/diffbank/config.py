@@ -65,7 +65,6 @@ CONFIG_SCHEMA = {
                         "feature_dim": {"type": "integer", "minimum": 1},
                         "snr": {"type": "number", "minimum": 0},
                         "noise": {"type": "number", "minimum": 0},
-                        "homophily": {"type": ["boolean", "null"]},
                         "signal_quantile": {"type": "number"},
                         "confounder_modes": {"type": "integer", "minimum": 0},
                         "confounder_scale": {"type": "number", "minimum": 0},
@@ -96,10 +95,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "order": {"type": "integer", "minimum": 1},
                 "probes": {"type": "integer", "minimum": 1},
-                "grid": {"type": "integer", "minimum": 8},
                 "gamma": {"type": "number"},
-                "probe_kind": {"enum": ["gaussian", "rademacher"]},
-                "exact": {"type": "boolean"},
                 "seed": {"type": "integer"},
             },
         },

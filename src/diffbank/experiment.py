@@ -34,10 +34,11 @@ import numpy as np
 
 from .backbone import label_features
 # imported only for perfbench's tracer bindings, as are the krylov names (ROADMAP
-# item 4, "perfbench binds the bank builders in experiment"); hrp.diffuse builds banks
+# item 6, "a per-phase cost meter"); hrp.diffuse builds banks
 from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank  # noqa: F401
 from .calibration import calibrate
-from .config import config_hash, to_stage_plan, to_synthetic_spec, to_train_config
+from .config import (config_hash, to_stage_plan, to_synthetic_spec, to_train_config,
+                     validate_config)
 from .errors import ConfigError, DataError
 from .graph import check_fits, graph_hash, make_operator, spmm_call_count
 from .hrp import RunResult, StageResult, diffuse, evaluate_split, run_hrp_training
@@ -285,8 +286,9 @@ def _arm_config(cfg: dict, *, basis=None, operator=None, stages=None) -> dict:
 def run_ablation(cfg: dict) -> dict:
     """Three arms on shared seeds: power baseline, robust basis, full plan.
 
-    Every arm's stage plan is checked before any seed runs, so a plan an arm
-    cannot run raises ConfigError before any data is read.
+    Every arm's config is validated before any seed runs, so an arm that
+    cannot run (the ``dad`` baseline on a directed graph, say) raises
+    ConfigError naming it before any data is read.
     """
     arms = {
         "baseline-monomial-dad": _arm_config(cfg, basis="monomial", operator="dad",
@@ -294,8 +296,11 @@ def run_ablation(cfg: dict) -> dict:
         "robust-basis": _arm_config(cfg, stages=1),
         "robust-basis+hrp": _arm_config(cfg),
     }
-    for arm_cfg in arms.values():
-        to_stage_plan(arm_cfg)
+    for name, arm_cfg in arms.items():
+        try:
+            arms[name] = validate_config(arm_cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"ablation arm {name}: {exc}") from None
     out = {"config_hash": config_hash(cfg), "metric": cfg["metric"],
            "seeds": list(cfg["seeds"]), "arms": {}}
     for name, arm_cfg in arms.items():

@@ -39,7 +39,7 @@ from .backbone import (ConcatMLP, HopGRU, TrainConfig, accuracy, adam_step,
                        init_adam, model_scores, roc_auc, softmax_xent)
 from .banks import HopBank, chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
 from .errors import ConfigError, NumericalError
-# spmm is imported only for perfbench's tracer bindings (ROADMAP item 4)
+# spmm is imported only for perfbench's tracer bindings (ROADMAP item 6)
 from .graph import Graph, make_operator, spmm, spmm_call_count  # noqa: F401
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 from .rng import rng_for

@@ -18,6 +18,7 @@ before they allocate or read by it, so a truncated or corrupt file raises
 import json
 import math
 import os
+import re
 import struct
 import warnings
 
@@ -66,8 +67,14 @@ def load_edge_list(path, n=None, *, undirected=True, add_self_loops=False) -> Gr
     separates the two endpoints. A non-integer id, an id past int64, or a
     row without exactly two fields raises ``DataError`` naming the file
     (and numpy's row and column for a bad field). When ``n`` is omitted it
-    is inferred as max endpoint + 1.
+    is the ``# nodes: N`` first line that ``save_edge_list`` writes, so
+    isolated nodes past the largest id are kept; a file without that line
+    has max endpoint + 1 nodes.
     """
+    if n is None:
+        with open(path, "rb") as fh:
+            head = re.fullmatch(rb"# nodes: (\d+)\s*", fh.readline())
+        n = int(head[1]) if head else None
     try:
         arr = _loadtxt(path, np.int64, ndmin=2)
     except (ValueError, DeprecationWarning) as exc:
@@ -85,7 +92,8 @@ def load_edge_list(path, n=None, *, undirected=True, add_self_loops=False) -> Gr
 
 
 def save_edge_list(path, g: Graph) -> None:
-    """Write each undirected edge once (i <= j); directed graphs write all entries."""
+    """Write a ``# nodes: N`` line, then each undirected edge once (i <= j);
+    directed graphs write all entries."""
     rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.row_ptr))
     cols = g.col_idx
     if g.undirected:

@@ -4,8 +4,8 @@ Two generators share the same graph machinery:
 
 ``sbm``
     Stochastic block model. Labels are block ids; features are a noisy
-    per-block mean. ``homophily=False`` swaps the intra/inter edge
-    probabilities when needed so between-block edges dominate.
+    per-block mean. ``p_intra`` above ``p_inter`` makes the graph
+    homophilic, below it heterophilic.
 
 ``spectral-signal``
     The controlled heterophily benchmark. A block-model graph is built,
@@ -55,7 +55,6 @@ class SyntheticSpec:
     feature_dim: int = 8
     snr: float = 1.0
     noise: float = 1.0
-    homophily: bool | None = None
     signal_quantile: float = 0.9
     confounder_modes: int = 4
     confounder_scale: float = 3.0
@@ -98,10 +97,6 @@ def _sbm_edges(spec: SyntheticSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """
     n, b = spec.n, spec.blocks
     p_intra, p_inter = spec.p_intra, spec.p_inter
-    if spec.homophily is True and p_intra < p_inter:
-        p_intra, p_inter = p_inter, p_intra
-    elif spec.homophily is False and p_intra > p_inter:
-        p_intra, p_inter = p_inter, p_intra
     total = n * (n - 1) // 2
     # a pair is intra-block with probability 1 / b
     expected = total * (p_intra / b + p_inter * (1 - 1 / b))

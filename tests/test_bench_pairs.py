@@ -109,6 +109,27 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert res["inputs_match"] is True
 
 
+def test_bench_pairs_makes_a_missing_out_directory_before_the_first_pair(tmp_path):
+    log = tmp_path / "calls.log"
+    sides = [make_checkout(tmp_path, side, log) for side in ("parent", "change")]
+    out_dir = tmp_path / "new" / "out"
+    made = []
+    tool = load_tool()
+    run_once = tool.run_once
+
+    def spy(*args):
+        made.append(out_dir.is_dir())
+        return run_once(*args)
+
+    tool.run_once = spy
+    rc = tool.main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                    "--workload", "w1", "--pairs", "2", "--seed", "100",
+                    "--out", str(out_dir)])
+    assert rc == 0
+    assert made == [True] * 4
+    assert json.loads((out_dir / "BENCH_w1.json").read_text())["pairs"] == 2
+
+
 def test_bench_pairs_stops_when_a_run_prints_no_result(tmp_path):
     log = tmp_path / "calls.log"
     parent = make_checkout(tmp_path, "parent", log)

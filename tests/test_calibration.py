@@ -4,8 +4,9 @@ import pytest
 from diffbank import (ConfigError, NumericalError, calibrate, calibrate_jacobi,
                       exact_moments, make_operator, reset_spmm_count,
                       spectral_imbalance, spmm_call_count)
-from diffbank.calibration import (MomentVector, _split_masses, estimate_moments,
-                                  jackson_coefficients, reconstruct_density)
+from diffbank.calibration import (DEFAULT_GRID, DEFAULT_MARGIN, MomentVector, _split_masses,
+                                  estimate_moments, jackson_coefficients,
+                                  reconstruct_density)
 from diffbank.rng import rng_for
 
 from conftest import dense_shifted, random_graph
@@ -60,14 +61,6 @@ def test_estimate_moments_concentrates():
     assert np.max(np.abs(est - exact)) < 0.6
 
 
-def test_estimate_moments_rademacher_m0_exact():
-    rng = rng_for(3, "rade")
-    g = random_graph(rng, 25)
-    op = make_operator(g, "shifted")
-    m = estimate_moments(op, order=3, probes=11, seed=0, probe_kind="rademacher")
-    assert m.values[0] == 25.0
-
-
 def test_estimate_moments_spmm_budget():
     rng = rng_for(4, "budget")
     g = random_graph(rng, 20)
@@ -83,8 +76,6 @@ def test_estimate_moments_rejects_bad_args(k3):
         estimate_moments(op, order=0)
     with pytest.raises(ConfigError):
         estimate_moments(op, probes=0)
-    with pytest.raises(ConfigError):
-        estimate_moments(op, probe_kind="sobol")
     with pytest.raises(ValueError):
         estimate_moments(make_operator(k3, "dad"))
 
@@ -131,16 +122,17 @@ def test_density_quadrature_against_trapezoid_interior():
 
 
 def test_density_degenerate_moments_raise():
-    bad = MomentVector(values=np.array([-5.0, 0.0, 0.0]), probes=0, seed=None,
-                       probe_kind="exact")
+    bad = MomentVector(values=np.array([-5.0, 0.0, 0.0]), probes=0)
     with pytest.raises(NumericalError):
         reconstruct_density(bad, 5)
 
 
 def test_density_grid_args(k3):
+    # every density is sampled on the one fixed grid inside the margins
     m = exact_moments(make_operator(k3, "shifted"), order=8)
-    with pytest.raises(ConfigError):
-        reconstruct_density(m, 3, grid=4)
+    grid = reconstruct_density(m, 3).grid
+    assert grid.size == DEFAULT_GRID
+    assert (grid[0], grid[-1]) == (-1.0 + DEFAULT_MARGIN, 1.0 - DEFAULT_MARGIN)
 
 
 def test_imbalance_symmetric_spectrum_is_zero(p2):
@@ -165,7 +157,7 @@ def test_imbalance_antisymmetry():
         m = exact_moments(op, order=16)
         vals = m.values.copy()
         vals[1::2] *= -1.0
-        mirrored = MomentVector(values=vals, probes=0, seed=None, probe_kind="exact")
+        mirrored = MomentVector(values=vals, probes=0)
         d1 = spectral_imbalance(reconstruct_density(m, g.n))
         d2 = spectral_imbalance(reconstruct_density(mirrored, g.n))
         assert abs(d1 + d2) < 1e-10
@@ -197,7 +189,7 @@ def test_calibrate_end_to_end_triangle(k3):
     assert weights.delta == pytest.approx(1 / 3, abs=0.01)
     assert weights.alpha == pytest.approx(-0.6 * weights.delta, abs=1e-12)
     assert weights.beta == 0.0
-    assert moments.probe_kind == "exact"
+    assert moments.probes == 0
 
 
 def test_calibrate_stochastic_deterministic_per_seed(k3):

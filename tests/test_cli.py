@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import SyntheticSpec, TrainConfig, cli, generate, graph, load_bank_file
+from diffbank import (SyntheticSpec, TrainConfig, cli, experiment, generate, graph,
+                      load_bank_file)
 from diffbank.banks import bank_report
 from diffbank.cli import main
 from diffbank.config import config_hash, load_config
@@ -86,7 +87,7 @@ def test_preprocess_validates_like_a_config_file(dataset, tmp_path, capsys):
     assert "the legendre basis runs on the shifted operator" in capsys.readouterr().err
     assert not (tmp_path / "b.hbk").exists()
     # without --basis the config default (calibrated Jacobi) applies
-    rc = main(common + ["--hops", "2", "--exact"] + out)
+    rc = main(common + ["--hops", "2"] + out)
     assert rc == 0
     assert "calibrated weights" in capsys.readouterr().out
     assert load_bank_file(str(tmp_path / "b.hbk")).provenance["basis"] == "jacobi"
@@ -99,6 +100,20 @@ def test_generate_validates_its_options_before_writing(tmp_path, capsys, flag, v
     assert rc == 2
     assert "dataset.synthetic" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generated_isolated_nodes_survive_the_edge_list(tmp_path):
+    # at seed 0 the sparse draw leaves the highest node ids isolated
+    data = tmp_path / "D"
+    rc = main(["generate", "--generator", "sbm", "--nodes", "400", "--p-intra", "0.004",
+               "--p-inter", "0.001", "--feature-dim", "4", "--seed", "0",
+               "--out", str(data)])
+    assert rc == 0
+    rc = main(["preprocess", "--edges", str(data / "edges.tsv"),
+               "--features", str(data / "features.fmx"), "--basis", "legendre",
+               "--hops", "2", "--out", str(tmp_path / "b.hbk")])
+    assert rc == 0
+    assert load_bank_file(str(tmp_path / "b.hbk")).n == 400
 
 
 def test_a_directed_graph_needs_the_da_operator(dataset, tmp_path, capsys):
@@ -117,6 +132,19 @@ def test_a_directed_graph_needs_the_da_operator(dataset, tmp_path, capsys):
     rc = main(pre + ["--operator", "da", "--basis", "monomial"])
     assert rc == 0
     assert load_bank_file(str(bank)).provenance["operator"] == "da"
+
+
+def test_an_ablation_arm_that_cannot_run_exits_2_before_any_data(
+        dataset, tmp_path, capsys, monkeypatch):
+    # the directed dataset runs on da; the baseline arm's dad operator cannot
+    ds = {"edges": str(dataset / "edges.tsv"), "features": str(dataset / "features.fmx"),
+          "labels": str(dataset / "labels.tsv"), "undirected": False}
+    path = write_config(tmp_path, dataset=ds, operator="da", basis="monomial")
+    monkeypatch.setattr(experiment, "prepare_dataset", lambda *a: pytest.fail("data read"))
+    rc = main(["experiment", "--config", str(path), "--ablation"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ablation arm baseline-monomial-dad" in err and "operator da" in err
 
 
 def test_generate_defaults_are_the_spec_defaults(tmp_path, capsys):
@@ -159,7 +187,7 @@ def test_train_artifacts_are_the_run_seed_results(tmp_path, capsys):
 
 
 def test_calibrate_emits_json(dataset, tmp_path, capsys):
-    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"), "--exact"])
+    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv")])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"delta", "alpha", "beta", "gamma", "moments",
@@ -168,8 +196,7 @@ def test_calibrate_emits_json(dataset, tmp_path, capsys):
     assert len(payload["moments"]) == 21
     assert len(payload["density"]["grid"]) == len(payload["density"]["rho"])
     out = tmp_path / "cal.json"
-    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"), "--exact",
-               "--out", str(out)])
+    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"), "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["delta"] == payload["delta"]
 

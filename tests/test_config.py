@@ -151,7 +151,7 @@ def test_adapters():
     raw["train"] = {"lr": 0.2, "trunk": [32, 16], "patience": 9}
     raw["metric"] = "roc_auc"
     raw["hrp"] = {"stages": 3, "lambda0": 0.25}
-    raw["dataset"]["synthetic"].update({"snr": 2.5, "homophily": False})
+    raw["dataset"]["synthetic"].update({"snr": 2.5, "p_intra": 0.02})
     cfg = validate_config(raw)
     tc = to_train_config(cfg, seed=4)
     assert tc.lr == 0.2 and tc.trunk == (32, 16) and tc.seed == 4
@@ -161,7 +161,7 @@ def test_adapters():
     assert plan.patience == 9  # falls back to the train patience
     spec = to_synthetic_spec(cfg, seed=4)
     assert spec.n == 50 and spec.snr == 2.5 and spec.seed == 4
-    assert spec.homophily is False
+    assert spec.p_intra == 0.02
 
 
 def test_schema_sections_are_the_dataclass_fields():
@@ -186,11 +186,20 @@ def test_removed_knobs_are_config_errors(tmp_path, capsys):
         ("jacobi_beta", 0.1), ("lanczos_order", 9))]
     # every stage continues from its best-validation checkpoint
     screening = [{"hrp": {"checkpoint_policy": "best-val"}}, {"hrp": {"screen_epochs": 10}}]
+    # Gaussian probes on the fixed grid; p_intra and p_inter set homophily
+    calibration = [{"calibration": {key: value}} for key, value in (
+        ("probe_kind", "gaussian"), ("grid", 512), ("exact", False))]
+    homophily = {"dataset": {"synthetic": {**minimal()["dataset"]["synthetic"],
+                                           "homophily": None}}}
     path = tmp_path / "config.json"
     for over in ({"row_scale": True}, {"krylov": {"reorth": "full"}}, *hrp_recipe,
-                 *screening):
-        with pytest.raises(ConfigError, match="Additional properties"):
+                 *screening, *calibration, homophily):
+        with pytest.raises(ConfigError, match="Additional properties") as err:
             validate_config({**minimal(), **over})
+        node = over
+        while isinstance(node, dict):
+            key, node = list(node.items())[-1]
+        assert repr(key) in str(err.value)  # the error names the field
         path.write_text(json.dumps({**minimal(), **over}))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()

@@ -187,7 +187,7 @@ def test_build_bank_dispatch_and_spmm_accounting():
         assert details["spmm"] == expect
         assert bank.hops == 3
     auto = tiny_cfg(basis="auto",
-                    calibration={"order": 10, "probes": 8, "exact": False})
+                    calibration={"order": 10, "probes": 8})
     bank, details = build_bank(auto, g, x)
     assert details["spmm"] == 10 + 3  # moment estimation plus the bank build
     cal = details["calibration"]

@@ -143,7 +143,7 @@ RECIPES = {
     "legendre": {"basis": "legendre"},
     "jacobi": {"basis": "jacobi", "jacobi": {"alpha": -0.3, "beta": 0.2}},
     "auto": {"basis": "auto",
-             "calibration": {"order": 10, "probes": 8, "exact": False}},
+             "calibration": {"order": 10, "probes": 8}},
     "krylov": {"basis": "krylov"},
 }
 

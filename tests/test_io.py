@@ -34,6 +34,25 @@ def test_edge_list_infers_node_count(tmp_path):
     assert g.n == 4
 
 
+def test_edge_list_takes_its_node_count_from_the_header(tmp_path):
+    # nodes 4 and 5 are isolated: max id + 1 would lose them
+    g = build_graph(np.array([[0, 1], [2, 3]]), 6)
+    p = tmp_path / "e.tsv"
+    save_edge_list(p, g)
+    assert graph_hash(load_edge_list(p)) == graph_hash(g)
+    assert load_edge_list(p, 9).n == 9  # an explicit count wins
+    save_edge_list(p, build_graph(np.zeros((0, 2), np.int64), 3))
+    assert load_edge_list(p).n == 3
+    # only a first line of exactly that form counts; a bad one is a comment
+    p.write_text("# nodes: many\n0\t3\n")
+    assert load_edge_list(p).n == 4
+    p.write_text("0\t3\n# nodes: 9\n")
+    assert load_edge_list(p).n == 4
+    p.write_text("# nodes: 2\n0\t3\n")
+    with pytest.raises(DataError, match="out of range"):
+        load_edge_list(p)
+
+
 def test_edge_list_comments_and_blank_lines(tmp_path):
     p = tmp_path / "e.tsv"
     p.write_text("# a comment\n\n0\t1  # trailing\n\n1\t2\n")

@@ -104,11 +104,10 @@ def edge_homophily(g, labels):
     return float(np.mean(labels[rows] == labels[g.col_idx]))
 
 
-def test_homophily_flag_swaps_probabilities():
-    base = dict(generator="sbm", n=150, blocks=2, p_intra=0.02, p_inter=0.15,
-                seed=5)
-    g_hom, _, lv_hom = generate(SyntheticSpec(homophily=True, **base))
-    g_het, _, lv_het = generate(SyntheticSpec(homophily=False, **base))
+def test_edge_probabilities_set_homophily():
+    base = dict(generator="sbm", n=150, blocks=2, seed=5)
+    g_hom, _, lv_hom = generate(SyntheticSpec(p_intra=0.15, p_inter=0.02, **base))
+    g_het, _, lv_het = generate(SyntheticSpec(p_intra=0.02, p_inter=0.15, **base))
     assert edge_homophily(g_hom, lv_hom.labels) > 0.6
     assert edge_homophily(g_het, lv_het.labels) < 0.4
 
@@ -162,44 +161,36 @@ def whole_array_sbm_edges(spec, rng):
     oracle for the chunked pair stream."""
     n, b = spec.n, spec.blocks
     blocks = np.sort(rng.integers(0, b, size=n))
-    p_intra, p_inter = spec.p_intra, spec.p_inter
-    if spec.homophily is True and p_intra < p_inter:
-        p_intra, p_inter = p_inter, p_intra
-    elif spec.homophily is False and p_intra > p_inter:
-        p_intra, p_inter = p_inter, p_intra
     iu, ju = np.triu_indices(n, k=1)
     same = blocks[iu] == blocks[ju]
-    p = np.where(same, p_intra, p_inter)
+    p = np.where(same, spec.p_intra, spec.p_inter)
     keep = rng.random(iu.size) < p
     edges = np.column_stack([iu[keep], ju[keep]])
     return edges, blocks
 
 
-# (p_intra, p_inter, homophily): plain, both swaps, both kept orders, and
-# the p = 0 and p = 1 ends
-PROBABILITIES = [(0.3, 0.1, None), (0.1, 0.3, True), (0.3, 0.1, False),
-                 (0.3, 0.1, True), (0.1, 0.3, False), (0.0, 0.0, None),
-                 (1.0, 1.0, None), (1.0, 0.0, None), (0.0, 1.0, True)]
+# (p_intra, p_inter): homophilic, heterophilic, and the p = 0 and p = 1 ends
+PROBABILITIES = [(0.3, 0.1), (0.1, 0.3), (0.0, 0.0), (1.0, 1.0), (1.0, 0.0),
+                 (0.0, 1.0)]
 
 
 # chunks of 7 and 1000 pairs split rows; at n = 2000 the default chunk does
 # too. There 7-pair chunks would take seconds, and two probability cases,
-# a swap and the all-candidates chunk, keep the oracle's cost down
+# a heterophilic one and the all-candidates chunk, keep the oracle's cost down
 @pytest.mark.parametrize("n,chunks,probabilities", [
     (4, (7, 1000, None), PROBABILITIES),
     (50, (7, 1000, None), PROBABILITIES),
-    (2000, (1000, None), [PROBABILITIES[1], PROBABILITIES[7]]),
+    (2000, (1000, None), [PROBABILITIES[1], PROBABILITIES[4]]),
 ])
 def test_chunked_pair_stream_is_bit_equal_to_the_whole_array(
         monkeypatch, n, chunks, probabilities):
     default = synth._PAIR_CHUNK
     for generator in ("sbm", "spectral-signal"):
         for blocks in (1, 3):
-            for p_intra, p_inter, homophily in probabilities:
+            for p_intra, p_inter in probabilities:
                 spec = SyntheticSpec(generator=generator, n=n, blocks=blocks,
                                      p_intra=p_intra, p_inter=p_inter,
-                                     homophily=homophily, confounder_modes=1,
-                                     seed=n)
+                                     confounder_modes=1, seed=n)
                 ref_rng = rng_for(spec.seed, "synthetic", generator)
                 ref_edges, ref_blk = whole_array_sbm_edges(spec, ref_rng)
                 ref_next = ref_rng.random()
@@ -236,17 +227,16 @@ class NoDraws:
 
 
 def test_generate_refuses_what_cannot_fit_before_drawing(monkeypatch, tmp_path):
-    spec = SyntheticSpec(n=1000, blocks=4, p_intra=0.4, p_inter=0.02,
-                         homophily=False)
-    # after the swap: 499,500 pairs, a quarter of them intra-block at 0.02
+    spec = SyntheticSpec(n=1000, blocks=4, p_intra=0.02, p_inter=0.4)
+    # 499,500 pairs, a quarter of them intra-block at 0.02
     need = csr_bytes(1000, round(499_500 * (0.02 / 4 + 0.4 * 3 / 4)))
     monkeypatch.setattr(graph, "_physical_bytes", lambda: need - 1)
     monkeypatch.setattr(synth, "rng_for", lambda *key: NoDraws())
     with pytest.raises(DataError, match="physical memory"):
         generate(spec)
     out = tmp_path / "big"
-    rc = main(["generate", "--nodes", "1000", "--blocks", "4", "--p-intra", "0.4",
-               "--p-inter", "0.02", "--no-homophily", "--out", str(out)])
+    rc = main(["generate", "--nodes", "1000", "--blocks", "4", "--p-intra", "0.02",
+               "--p-inter", "0.4", "--out", str(out)])
     assert rc == 3
     assert not out.exists()
     monkeypatch.undo()

@@ -8,11 +8,12 @@ in each checkout, one after the other: the parent first in even pairs, the
 change first in odd ones, so a slow drift of the host's speed falls on both
 sides alike. Runs are strictly sequential.
 
-It writes ``BENCH_<workload>.json`` (into ``--out``, default the current
-directory). For each side it holds the checkout's directory name, its git
-commit (null for a checkout without ``.git``), the fail rate and, per
-end-to-end metric, the median, the quartiles and every run's value; and
-the core count, pair count, seconds and seeds. For each metric it holds:
+It writes ``BENCH_<workload>.json`` into ``--out`` (default the current
+directory), which it makes, if missing, before the first pair. For each
+side it holds the checkout's directory name, its git commit (null for a
+checkout without ``.git``), the fail rate and, per end-to-end metric,
+the median, the quartiles and every run's value; and the core count,
+pair count, seconds and seeds. For each metric it holds:
 
 ``change_wins``
     the number of pairs the change won (ties count for neither side);
@@ -102,6 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=2201, help="seed of the first pair")
     ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any run
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
