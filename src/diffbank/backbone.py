@@ -76,6 +76,19 @@ def _glorot(rng, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
+def _head_shapes(fan_in: int, width: int, num_classes: int) -> dict:
+    """The hidden-state projection and the classifier after a backbone."""
+    return {"pre.w": (fan_in, width), "pre.b": (width,),
+            "cls.w": (width, num_classes), "cls.b": (num_classes,)}
+
+
+def _init(shapes: dict, seed: int, dtype) -> dict:
+    """Glorot-uniform matrices and zero vectors, drawn in ``shapes`` order."""
+    rng = np.random.default_rng(seed)
+    return {name: _glorot(rng, *shape, dtype) if len(shape) == 2
+            else np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+
+
 def _dropout_mask(rng, shape, rate, dtype):
     keep = np.dtype(dtype).type(1.0 - rate)
     return (rng.random(shape) < keep).astype(dtype) / keep
@@ -92,19 +105,16 @@ class ConcatMLP:
         self.trunk = tuple(int(w) for w in trunk)
         self.in_dim = (hops + 1) * width
 
+    def shapes(self) -> dict:
+        """Parameter name -> shape, in the order ``init`` draws them."""
+        dims = (self.in_dim, *self.trunk)
+        out = {}
+        for i, (fan_in, w) in enumerate(zip(dims, dims[1:])):
+            out.update({f"trunk{i}.w": (fan_in, w), f"trunk{i}.b": (w,)})
+        return {**out, **_head_shapes(dims[-1], self.width, self.num_classes)}
+
     def init(self, seed: int = 0, dtype=np.float32) -> dict:
-        rng = np.random.default_rng(seed)
-        params = {}
-        prev = self.in_dim
-        for i, w in enumerate(self.trunk):
-            params[f"trunk{i}.w"] = _glorot(rng, prev, w, dtype)
-            params[f"trunk{i}.b"] = np.zeros(w, dtype=dtype)
-            prev = w
-        params["pre.w"] = _glorot(rng, prev, self.width, dtype)
-        params["pre.b"] = np.zeros(self.width, dtype=dtype)
-        params["cls.w"] = _glorot(rng, self.width, self.num_classes, dtype)
-        params["cls.b"] = np.zeros(self.num_classes, dtype=dtype)
-        return params
+        return _init(self.shapes(), seed, dtype)
 
     def forward(self, params, slabs, ids, *, train=False, dropout=0.0,
                 input_dropout=0.0, rng=None):
@@ -174,19 +184,16 @@ class HopGRU:
         self.state_dim = state_dim
         self.readout = readout
 
-    def init(self, seed: int = 0, dtype=np.float32) -> dict:
-        rng = np.random.default_rng(seed)
+    def shapes(self) -> dict:
+        """Parameter name -> shape, in the order ``init`` draws them."""
         d, h = self.width, self.state_dim
-        params = {}
+        out = {}
         for gate in ("r", "z", "c"):
-            params[f"gru.w{gate}"] = _glorot(rng, d, h, dtype)
-            params[f"gru.u{gate}"] = _glorot(rng, h, h, dtype)
-            params[f"gru.b{gate}"] = np.zeros(h, dtype=dtype)
-        params["pre.w"] = _glorot(rng, h, self.width, dtype)
-        params["pre.b"] = np.zeros(self.width, dtype=dtype)
-        params["cls.w"] = _glorot(rng, self.width, self.num_classes, dtype)
-        params["cls.b"] = np.zeros(self.num_classes, dtype=dtype)
-        return params
+            out.update({f"gru.w{gate}": (d, h), f"gru.u{gate}": (h, h), f"gru.b{gate}": (h,)})
+        return {**out, **_head_shapes(h, self.width, self.num_classes)}
+
+    def init(self, seed: int = 0, dtype=np.float32) -> dict:
+        return _init(self.shapes(), seed, dtype)
 
     def forward(self, params, slabs, ids, *, train=False, dropout=0.0,
                 input_dropout=0.0, rng=None):

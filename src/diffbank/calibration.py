@@ -30,7 +30,7 @@ from .banks import recurrence
 from .errors import ConfigError, NumericalError
 # spmm is imported only for perfbench's tracer binding (ROADMAP item 6,
 # "a per-phase cost meter"); recurrence multiplies
-from .graph import SparseOperator, row_chunks, spmm  # noqa: F401
+from .graph import SparseOperator, check_fits, row_chunks, spmm  # noqa: F401
 from .rng import rng_for
 
 __all__ = [
@@ -103,6 +103,8 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     if probes < 1:
         raise ConfigError("probe count must be >= 1")
 
+    # z and the recurrence's two working blocks, float64
+    check_fits(3 * 8 * op.n * probes, f"{probes:,} calibration probes on {op.n:,} nodes")
     z = rng_for(seed, "chebyshev-probes", "gaussian").standard_normal((op.n, probes))
 
     def mean(parts):

@@ -17,7 +17,8 @@ names where its value goes, with dots for nesting: ``preprocess --gamma``
 and ``calibrate --gamma`` set ``calibration.gamma`` of a config that
 ``validate_config`` checks like any config file, before any file is read.
 ``generate``'s options but ``--seed`` and ``--out`` are the keys of a
-``dataset.synthetic`` section, checked the same way before it writes.
+``dataset.synthetic`` section, checked the same way before it writes, and
+its ``--seed`` is checked as the config's one seed.
 
 ``train`` adds nothing to the run but its files: ``model.mdl`` and
 ``bank.hbk`` (the best stage's checkpoint and bank), ``report.json`` (the
@@ -70,7 +71,7 @@ def _cmd_generate(args) -> int:
     given = _given(args)
     out = given.pop("out")
     seed = given.pop("seed", SyntheticSpec.seed)
-    cfg = validate_config({"dataset": {"synthetic": given}})
+    cfg = validate_config({"dataset": {"synthetic": given}, "seeds": [seed]})
     g, x, lv = generate(to_synthetic_spec(cfg, seed))
     os.makedirs(out, exist_ok=True)
     dio.save_edge_list(os.path.join(out, "edges.tsv"), g)
@@ -171,8 +172,7 @@ def _cmd_evaluate(args) -> int:
     model = build_model(model_cfg["backbone"], bank.hops, bank.width,
                         model_cfg["num_classes"], tcfg)
     got = {k: v.shape for k, v in params.items()}
-    want = {k: v.shape for k, v in model.init(seed=0).items()}
-    if got != want:
+    if got != model.shapes():
         raise DataError("checkpoint parameters do not fit the model described "
                         "by its own config block")
     splits = [s for s in ("train", "val", "test") if getattr(lv, f"{s}_mask").any()]

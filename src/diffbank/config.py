@@ -2,10 +2,11 @@
 
 A config file is a single JSON object. Unknown keys are rejected so typos
 fail loudly instead of silently running the default, and so are NaN and
-infinity. Numeric budgets (hop count, Lanczos steps and the Krylov order
-floor), the operator a graph's direction allows and the stage plan are
-checked here as well as at the point of use, so a bad config dies before
-any graph is loaded.
+infinity. The schema states every per-field bound once (the hop, Lanczos
+step and stage budgets, gamma, the Jacobi weights, seeds), so a bound
+error names its field. ``validate_config`` adds only the cross-field rules
+no class owns and builds the ``StagePlan`` and ``SyntheticSpec``, whose
+own rules run there too, so a bad config dies before any graph is loaded.
 
 The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
 onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
@@ -32,8 +33,9 @@ from .banks import MAX_HOPS
 from .calibration import calibrate
 from .errors import ConfigError
 from .graph import OPERATOR_KINDS
-from .hrp import RECIPE_BASES, StagePlan, krylov_order
+from .hrp import MAX_STAGES, RECIPE_BASES, StagePlan, krylov_order
 from .krylov import MAX_LANCZOS_STEPS
+from .rng import MAX_SEED
 from .synth import SyntheticSpec
 
 __all__ = [
@@ -44,6 +46,8 @@ __all__ = [
 
 _OPERATORS = list(OPERATOR_KINDS)
 _BASES = [*RECIPE_BASES, "auto"]  # auto: a calibrated jacobi recipe
+_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
+_JACOBI_WEIGHT = {"type": "number", "exclusiveMinimum": -1}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -65,7 +69,8 @@ CONFIG_SCHEMA = {
                         "feature_dim": {"type": "integer", "minimum": 1},
                         "snr": {"type": "number", "minimum": 0},
                         "noise": {"type": "number", "minimum": 0},
-                        "signal_quantile": {"type": "number"},
+                        "signal_quantile": {"type": "number", "exclusiveMinimum": 0.5,
+                                            "exclusiveMaximum": 1},
                         "confounder_modes": {"type": "integer", "minimum": 0},
                         "confounder_scale": {"type": "number", "minimum": 0},
                     },
@@ -80,13 +85,13 @@ CONFIG_SCHEMA = {
         },
         "operator": {"enum": _OPERATORS},
         "basis": {"enum": _BASES},
-        "hops": {"type": "integer", "minimum": 0},
+        "hops": {"type": "integer", "minimum": 0, "maximum": MAX_HOPS},
         "jacobi": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "alpha": {"type": "number"},
-                "beta": {"type": "number"},
+                "alpha": _JACOBI_WEIGHT,
+                "beta": _JACOBI_WEIGHT,
             },
         },
         "calibration": {
@@ -95,15 +100,16 @@ CONFIG_SCHEMA = {
             "properties": {
                 "order": {"type": "integer", "minimum": 1},
                 "probes": {"type": "integer", "minimum": 1},
-                "gamma": {"type": "number"},
-                "seed": {"type": "integer"},
+                "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "seed": _SEED,
             },
         },
         "krylov": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "order": {"type": ["integer", "null"], "minimum": 1},
+                "order": {"type": ["integer", "null"], "minimum": 1,
+                          "maximum": MAX_LANCZOS_STEPS},
             },
         },
         "backbone": {"enum": ["mlp", "gru"]},
@@ -127,7 +133,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "stages": {"type": "integer", "minimum": 1},
+                "stages": {"type": "integer", "minimum": 1, "maximum": MAX_STAGES},
                 "epochs": {
                     "anyOf": [
                         {"type": "integer", "minimum": 1},
@@ -141,11 +147,7 @@ CONFIG_SCHEMA = {
             },
         },
         "metric": {"enum": ["accuracy", "roc_auc"]},
-        "seeds": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
+        "seeds": {"type": "array", "items": _SEED, "minItems": 1},
         "label_diffusion": {"type": "boolean"},
     },
     "required": ["dataset"],
@@ -191,7 +193,7 @@ def _check_finite(node, path=()) -> None:
 
 
 def validate_config(raw: dict) -> dict:
-    """Validate against the schema, apply defaults, and enforce budgets."""
+    """Validate against the schema, apply defaults, and run the cross-field rules."""
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -205,25 +207,17 @@ def validate_config(raw: dict) -> dict:
     if "synthetic" in ds:
         if "edges" in ds or "features" in ds or "labels" in ds:
             raise ConfigError("dataset must be either synthetic or file-based, not both")
+        to_synthetic_spec(cfg, 0)
     elif "edges" not in ds:
         raise ConfigError("file-based dataset is missing edges")
 
-    if cfg["hops"] > MAX_HOPS:
-        raise ConfigError(f"hop count {cfg['hops']} exceeds the fixed hop budget "
-                          f"of {MAX_HOPS}")
-    k_order = cfg["krylov"]["order"]
-    if k_order is not None and k_order > MAX_LANCZOS_STEPS:
-        raise ConfigError(f"lanczos order {k_order} exceeds the fixed step "
-                          f"budget of {MAX_LANCZOS_STEPS}")
     if cfg["basis"] != "monomial" and cfg["operator"] != "shifted":
         raise ConfigError(f"the {cfg['basis']} basis runs on the shifted operator only")
     if not ds.get("undirected", True) and cfg["operator"] != "da":
         raise ConfigError(f"dataset.undirected false needs operator da; operator "
                           f"{cfg['operator']} runs on undirected graphs only")
-    if not (0.0 < cfg["calibration"]["gamma"] < 1.0):
-        raise ConfigError("calibration gamma must lie in (0, 1)")
     if cfg["basis"] == "krylov":
-        krylov_order(cfg["hops"], k_order)
+        krylov_order(cfg["hops"], cfg["krylov"]["order"])
     # the staged plan inherits the train budgets it does not set itself
     for key in ("epochs", "patience"):
         if key in cfg["train"]:

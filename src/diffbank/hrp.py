@@ -30,6 +30,7 @@ refuses, before stage 1, a bank whose provenance is not such a recipe.
 """
 
 import copy
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .backbone import (ConcatMLP, HopGRU, TrainConfig, accuracy, adam_step,
 from .banks import HopBank, chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
 from .errors import ConfigError, NumericalError
 # spmm is imported only for perfbench's tracer bindings (ROADMAP item 6)
-from .graph import Graph, make_operator, spmm, spmm_call_count  # noqa: F401
+from .graph import Graph, check_fits, make_operator, spmm, spmm_call_count  # noqa: F401
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
 from .rng import rng_for
 
@@ -136,12 +137,18 @@ def blend_alphas(plan: StagePlan, s: int, hops: int) -> np.ndarray:
 
 
 def build_model(kind: str, hops: int, width: int, num_classes: int, cfg: TrainConfig):
+    """The backbone ``kind``; DataError if its float32 parameters and their
+    two Adam moments would not fit in physical memory."""
     if kind == "mlp":
-        return ConcatMLP(hops, width, num_classes, trunk=cfg.trunk)
-    if kind == "gru":
-        return HopGRU(hops, width, num_classes, state_dim=cfg.state_dim,
-                      readout=cfg.readout)
-    raise ConfigError(f"unknown backbone kind {kind!r}")
+        model = ConcatMLP(hops, width, num_classes, trunk=cfg.trunk)
+    elif kind == "gru":
+        model = HopGRU(hops, width, num_classes, state_dim=cfg.state_dim,
+                       readout=cfg.readout)
+    else:
+        raise ConfigError(f"unknown backbone kind {kind!r}")
+    count = sum(math.prod(shape) for shape in model.shapes().values())
+    check_fits(3 * 4 * count, f"a model of {count:,} {kind} parameters with its Adam state")
+    return model
 
 
 def extract_hidden(model, params, bank: HopBank, chunk: int = 8192) -> np.ndarray:

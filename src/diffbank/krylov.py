@@ -138,7 +138,7 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     if order < 1:
         raise ConfigError("Lanczos order must be >= 1")
     if order > MAX_LANCZOS_STEPS:
-        raise ConfigError(f"Lanczos order {order} exceeds the fixed hop budget "
+        raise ConfigError(f"Lanczos order {order} exceeds the fixed step budget "
                           f"of {MAX_LANCZOS_STEPS}")
     if reorth != "full":
         raise ConfigError(f"unknown reorthogonalization mode {reorth!r}")

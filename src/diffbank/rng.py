@@ -10,14 +10,18 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["rng_for"]
+__all__ = ["MAX_SEED", "rng_for"]
+
+# an int key part, a seed among them, enters the key as its low 32 bits, so
+# a seed above this would draw the streams of a smaller one
+MAX_SEED = 2**32 - 1
 
 
 def _key_to_ints(key) -> list[int]:
     out = []
     for part in key:
         if isinstance(part, (int, np.integer)):
-            out.append(int(part) & 0xFFFFFFFF)
+            out.append(int(part) & MAX_SEED)
         else:
             digest = hashlib.sha256(str(part).encode("utf-8")).digest()
             out.append(int.from_bytes(digest[:4], "little"))

@@ -22,13 +22,14 @@ Splits are node-level 50/25/25 train/val/test, drawn from the seed.
 A draw is a pure function of its spec. The block-model edges take one
 uniform draw per node pair, walked in row-major order in fixed chunks, so
 a draw holds one chunk and its edge list, never an array over all pairs;
-a graph whose expected edges would not fit in physical memory is refused
-before the first draw. The costliest step of a spectral-signal draw is the
-dense eigendecomposition, so the two eigenvector blocks it keeps are
-memoized per spec, process-wide, for the ``SPECTRA_KEPT`` most recent
-specs: every ablation arm, thread and caller drawing the same (spec, seed)
-decomposes its graph once. Each call still draws its own edges and builds
-its own graph, operator, features and splits, and returns fresh arrays.
+a graph whose expected edges and features would not fit in physical
+memory is refused before the first draw. The costliest step of a
+spectral-signal draw is the dense eigendecomposition, so the two
+eigenvector blocks it keeps are memoized per spec, process-wide, for the
+``SPECTRA_KEPT`` most recent specs: every ablation arm, thread and caller
+drawing the same (spec, seed) decomposes its graph once. Each call still
+draws its own edges and builds its own graph, operator, features and
+splits, and returns fresh arrays.
 """
 
 from dataclasses import dataclass
@@ -87,9 +88,10 @@ _PAIR_CHUNK = 1 << 20
 def _sbm_edges(spec: SyntheticSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sorted block ids and the (i, j), i < j, edges of one block-model draw.
 
-    A graph whose expected edge count would give CSR arrays larger than
-    physical memory raises DataError before the first draw. Pair (i, j) is
-    kept when its uniform draw falls below its block pair's probability.
+    A graph whose CSR arrays (sized from the expected edge count) and
+    n x ``feature_dim`` features would not fit in physical memory raises
+    DataError before the first draw. Pair (i, j) is kept when its uniform
+    draw falls below its block pair's probability.
     The draws follow the pairs in row-major order and come in chunks of
     ``_PAIR_CHUNK``, so a draw holds one chunk plus its edges, while the
     edges, their order and the generator's state afterwards are those of
@@ -100,8 +102,10 @@ def _sbm_edges(spec: SyntheticSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     total = n * (n - 1) // 2
     # a pair is intra-block with probability 1 / b
     expected = total * (p_intra / b + p_inter * (1 - 1 / b))
-    check_fits(csr_bytes(n, round(expected)),
-               f"a block-model graph of {n} nodes and ~{expected:.3g} edges")
+    # the CSR arrays, then the float64 feature draw and its float32 copy
+    check_fits(csr_bytes(n, round(expected)) + 12 * n * spec.feature_dim,
+               f"a block-model graph of {n} nodes and ~{expected:.3g} edges "
+               f"with {spec.feature_dim:,} feature channels")
     blocks = np.sort(rng.integers(0, b, size=n))
     p_max = max(p_intra, p_inter)
     # pairs in the rows before each row; the last row has none

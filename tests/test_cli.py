@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from diffbank import (SyntheticSpec, TrainConfig, cli, experiment, generate, graph,
-                      load_bank_file)
+from diffbank import (ConfigError, SyntheticSpec, TrainConfig, cli, experiment, generate,
+                      graph, load_bank_file)
 from diffbank.banks import bank_report
 from diffbank.cli import main
-from diffbank.config import config_hash, load_config
+from diffbank.config import config_hash, load_config, validate_config
 from diffbank.experiment import prepare_dataset, run_seed
 from diffbank.hrp import build_model
 from diffbank.io import (load_checkpoint, load_features, save_checkpoint, save_edge_list,
@@ -205,7 +205,8 @@ def test_calibrate_checks_its_options_before_any_product(dataset, capsys):
     before = graph.spmm_call_count()
     rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"), "--gamma", "1.5"])
     assert rc == 2
-    assert "gamma must lie in (0, 1)" in capsys.readouterr().err
+    assert ("config field calibration.gamma: 1.5 is greater than or equal to the maximum of 1"
+            in capsys.readouterr().err)
     assert graph.spmm_call_count() == before
 
 
@@ -359,7 +360,7 @@ def test_config_error_exits_2(tmp_path, capsys):
                                "hops": 16}))
     rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
     assert rc == 2
-    assert "hop budget" in capsys.readouterr().err
+    assert "config field hops: 16 is greater than the maximum of 15" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("over, says", [
@@ -408,6 +409,105 @@ def test_a_negative_seed_override_exits_2_before_the_run(tmp_path, capsys):
     assert rc == 2
     assert "config field seeds.0" in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("over, says", [
+    ({"basis": "jacobi", "jacobi": {"alpha": -1.5}},
+     "config field jacobi.alpha: -1.5 is less than or equal to the minimum of -1"),
+    ({"seeds": [2**32]}, "config field seeds.0: 4294967296 is greater than the maximum"),
+    ({"calibration": {"seed": -1}}, "config field calibration.seed: -1 is less than"),
+    # SyntheticSpec's own rules, which no single schema field states
+    ({"dataset": {"synthetic": {"n": 8, "blocks": 9}}}, "block count must lie in [1, n]"),
+    ({"dataset": {"synthetic": {"generator": "spectral-signal", "n": 5000}}},
+     "limited to 4096 nodes"),
+], ids=["jacobi-alpha", "seed-past-32-bits", "negative-calibration-seed", "blocks-past-n",
+        "dense-limit"])
+def test_a_bound_breach_exits_2_before_the_run_directory(tmp_path, capsys, over, says):
+    cfg = write_config(tmp_path, **over)
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.loads(cfg.read_text()))
+    assert says in str(err.value)
+    run_dir = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
+    assert rc == 2
+    assert says in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_a_jacobi_weight_breach_exits_2_before_the_graph_is_read(tmp_path, capsys):
+    rc = main(["preprocess", "--edges", str(tmp_path / "missing.tsv"),
+               "--features", str(tmp_path / "missing.fmx"), "--basis", "jacobi",
+               "--alpha", "-2", "--out", str(tmp_path / "b.hbk")])
+    assert rc == 2
+    assert "config field jacobi.alpha" in capsys.readouterr().err
+
+
+def test_a_generate_seed_past_32_bits_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "D"
+    rc = main(["generate", "--nodes", "40", "--seed", str(2**32), "--out", str(out)])
+    assert rc == 2
+    assert "config field seeds.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sizes past any machine's physical memory: each check fails before numpy allocates
+def test_calibration_probes_past_physical_memory_exit_3(dataset, capsys):
+    before = graph.spmm_call_count()
+    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"), "--probes", str(10**12)])
+    assert rc == 3
+    assert "calibration probes on 40 nodes" in capsys.readouterr().err
+    assert graph.spmm_call_count() == before
+
+
+@pytest.mark.parametrize("over, says", [
+    ({"train": {"epochs": 1, "trunk": [10**12]}}, "mlp parameters"),
+    ({"backbone": "gru", "train": {"epochs": 1, "state_dim": 10**7}}, "gru parameters"),
+    ({"dataset": {"synthetic": {"n": 40, "feature_dim": 10**12}}}, "feature channels"),
+], ids=["mlp-trunk", "gru-state", "feature-dim"])
+def test_a_run_sized_past_physical_memory_exits_3(tmp_path, capsys, over, says):
+    rc = main(["train", "--config", str(write_config(tmp_path, **over)),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert says in err and "physical memory" in err
+
+
+def test_generate_past_physical_memory_exits_3_before_writing(tmp_path, capsys):
+    out = tmp_path / "D"
+    rc = main(["generate", "--nodes", "40", "--feature-dim", str(10**12), "--out", str(out)])
+    assert rc == 3
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_bank_the_checkpoint_does_not_fit(dataset, tmp_path, capsys):
+    files = {k: str(dataset / f) for k, f in (("edges", "edges.tsv"),
+                                              ("features", "features.fmx"),
+                                              ("labels", "labels.tsv"))}
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(write_config(tmp_path, dataset=files)),
+               "--out", str(run_dir)])
+    assert rc == 0
+    other = tmp_path / "b2.hbk"
+    rc = main(["preprocess", "--edges", files["edges"], "--features", files["features"],
+               "--basis", "legendre", "--hops", "2", "--out", str(other)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(run_dir / "model.mdl"), "--bank", str(other),
+               "--labels", files["labels"]])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "do not fit the model" in captured.err
+
+
+def test_a_missing_labels_file_exits_3(dataset, tmp_path, capsys):
+    ds = {"edges": str(dataset / "edges.tsv"), "features": str(dataset / "features.fmx"),
+          "labels": str(tmp_path / "missing.tsv")}
+    rc = main(["train", "--config", str(write_config(tmp_path, dataset=ds)),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "missing.tsv" in capsys.readouterr().err
 
 
 def test_labels_a_run_cannot_use_exit_3_before_the_bank(dataset, tmp_path, capsys):

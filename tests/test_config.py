@@ -74,12 +74,29 @@ def test_dataset_exclusivity_and_required_files():
 def test_budget_errors():
     raw = minimal()
     raw["hops"] = 16
-    with pytest.raises(ConfigError, match="exceeds the fixed hop budget of 15"):
+    with pytest.raises(ConfigError,
+                       match="config field hops: 16 is greater than the maximum of 15"):
         validate_config(raw)
     raw = minimal()
     raw["krylov"] = {"order": 16}
-    with pytest.raises(ConfigError, match="exceeds the fixed step budget of 15"):
+    with pytest.raises(ConfigError,
+                       match="config field krylov.order: 16 is greater than the maximum of 15"):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"hrp": {"stages": 8}}, "hrp.stages"),
+    ({"calibration": {"gamma": 0}}, "calibration.gamma"),
+    ({"calibration": {"gamma": 1}}, "calibration.gamma"),
+    ({"jacobi": {"beta": -1}}, "jacobi.beta"),
+    ({"seeds": [0, 2**32]}, "seeds.1"),
+    ({"calibration": {"seed": 2**32}}, "calibration.seed"),
+    ({"dataset": {"synthetic": {"signal_quantile": 0.5}}}, "dataset.synthetic.signal_quantile"),
+    ({"dataset": {"synthetic": {"signal_quantile": 1}}}, "dataset.synthetic.signal_quantile"),
+])
+def test_a_field_bound_is_a_schema_error_naming_the_field(over, field):
+    with pytest.raises(ConfigError, match=f"^config field {field}: "):
+        validate_config({**minimal(), **over})
 
 
 @pytest.mark.parametrize("basis", ["legendre", "chebyshev", "jacobi"])

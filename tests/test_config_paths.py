@@ -1,17 +1,24 @@
-"""Every enum and boolean leaf of ``CONFIG_SCHEMA`` runs end to end.
+"""Every enum and boolean leaf of ``CONFIG_SCHEMA``, and every numeric leaf
+at each bound it declares, runs end to end.
 
-The cases come from a walk of the schema, so a new enum or boolean key gets
-its cases without an edit here. Each case sets one leaf to one of its
-values on a small base config and adds only what that value needs: the
-monomial basis for an operator other than ``shifted``, the ``da`` operator
-for a directed graph, and a synthetic dataset for a ``dataset.synthetic``
-key (the base reads files). It then runs ``validate_config`` and
-``run_seed``, and checks the report's product count against the closed
-form: the moment order for a calibrated basis, plus one bank's products
-per stage.
+The cases come from a walk of the schema, so a new key or bound gets its
+cases without an edit here. A numeric case takes the bound itself, the
+nearest float inside an exclusive one, or a one-item list for an array;
+``dataset.num_nodes`` takes the file's node count instead, as any other
+count is a data error. Each case sets one leaf to one of its values on a
+small base config and adds only what that value needs: the monomial basis
+for an operator other than ``shifted``, the ``da`` operator for a directed
+graph, a synthetic dataset for a ``dataset.synthetic`` key (the base reads
+files), the spectral-signal generator for the keys only it reads, the
+``gru`` backbone for its keys, the basis a ``krylov`` or ``jacobi`` key
+belongs to, few enough hops for a Krylov order, and one epoch budget per
+stage. It then runs ``validate_config`` and ``run_seed``, and checks the
+report's product count against the closed form: the moment order for a
+calibrated basis, plus one bank's products per stage.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +57,29 @@ def _cases():
 
 CASES = list(_cases())
 
+# bound keyword -> the inside of the range, for an exclusive bound
+_BOUNDS = {"minimum": None, "maximum": None,
+           "exclusiveMinimum": math.inf, "exclusiveMaximum": -math.inf}
+
+
+def _bound_values(node):
+    for alt in node.get("anyOf", [node]):
+        num = alt.get("items", alt)
+        for key, inside in _BOUNDS.items():
+            if key in num:
+                value = num[key] if inside is None else math.nextafter(num[key], inside)
+                yield [value] if "items" in alt else value
+
+
+def _bound_cases():
+    for path, node in _leaves(CONFIG_SCHEMA):
+        values = [SYNTH["n"]] if path == ("dataset", "num_nodes") else _bound_values(node)
+        for value in values:
+            yield pytest.param(path, value, id=f"{'.'.join(path)}={value}")
+
+
+BOUND_CASES = list(_bound_cases())
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -72,6 +102,16 @@ def case_config(path, value, files) -> dict:
     for key in path[:-1]:
         node = node.setdefault(key, {})
     node[path[-1]] = value
+    if path[-1] in ("signal_quantile", "confounder_modes", "confounder_scale"):
+        raw["dataset"]["synthetic"]["generator"] = "spectral-signal"
+    if path[-1] in ("state_dim", "readout"):
+        raw["backbone"] = "gru"
+    if path[0] in ("krylov", "jacobi"):
+        raw["basis"] = path[0]
+    if path == ("krylov", "order"):
+        raw["hops"] = min(raw["hops"], value - 1)
+    if isinstance(raw["hrp"].get("epochs"), list):
+        raw["hrp"]["epochs"] *= raw["hrp"]["stages"]
     if raw.get("operator", "shifted") != "shifted":
         raw.setdefault("basis", "monomial")
     if raw["dataset"].get("undirected") is False:
@@ -89,6 +129,9 @@ def expected_spmm(cfg: dict) -> int:
 def test_the_walk_reaches_the_paths_no_other_test_runs():
     reached = {(p.values[0], p.values[1]) for p in CASES}
     assert {(("operator",), "lap"), (("backbone",), "gru")} <= reached
+    assert {"hops=15", "krylov.order=15", "hrp.stages=7", "seeds=[4294967295]",
+            "calibration.seed=4294967295", "jacobi.alpha=-0.9999999999999999",
+            "dataset.num_nodes=120"} <= {p.id for p in BOUND_CASES}
 
 
 @pytest.mark.parametrize("path,value", CASES)
@@ -100,4 +143,15 @@ def test_every_enum_and_boolean_value_runs_end_to_end(files, path, value):
     assert len(row["stages"]) == 2
     assert row["total_spmm"] == expected_spmm(cfg)
     # label diffusion's one da product is data preparation, outside total_spmm
+    assert spmm_call_count() - before == row["total_spmm"] + cfg["label_diffusion"]
+
+
+@pytest.mark.parametrize("path,value", BOUND_CASES)
+def test_every_numeric_bound_runs_end_to_end(files, path, value):
+    cfg = validate_config(case_config(path, value, files))
+    before = spmm_call_count()
+    row, _ = run_seed(cfg, cfg["seeds"][0])
+    assert np.isfinite(row["test_metric"])
+    assert len(row["stages"]) == to_stage_plan(cfg).stages
+    assert row["total_spmm"] == expected_spmm(cfg)
     assert spmm_call_count() - before == row["total_spmm"] + cfg["label_diffusion"]

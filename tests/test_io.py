@@ -149,6 +149,13 @@ def test_features_csv_single_row(tmp_path):
     assert load_features_csv(p).shape == (1, 3)
 
 
+def test_features_csv_malformed_row(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("1.0,2.0\n3.0\n")
+    with pytest.raises(DataError, match="malformed CSV features"):
+        load_features_csv(p)
+
+
 def _label_vector(n, rng):
     labels = rng.integers(0, 3, size=n)
     perm = rng.permutation(n)
@@ -386,3 +393,24 @@ def test_binary_files_reject_non_object_blobs(tmp_path):
                               provenance=[1]))
     with pytest.raises(DataError, match="JSON object"):
         load_bank_file(p)
+
+
+def test_binary_files_reject_undecodable_blobs(tmp_path):
+    # a provenance blob that is not JSON, of the length the header gives
+    p = tmp_path / "b.hbk"
+    save_bank_file(p, HopBank(hops=0, slabs=np.ones((1, 2, 2), np.float32),
+                              provenance={"a": 1}))
+    raw = bytearray(p.read_bytes())
+    raw[36:44] = b"not json"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="corrupt provenance blob"):
+        load_bank_file(p)
+    # a parameter name that is not UTF-8: MDL1, blob length, "{}", count, name length
+    p = tmp_path / "m.mdl"
+    save_checkpoint(p, {"w": np.ones(2, np.float32)}, {})
+    raw = bytearray(p.read_bytes())
+    assert raw[26:27] == b"w"
+    raw[26] = 0xFF
+    p.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="parameter name is not UTF-8"):
+        load_checkpoint(p)

@@ -200,7 +200,7 @@ def test_argument_validation(k3):
     op = make_operator(k3, "shifted")
     with pytest.raises(ConfigError):
         batched_lanczos(op, x, order=0)
-    with pytest.raises(ConfigError, match="exceeds the fixed hop budget of 15"):
+    with pytest.raises(ConfigError, match="exceeds the fixed step budget of 15"):
         batched_lanczos(op, x, order=16)
     for mode in ("selective", "none"):
         with pytest.raises(ConfigError, match="reorthogonalization"):
