@@ -3,10 +3,11 @@
 A config file is a single JSON object. Unknown keys are rejected so typos
 fail loudly instead of silently running the default, and so are NaN and
 infinity. The schema states every per-field bound once (the hop, Lanczos
-step and stage budgets, gamma, the Jacobi weights, seeds), so a bound
-error names its field. ``validate_config`` adds only the cross-field rules
-no class owns and builds the ``StagePlan`` and ``SyntheticSpec``, whose
-own rules run there too, so a bad config dies before any graph is loaded.
+step and stage budgets, the moment order, gamma, the Jacobi weights,
+seeds), so a bound error names its field. ``validate_config`` adds only
+the cross-field rules no class owns and builds the ``StagePlan`` and
+``SyntheticSpec``, whose own rules run there too, so a bad config dies
+before any graph is loaded.
 
 The ``train``, ``hrp`` and ``dataset.synthetic`` sections map one to one
 onto the fields of ``TrainConfig``, ``StagePlan`` and ``SyntheticSpec``,
@@ -30,7 +31,7 @@ import jsonschema
 
 from .backbone import TrainConfig
 from .banks import MAX_HOPS
-from .calibration import calibrate
+from .calibration import DEFAULT_GRID, calibrate
 from .errors import ConfigError
 from .graph import OPERATOR_KINDS
 from .hrp import MAX_STAGES, RECIPE_BASES, StagePlan, krylov_order
@@ -98,7 +99,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "order": {"type": "integer", "minimum": 1},
+                # a series past the density grid's point count is not resolved on it
+                "order": {"type": "integer", "minimum": 1, "maximum": DEFAULT_GRID},
                 "probes": {"type": "integer", "minimum": 1},
                 "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "seed": _SEED,

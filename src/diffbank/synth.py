@@ -23,9 +23,19 @@ A draw is a pure function of its spec. The block-model edges take one
 uniform draw per node pair, walked in row-major order in fixed chunks, so
 a draw holds one chunk and its edge list, never an array over all pairs;
 a graph whose expected edges and features would not fit in physical
-memory is refused before the first draw. The costliest step of a
-spectral-signal draw is the dense eigendecomposition, so the two
-eigenvector blocks it keeps are memoized per spec, process-wide, for the
+memory is refused before the first draw.
+
+The costliest step of a spectral-signal draw is the dense
+eigendecomposition of the shifted operator. It runs LAPACK ``dsyevd`` in
+place on a private Fortran-ordered copy of the dense matrix, which becomes
+the eigenvectors, so the draw holds 3 n^2 doubles at its peak: the matrix
+and ``dsyevd``'s 2 n^2 workspace (96 MB at n = 2,000, 403 MB at the
+4,096-node limit). The spectral-signal preflight counts them too.
+``dsyevd`` (scipy's ``driver="evd"``, on the lower triangle) is the
+routine ``np.linalg.eigh`` calls, so the eigenvectors, and with them every
+dataset, are those ``np.linalg.eigh`` returns bit for bit; scipy's default
+``evr`` driver returns others. The two eigenvector blocks a draw keeps
+are memoized per spec, process-wide, for the
 ``SPECTRA_KEPT`` most recent specs: every ablation arm, thread and caller
 drawing the same (spec, seed) decomposes its graph once. Each call still
 draws its own edges and builds its own graph, operator, features and
@@ -89,8 +99,9 @@ def _sbm_edges(spec: SyntheticSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sorted block ids and the (i, j), i < j, edges of one block-model draw.
 
     A graph whose CSR arrays (sized from the expected edge count) and
-    n x ``feature_dim`` features would not fit in physical memory raises
-    DataError before the first draw. Pair (i, j) is kept when its uniform
+    n x ``feature_dim`` features, plus a spectral-signal draw's dense
+    decomposition, would not fit in physical memory raises DataError
+    before the first draw. Pair (i, j) is kept when its uniform
     draw falls below its block pair's probability.
     The draws follow the pairs in row-major order and come in chunks of
     ``_PAIR_CHUNK``, so a draw holds one chunk plus its edges, while the
@@ -103,9 +114,14 @@ def _sbm_edges(spec: SyntheticSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     # a pair is intra-block with probability 1 / b
     expected = total * (p_intra / b + p_inter * (1 - 1 / b))
     # the CSR arrays, then the float64 feature draw and its float32 copy
-    check_fits(csr_bytes(n, round(expected)) + 12 * n * spec.feature_dim,
-               f"a block-model graph of {n} nodes and ~{expected:.3g} edges "
-               f"with {spec.feature_dim:,} feature channels")
+    need = csr_bytes(n, round(expected)) + 12 * n * spec.feature_dim
+    what = (f"a block-model graph of {n} nodes and ~{expected:.3g} edges "
+            f"with {spec.feature_dim:,} feature channels")
+    if spec.generator == "spectral-signal":
+        # the dense matrix that becomes the eigenvectors, and dsyevd's 2 n^2 workspace
+        need += 3 * 8 * n * n
+        what += " and its dense eigendecomposition"
+    check_fits(need, what)
     blocks = np.sort(rng.integers(0, b, size=n))
     p_max = max(p_intra, p_inter)
     # pairs in the rows before each row; the last row has none
@@ -173,6 +189,16 @@ def _spectrum_slot(spec: SyntheticSpec) -> dict:
     return {}
 
 
+def _eigenvectors(op) -> np.ndarray:
+    """Eigenvectors of the dense operator, by ascending eigenvalue: LAPACK
+    ``dsyevd`` in place on a private Fortran-ordered copy of the matrix."""
+    # imported on first use: scipy.linalg adds about 75 ms to a cold start
+    from scipy.linalg import eigh
+
+    return eigh(op._matrix.toarray(order="F"), driver="evd", overwrite_a=True,
+                check_finite=False)[1]
+
+
 def _signal_modes(spec: SyntheticSpec, op):
     """(label eigenvector, confounder eigenvectors) of the dense operator.
 
@@ -181,7 +207,7 @@ def _signal_modes(spec: SyntheticSpec, op):
     """
     slot = _spectrum_slot(spec)
     if "modes" not in slot:
-        _, evecs = np.linalg.eigh(op._matrix.toarray())
+        evecs = _eigenvectors(op)
         idx = int(np.clip(round(spec.signal_quantile * (spec.n - 1)), 0, spec.n - 1))
         modes = (evecs[:, idx].copy(), evecs[:, 1:1 + spec.confounder_modes].copy())
         for a in modes:

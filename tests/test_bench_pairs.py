@@ -34,6 +34,7 @@ CANNED = {
     "change": {"train_s": [3.0, 5.0, 7.0, 6.5], "test_acc": [0.9, 0.95, 0.85, 0.9],
                "failed": [0, 1, 0, 0]},
 }
+VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "python": "3.12.3"}
 SPEC = {"end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.01},
                        {"name": "test_acc", "better": "higher", "bound": 0.05}]}
 
@@ -57,7 +58,8 @@ def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN,
                                        "test_acc": c["test_acc"][i], "run_s": 9.0,
                                        "spmm_products": c.get("spmm", [12] * 4)[i]},
                            "env": {"inputs_sha256": {"graph": f"g{100 + i}"}, "nproc": 2,
-                                   "blas_threads": 2, **c.get("env", [{}] * 4)[i]}}
+                                   "blas_threads": 2, **VERSIONS,
+                                   **c.get("env", [{}] * 4)[i]}}
             for i in range(4)}
     (co / "canned.json").write_text(json.dumps(
         {"log": str(log), "sha": f"sha-{side}" if named else None, "runs": runs}))
@@ -88,6 +90,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert res["parent"]["checkout"] == "parent"
     assert res["parent"]["git_sha"] == "sha-parent"
     assert res["change"]["git_sha"] == "sha-change"
+    assert res["parent"]["versions"] == res["change"]["versions"] == VERSIONS
     assert res["commits_named"] is True
     # only the metrics BENCHMARK.json declares are summarised
     assert set(res["parent"]["metrics"]) == {"train_s", "test_acc"}
@@ -220,6 +223,10 @@ def test_bench_pairs_judges_the_fail_rate(tmp_path, parent_failed, change_failed
     ({"env": [{}, {}, {}, {"nproc": 1}]}, True, False),
     ({"env": [{}, {"inputs_sha256": {"graph": "other"}}, {}, {}]}, True, False),
     ({"env": [{"blas_threads": 1}] * 4}, True, False),
+    # the same inputs on another numpy, scipy or python: another LAPACK
+    ({"env": [{}, {}, {"numpy": "2.3.0"}, {}]}, True, False),
+    ({"env": [{"scipy": "1.16.0"}] * 4}, True, False),
+    ({"env": [{}, {"python": "3.11.9"}, {}, {}]}, True, False),
 ])
 def test_bench_pairs_checks_outputs_and_inputs(tmp_path, change, identical, match):
     log = tmp_path / "calls.log"

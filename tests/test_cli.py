@@ -210,6 +210,16 @@ def test_calibrate_checks_its_options_before_any_product(dataset, capsys):
     assert graph.spmm_call_count() == before
 
 
+def test_a_moment_order_past_the_density_grid_exits_2_before_any_product(dataset, capsys):
+    before = graph.spmm_call_count()
+    rc = main(["calibrate", "--edges", str(dataset / "edges.tsv"),
+               "--cheb-order", "1000000000"])
+    assert rc == 2
+    assert ("config field calibration.order: 1000000000 is greater than the maximum of 512"
+            in capsys.readouterr().err)
+    assert graph.spmm_call_count() == before
+
+
 def test_train_then_evaluate_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run_dir = tmp_path / "run"

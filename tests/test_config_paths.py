@@ -130,7 +130,8 @@ def test_the_walk_reaches_the_paths_no_other_test_runs():
     reached = {(p.values[0], p.values[1]) for p in CASES}
     assert {(("operator",), "lap"), (("backbone",), "gru")} <= reached
     assert {"hops=15", "krylov.order=15", "hrp.stages=7", "seeds=[4294967295]",
-            "calibration.seed=4294967295", "jacobi.alpha=-0.9999999999999999",
+            "calibration.seed=4294967295", "calibration.order=512",
+            "jacobi.alpha=-0.9999999999999999",
             "dataset.num_nodes=120"} <= {p.id for p in BOUND_CASES}
 
 

@@ -243,3 +243,54 @@ def test_generate_refuses_what_cannot_fit_before_drawing(monkeypatch, tmp_path):
     # the expected need is only a preflight; the drawn graph is checked again
     monkeypatch.setattr(graph, "_physical_bytes", lambda: need + 10**6)
     assert generate(spec)[0].n == 1000
+
+
+def test_generate_counts_the_dense_decomposition_before_drawing(monkeypatch, tmp_path):
+    spec = SyntheticSpec(generator="spectral-signal", n=300, blocks=2, p_intra=0.05,
+                         p_inter=0.05, feature_dim=4)
+    # the expected CSR arrays and features, then the matrix and dsyevd's
+    # 2 n^2 workspace: 3 n^2 doubles
+    need = csr_bytes(300, round(44_850 * 0.05)) + 12 * 300 * 4 + 3 * 8 * 300**2
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need - 1)
+    monkeypatch.setattr(synth, "rng_for", lambda *key: NoDraws())
+    with pytest.raises(DataError, match="dense eigendecomposition needs"):
+        generate(spec)
+    out = tmp_path / "big"
+    rc = main(["generate", "--generator", "spectral-signal", "--nodes", "300",
+               "--blocks", "2", "--p-intra", "0.05", "--p-inter", "0.05",
+               "--feature-dim", "4", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    monkeypatch.setattr(synth, "rng_for", rng_for)
+    # an sbm draw of the same graph decomposes nothing, so it fits
+    assert generate(SyntheticSpec(n=300, blocks=2, p_intra=0.05, p_inter=0.05,
+                                  feature_dim=4))[0].n == 300
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need)
+    synth._spectrum_slot.cache_clear()
+    assert generate(spec)[0].n == 300
+
+
+def oracle_eigenvectors(op):
+    """The decomposition spectral-signal draws made before it ran in place:
+    numpy's dsyevd on a C-ordered copy, with its own output."""
+    return np.linalg.eigh(op._matrix.toarray())[1]
+
+
+# 22 of the 60 nodes are isolated, so their rows of the operator are zero
+@pytest.mark.parametrize("n,p", [(60, 0.02), (300, 0.05), (2000, 0.05)])
+def test_in_place_decomposition_is_bit_equal_to_numpy(monkeypatch, n, p):
+    spec = SyntheticSpec(generator="spectral-signal", n=n, p_intra=p, p_inter=p,
+                         feature_dim=3, seed=n)
+    synth._spectrum_slot.cache_clear()
+    drawn = _draw_bytes(spec)
+    g = generate(spec)[0]
+    op = make_operator(g, "shifted")
+    if n == 60:
+        assert np.count_nonzero(np.diff(g.row_ptr) == 0) == 22
+    evecs = synth._eigenvectors(op)
+    oracle = oracle_eigenvectors(op)
+    assert evecs.dtype == oracle.dtype == np.float64
+    assert np.array_equal(evecs, oracle)
+    monkeypatch.setattr(synth, "_eigenvectors", oracle_eigenvectors)
+    synth._spectrum_slot.cache_clear()
+    assert _draw_bytes(spec) == drawn

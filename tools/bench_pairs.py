@@ -11,9 +11,9 @@ sides alike. Runs are strictly sequential.
 It writes ``BENCH_<workload>.json`` into ``--out`` (default the current
 directory), which it makes, if missing, before the first pair. For each
 side it holds the checkout's directory name, its git commit (null for a
-checkout without ``.git``), the fail rate and, per end-to-end metric,
-the median, the quartiles and every run's value; and the core count,
-pair count, seconds and seeds. For each metric it holds:
+checkout without ``.git``), its numpy, scipy and python versions, the
+fail rate and, per end-to-end metric, the median, the quartiles and every
+run's value; and the core count, pair count, seconds and seeds. For each metric it holds:
 
 ``change_wins``
     the number of pairs the change won (ties count for neither side);
@@ -40,7 +40,9 @@ the record:
     the parent's;
 ``inputs_match``
     in every pair both sides' env lines agree on ``inputs_sha256``,
-    ``nproc`` and ``blas_threads``: same inputs on the same threads.
+    ``nproc``, ``blas_threads``, ``numpy``, ``scipy`` and ``python``: same
+    inputs on the same threads and the same libraries, whose LAPACK and
+    BLAS a bit-exact claim depends on.
 
 ``commits_named`` holds whether both sides name their git commit. When
 either does not, a warning goes to stderr: such a file cannot say which
@@ -56,7 +58,8 @@ import sys
 from pathlib import Path
 
 OUTPUTS = ("test_acc", "spmm_products")
-INPUTS = ("inputs_sha256", "nproc", "blas_threads")
+VERSIONS = ("numpy", "scipy", "python")
+INPUTS = ("inputs_sha256", "nproc", "blas_threads", *VERSIONS)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,6 +129,7 @@ def main(argv=None) -> int:
         out[side] = {
             "checkout": sides[side].resolve().name,
             "git_sha": rs[0]["env"].get("git_sha"),
+            "versions": {k: rs[0]["env"].get(k) for k in VERSIONS},
             "fail_rate": sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs),
             "metrics": {m: spread([r["metrics"][m] for r in rs]) for m in better}}
     sign = {"lower": -1, "higher": 1}
