@@ -29,6 +29,13 @@ each step's product arrives one row chunk at a time (``spmm``'s
 over the same rows of X_{k-1}, stored and checked. A slab that is not
 finite in float32 (overflow at high K or with extreme Jacobi weights)
 raises NumericalError. Slab 0 is the input itself and is not checked.
+
+Every builder takes ``out``, a C-contiguous float32 (K+1, n, d) array, and
+fills it in place of new slabs: the bank's bytes are the same either way.
+The input may be ``out[0]`` itself, as when a staged run writes hidden
+states into the slab 0 of the bank they are diffused into; slab 0 is then
+left as it is, so the build holds the slabs, the two working blocks and
+no other (n, d) copy of its input.
 """
 
 from dataclasses import dataclass
@@ -172,13 +179,29 @@ def recurrence(op: SparseOperator, x: np.ndarray, a, b, c, emit) -> list:
     return results
 
 
+def _slabs(out: np.ndarray | None, hops: int, x: np.ndarray) -> np.ndarray:
+    """The (hops + 1, n, d) float32 slabs of a bank of ``x``: ``out``, which
+    must be C-contiguous float32 of that shape, or new ones. Slab 0 gets
+    ``x``, unless ``x`` is that slab already."""
+    shape = (hops + 1,) + x.shape
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float32 array of shape {shape}")
+    if not (x.dtype == out.dtype and x.strides == out.strides[1:]
+            and x.ctypes.data == out.ctypes.data):
+        out[0] = x
+    return out
+
+
 def _bank(op: SparseOperator, x: np.ndarray, hops: int, a, b, c, basis: str,
-          scale: np.ndarray | None = None, **extra) -> HopBank:
-    """Slab k is X_k of ``recurrence``, divided by scale[k] if given."""
+          scale: np.ndarray | None = None, out: np.ndarray | None = None,
+          **extra) -> HopBank:
+    """Slab k is X_k of ``recurrence``, divided by scale[k] if given, in
+    ``out`` if given."""
     _check_budget(hops)
     x = _check_features(op, x)
-    slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
-    slabs[0] = x
+    slabs = _slabs(out, hops, x)
 
     def store(k, lo, hi, rows, _):
         if scale is None:
@@ -192,39 +215,44 @@ def _bank(op: SparseOperator, x: np.ndarray, hops: int, a, b, c, basis: str,
                    provenance={"basis": basis, "operator": op.kind, "hops": hops, **extra})
 
 
-def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
+def monomial_bank(op: SparseOperator, x: np.ndarray, hops: int, *,
+                  out: np.ndarray | None = None) -> HopBank:
     """Plain power bank: slab k is S^k X. Works on any operator kind."""
-    return _bank(op, x, hops, [1.0] * hops, [0.0] * hops, [0.0] * hops, "monomial")
+    return _bank(op, x, hops, [1.0] * hops, [0.0] * hops, [0.0] * hops, "monomial",
+                 out=out)
 
 
 def _jacobi_family(op: SparseOperator, x: np.ndarray, hops: int, alpha: float,
-                   beta: float, basis: str, scale: np.ndarray | None = None) -> HopBank:
+                   beta: float, basis: str, scale: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> HopBank:
     if op.kind != "shifted":
         raise ValueError(f"{basis} banks require the 'shifted' operator, got {op.kind!r}")
     rc = jacobi_coefficients(hops, alpha, beta)
-    return _bank(op, x, hops, rc.a, rc.b, rc.c, basis, scale, alpha=alpha, beta=beta)
+    return _bank(op, x, hops, rc.a, rc.b, rc.c, basis, scale, out, alpha=alpha, beta=beta)
 
 
 def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,
-                alpha: float, beta: float) -> HopBank:
+                alpha: float, beta: float, *, out: np.ndarray | None = None) -> HopBank:
     """Jacobi polynomial bank on the shifted operator: slab k is exactly
     P_k^(alpha, beta)(S) X, rounded to float32."""
-    return _jacobi_family(op, x, hops, alpha, beta, "jacobi")
+    return _jacobi_family(op, x, hops, alpha, beta, "jacobi", out=out)
 
 
-def legendre_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
+def legendre_bank(op: SparseOperator, x: np.ndarray, hops: int, *,
+                  out: np.ndarray | None = None) -> HopBank:
     """Jacobi bank at weights (0, 0)."""
-    return _jacobi_family(op, x, hops, 0.0, 0.0, "legendre")
+    return _jacobi_family(op, x, hops, 0.0, 0.0, "legendre", out=out)
 
 
-def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int) -> HopBank:
+def chebyshev_bank(op: SparseOperator, x: np.ndarray, hops: int, *,
+                   out: np.ndarray | None = None) -> HopBank:
     """First-kind Chebyshev bank: slab k equals T_k(S) X.
 
     Built as the Jacobi (-1/2, -1/2) bank with each slab divided by the
     polynomial's value at 1, which rescales that family to T_k exactly.
     """
     return _jacobi_family(op, x, hops, -0.5, -0.5, "chebyshev",
-                          jacobi_endpoint_values(hops, -0.5, -0.5))
+                          jacobi_endpoint_values(hops, -0.5, -0.5), out)
 
 
 @dataclass(frozen=True)

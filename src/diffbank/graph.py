@@ -148,7 +148,13 @@ def check_fits(nbytes: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """CSR adjacency structure. Neighbor lists are sorted and duplicate-free."""
+    """CSR adjacency structure. Neighbor lists are sorted and duplicate-free.
+
+    ``row_ptr`` (n + 1 offsets) and ``col_idx`` (one column per stored
+    entry) are read-only and share one integer dtype: int32 when ``n`` and
+    the entry count are below 2^31, int64 past that. ``graph_hash`` hashes
+    them as int64, so the dtype does not change a graph's hash.
+    """
 
     n: int
     row_ptr: np.ndarray
@@ -212,6 +218,9 @@ def build_graph(edges, n, *, undirected: bool = True,
     Entries are sorted by the one int64 key ``src * n + dst`` and duplicates
     dropped, so ``n`` may not exceed ``MAX_NODES``. A graph whose CSR arrays
     would not fit in physical memory raises DataError before they exist.
+    ``row_ptr`` and ``col_idx`` are int32 when ``n`` and the stored entry
+    count are both below 2^31, as an operator's band indices are, and int64
+    otherwise.
     """
     if n <= 0:
         raise DataError("graph must have at least one node")
@@ -242,11 +251,13 @@ def build_graph(edges, n, *, undirected: bool = True,
     keep[1:] = key[1:] != key[:-1]
     src, dst = np.divmod(key[keep], n)
 
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    itype = np.int32 if max(n, dst.size) < 2**31 else np.int64
+    row_ptr = np.zeros(n + 1, dtype=itype)
     np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
+    col_idx = dst.astype(itype, copy=False)
     row_ptr.setflags(write=False)
-    dst.setflags(write=False)
-    return Graph(n=n, row_ptr=row_ptr, col_idx=dst, undirected=undirected)
+    col_idx.setflags(write=False)
+    return Graph(n=n, row_ptr=row_ptr, col_idx=col_idx, undirected=undirected)
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -325,7 +336,8 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
         w = np.repeat(dinv, counts)
         diag = np.zeros(g.n)
     else:
-        w = np.repeat(dinv_sqrt, counts) * dinv_sqrt[cols]
+        w = np.repeat(dinv_sqrt, counts)
+        w *= dinv_sqrt[cols]
         if kind == "dad":
             diag = np.zeros(g.n)
         elif kind == "lap":
@@ -335,11 +347,12 @@ def make_operator(g: Graph, kind: str) -> SparseOperator:
             np.negative(w, out=w)
             diag = np.where(deg > 0, 0.0, -1.0)
 
-    # weights are float32 values; the products' bits depend on that rounding
-    data = w.astype(np.float32).astype(np.float64)
-    del w
+    # weights are float32 values, rounded in place; the products' bits
+    # depend on that rounding
+    w[...] = w.astype(np.float32)
     d64 = diag.astype(np.float32).astype(np.float64)
-    indptr, indices = g.row_ptr, cols
+    indptr, indices, data = g.row_ptr, cols, w
+    del w
     if d64.any():
         # the sum merges each diagonal term into its row in column order,
         # adds it to a self-loop's weight and drops an entry that sums to 0

@@ -17,11 +17,17 @@ the constant schedule keeps lambda_s = lambda0.
 
 Blending at weight exactly 1 or exactly 0 copies the corresponding slab
 instead of multiplying through, so a schedule that degenerates to plain
-training reproduces it bit for bit. The staged run writes the blend into
-Htilde's own slabs, which become Z^(s+1), and drops the hidden states
-before the next stage trains. So a stage boundary holds two banks, Z^(s)
-and Z^(s+1), plus the re-propagation's two float64 working blocks while it
-runs.
+training reproduces it bit for bit.
+
+A stage boundary holds two banks, Z^(s) and Z^(s+1), plus the
+recurrence's two float64 working blocks while it runs, and nothing else of
+size (n, d). The staged run allocates Z^(s+1) first and extracts H into
+its hop-0 slab; re-propagation diffuses that slab into the array's other
+slabs, which makes it Htilde, and the blend overwrites Htilde with
+Z^(s+1), copying hop 0 from Z^(s). Besides, a re-propagation holds the
+operator it builds and one tile of product rows per kernel block (see
+``graph``). A Krylov re-propagation holds its Lanczos basis tensor and
+one product block (see ``krylov``) instead of the working blocks.
 
 A bank's provenance is the recipe that rebuilds it (basis, operator, Jacobi
 weights, Lanczos order), and ``diffuse`` builds every bank from a recipe, so
@@ -151,10 +157,23 @@ def build_model(kind: str, hops: int, width: int, num_classes: int, cfg: TrainCo
     return model
 
 
-def extract_hidden(model, params, bank: HopBank, chunk: int = 8192) -> np.ndarray:
-    """Full-graph hidden states in eval mode, detached float32 copy."""
+def extract_hidden(model, params, bank: HopBank, chunk: int = 8192, *,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Full-graph hidden states in eval mode, detached float32 copy.
+
+    ``out``, a float32 (n, width) array such as the hop-0 slab of the bank
+    they will be diffused into, receives them and is returned; by default
+    a new array does. The forward runs ``chunk`` rows at a time, and its
+    logits depend on that (see ``evaluate_split``). The hidden states of a
+    100k-node, width-64 bank were bit-identical at 8192, 2048 and 1000
+    rows, but a matmul may switch kernels with its row count at other
+    shapes, so the default stays 8192.
+    """
     n = bank.n
-    out = np.empty((n, bank.width), dtype=np.float32)
+    if out is None:
+        out = np.empty((n, bank.width), dtype=np.float32)
+    elif out.shape != (n, bank.width) or out.dtype != np.float32:
+        raise ValueError(f"out must be a float32 array of shape {(n, bank.width)}")
     for lo in range(0, n, chunk):
         ids = np.arange(lo, min(lo + chunk, n))
         _, hidden, _ = model.forward(params, bank.slabs, ids, train=False)
@@ -173,35 +192,40 @@ def krylov_order(hops: int, order: int | None) -> int:
     return order
 
 
-def diffuse(op, x: np.ndarray, hops: int, recipe: dict) -> HopBank:
+def diffuse(op, x: np.ndarray, hops: int, recipe: dict, *,
+            out: np.ndarray | None = None) -> HopBank:
     """Diffuse ``x`` into a hop bank on ``op`` by ``recipe``, which holds the
     keys a bank's provenance carries: ``basis``, ``alpha`` and ``beta`` for
     ``jacobi``, and ``order`` for ``krylov`` (None or absent means hops + 1).
-    So a bank's provenance is the recipe that rebuilds it."""
+    So a bank's provenance is the recipe that rebuilds it. ``out`` is
+    passed to the bank builder: the slabs go into it, and ``x`` may be its
+    slab 0."""
     basis = recipe.get("basis")
     if basis == "monomial":
-        return monomial_bank(op, x, hops)
+        return monomial_bank(op, x, hops, out=out)
     if basis == "chebyshev":
-        return chebyshev_bank(op, x, hops)
+        return chebyshev_bank(op, x, hops, out=out)
     if basis == "legendre":
-        return legendre_bank(op, x, hops)
+        return legendre_bank(op, x, hops, out=out)
     if basis == "jacobi":
-        return jacobi_bank(op, x, hops, recipe["alpha"], recipe["beta"])
+        return jacobi_bank(op, x, hops, recipe["alpha"], recipe["beta"], out=out)
     if basis == "krylov":
         fact = batched_lanczos(op, x, krylov_order(hops, recipe.get("order")))
-        return ritz_bank_as_hopbank(ritz_bank(fact), hops, raw_hop0=x)
+        return ritz_bank_as_hopbank(ritz_bank(fact), hops, raw_hop0=x, out=out)
     raise ConfigError(f"no bank recipe for basis {basis!r}")
 
 
 def repropagate(graph: Graph, hidden: np.ndarray, hops: int, *, family: str,
                 operator: str = "shifted", jacobi_alpha: float = 0.0,
-                jacobi_beta: float = 0.0, lanczos_order: int | None = None) -> HopBank:
+                jacobi_beta: float = 0.0, lanczos_order: int | None = None,
+                out: np.ndarray | None = None) -> HopBank:
     """Diffuse extracted hidden states into a fresh hop bank of ``family``
     on the graph's ``operator``, which must be ``shifted`` for every family
-    but ``monomial``."""
+    but ``monomial``. The bank's slabs are ``out`` if given (see
+    ``diffuse``), and ``hidden`` may be its slab 0."""
     return diffuse(make_operator(graph, operator), hidden, hops,
                    {"basis": family, "alpha": jacobi_alpha, "beta": jacobi_beta,
-                    "order": lanczos_order})
+                    "order": lanczos_order}, out=out)
 
 
 def blend(bank: HopBank, htilde: HopBank, alphas, *, out: np.ndarray | None = None) -> HopBank:
@@ -241,7 +265,15 @@ def blend(bank: HopBank, htilde: HopBank, alphas, *, out: np.ndarray | None = No
 
 def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accuracy",
                    chunk: int = 8192) -> float:
-    """Deterministic eval-mode metric over an arbitrary node mask."""
+    """Deterministic eval-mode metric over an arbitrary node mask.
+
+    The logits, and so the metric, depend on ``chunk``: the BLAS may pick
+    another kernel for a matmul with fewer rows. With numpy 2.4.6's
+    OpenBLAS 0.3.31 (Haswell kernels) the (M x 64) @ (64 x 4) logits
+    matmul switches kernels below M of about 4096: on a 100k-node, width-64
+    bank, 4096-row chunks gave the 8192-row logits, and 2048- and 1000-row
+    chunks changed those of 97,700 rows. So the default stays 8192.
+    """
     ids = np.nonzero(np.asarray(mask))[0]
     logits = np.empty((ids.size, model.num_classes), dtype=np.float64)
     for lo in range(0, ids.size, chunk):
@@ -345,18 +377,17 @@ def run_hrp_training(plan: StagePlan, bank: HopBank, graph: Graph | None, lv,
         t1 = time.perf_counter()
         diff_spmm = 0
         if s < plan.stages:
-            hidden = extract_hidden(model, selected["params"], stage_bank)
+            # Z^(s+1) first, so H is diffused and blended within it (see the
+            # module docstring)
+            slabs = np.empty_like(stage_bank.slabs)
+            hidden = extract_hidden(model, selected["params"], stage_bank, out=slabs[0])
             pre = spmm_call_count()
             htilde = repropagate(
                 graph, hidden, hops, family=recipe["basis"], operator=recipe["operator"],
                 jacobi_alpha=recipe.get("alpha", 0.0), jacobi_beta=recipe.get("beta", 0.0),
-                lanczos_order=recipe.get("order"))
+                lanczos_order=recipe.get("order"), out=slabs)
             diff_spmm = spmm_call_count() - pre
-            # the blend goes into the re-propagated bank's own slabs, so the
-            # next stage trains with no bank beyond this one and the last
-            cur_bank = blend(stage_bank, htilde, blend_alphas(plan, s, hops),
-                             out=htilde.slabs)
-            del htilde, hidden
+            cur_bank = blend(stage_bank, htilde, blend_alphas(plan, s, hops), out=slabs)
         diff_secs = time.perf_counter() - t1
 
         stage_results.append(StageResult(

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banks import HopBank, _check_budget, _check_slab
+from .banks import HopBank, _check_budget, _check_slab, _slabs
 from .errors import ConfigError, NumericalError
 from .graph import SparseOperator, row_chunks, spmm
 
@@ -310,7 +310,8 @@ def ritz_bank(fact: LanczosFactorization) -> RitzBank:
     return RitzBank(fact=fact, coeffs=coeffs)
 
 
-def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray):
+def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray, *,
+                         out: np.ndarray | None = None):
     """Lay Ritz components out as hop slabs behind the raw features.
 
     Slab 0 is ``raw_hop0``, the input features, as in every polynomial
@@ -321,7 +322,9 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray):
     ``breakdown_channels`` and ``skipped_channels``. A slab that is not
     finite in float32 raises NumericalError. The slabs are filled in one
     row-chunked pass; nothing is summed across rows, so they do not depend
-    on the chunking.
+    on the chunking. ``out``, a C-contiguous float32 (hops + 1, n, d)
+    array, gets the slabs instead of new ones, with the same bytes; its
+    slab 0 may be ``raw_hop0`` itself, which is then left as it is.
     """
     _check_budget(hops)
     if hops + 1 > rb.order:
@@ -330,8 +333,9 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray):
     fact = rb.fact
     if np.shape(raw_hop0) != (fact.op.n, rb.width):
         raise ValueError("raw hop-0 features do not match the bank shape")
-    slabs = np.zeros((hops + 1, fact.op.n, rb.width), dtype=np.float32)
-    slabs[0] = raw_hop0
+    slabs = _slabs(out, hops, np.asarray(raw_hop0))
+    # the fill writes every basis channel; a skipped one is zero in each slab
+    slabs[1:, :, fact.skipped] = 0.0
 
     def fill(lo, hi):
         # every slab's rows lo:hi from one read of the basis rows

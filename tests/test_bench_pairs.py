@@ -20,6 +20,8 @@ canned = json.loads((here / "canned.json").read_text())
 with open(canned["log"], "a") as fh:
     fh.write(f"{here.name} {args['--workload']} {args['--seed']} {args['--seconds']}\\n")
 run = canned["runs"][args["--seed"]]
+if run.get("crash"):
+    sys.exit("crashed")
 print("train_s          1.0 s")
 print("env " + json.dumps({"git_sha": canned["sha"], **run["env"]}))
 print(json.dumps({"correct": run["failed"] == 0, "attempted": 2, "failed": run["failed"],
@@ -53,7 +55,7 @@ def make_checkout(root: Path, side: str, log: Path, script: str = FAKE_RUN,
     (co / "perfbench" / "run.py").write_text(script)
     (co / "BENCHMARK.json").write_text(json.dumps(SPEC))
     c = canned[side]
-    runs = {str(100 + i): {"failed": c["failed"][i],
+    runs = {str(100 + i): {"failed": c["failed"][i], "crash": c.get("crash", [False] * 4)[i],
                            "metrics": {"train_s": c["train_s"][i],
                                        "test_acc": c["test_acc"][i], "run_s": 9.0,
                                        "spmm_products": c.get("spmm", [12] * 4)[i]},
@@ -110,6 +112,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     # test_acc moved in pairs 1 and 2; both sides ran the same inputs
     assert res["outputs_identical"] is False
     assert res["inputs_match"] is True
+    assert res["complete"] is True
 
 
 def test_bench_pairs_makes_a_missing_out_directory_before_the_first_pair(tmp_path):
@@ -144,6 +147,28 @@ def test_bench_pairs_stops_when_a_run_prints_no_result(tmp_path):
                           "--out", str(tmp_path)])
     assert log.read_text().splitlines() == ["parent w1 100 40"]
     assert not (tmp_path / "BENCH_w1.json").exists()
+
+
+def test_bench_pairs_keeps_the_pairs_before_a_run_that_prints_no_result(tmp_path):
+    # the change's run of pair 1 crashes: pair 0 is on file, and the tool
+    # exits non-zero
+    log = tmp_path / "calls.log"
+    canned = {"parent": CANNED["parent"],
+              "change": {**CANNED["change"], "crash": [False, True, False, False]}}
+    sides = [make_checkout(tmp_path, side, log, canned=canned)
+             for side in ("parent", "change")]
+    with pytest.raises(SystemExit, match="printed no result") as exc:
+        load_tool().main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                          "--workload", "w1", "--pairs", "3", "--seed", "100",
+                          "--out", str(tmp_path)])
+    assert exc.value.code not in (0, None)
+    assert log.read_text().splitlines() == [
+        "parent w1 100 40", "change w1 100 40", "change w1 101 40"]
+    res = json.loads((tmp_path / "BENCH_w1.json").read_text())
+    assert (res["complete"], res["pairs"], res["seeds"]) == (False, 1, [100])
+    assert res["parent"]["metrics"]["train_s"]["runs"] == [4.0]
+    assert res["change"]["metrics"]["train_s"]["runs"] == [3.0]
+    assert res["change_wins"] == {"train_s": 1, "test_acc": 0}
 
 
 @pytest.mark.parametrize("change_train_s,gain,within", [

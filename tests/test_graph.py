@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from diffbank import DataError, graph, make_operator, reset_spmm_count, spmm_call_count
-from diffbank.graph import (LabelVector, MAX_NODES, build_graph, degrees, graph_hash,
-                            spmm)
+from diffbank.graph import (OPERATOR_KINDS, Graph, LabelVector, MAX_NODES, build_graph,
+                            degrees, graph_hash, spmm)
 
 from conftest import dense_operator, random_graph
 from diffbank.rng import rng_for
@@ -101,6 +103,37 @@ def test_graph_arrays_immutable(k3):
 def test_graph_hash_stable_and_distinct(k3, p2):
     assert graph_hash(k3) == graph_hash(build_graph(np.array([[0, 1], [1, 2], [0, 2]]), 3))
     assert graph_hash(k3) != graph_hash(p2)
+
+
+# sha256 of each operator's band arrays (dtype name, then bytes, for _ptr,
+# _idx and _w), as built from int64 graph indices
+OPERATOR_SHA256 = {
+    "dad": "32f45d9cebf34f81433fb7a4b17733b7f4a2c565ee0181c0303cf8e310d23bf9",
+    "da": "900e41ea1d69b310d592b6ed7ef5fba58c3e2b21226223d19fd6d6d82e05dd24",
+    "lap": "ae33f1a2fc0a4489982a78f434e3017065c91a1bb3e135a774ed28efac7870a3",
+    "shifted": "92b7822a2547a41de2a95fca6178d52b728c10fcbff60ac4302946f1db1fac30",
+}
+
+
+def test_int32_indices_keep_the_hash_and_the_operators(monkeypatch):
+    # ten isolated nodes and a few self-loops put diagonal terms into lap
+    # and shifted; 1000-column bands give the operators four bands
+    monkeypatch.setattr(graph, "_BAND_COLS", 1000)
+    n = 3010
+    g = build_graph(rng_for(7, "index-dtype").integers(0, n - 10, size=(6 * n, 2)), n)
+    assert g.row_ptr.dtype == g.col_idx.dtype == np.int32
+    assert g.num_edges == 36026
+    assert graph_hash(g) == "5b4c0bd9a313821c92eea9d8b099b22dee706f103bb882c80bba9b911db5c63c"
+    wide = Graph(n, g.row_ptr.astype(np.int64), g.col_idx.astype(np.int64))
+    assert graph_hash(wide) == graph_hash(g)
+    for kind in OPERATOR_KINDS:
+        op, op64 = make_operator(g, kind), make_operator(wide, kind)
+        h = hashlib.sha256()
+        for a, b in ((op._ptr, op64._ptr), (op._idx, op64._idx), (op._w, op64._w)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            h.update(str(a.dtype).encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == OPERATOR_SHA256[kind], kind
 
 
 def test_label_vector_mask_overlap_rejected():

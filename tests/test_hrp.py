@@ -293,6 +293,111 @@ def test_a_stage_boundary_holds_fewer_than_three_banks(monkeypatch):
     assert one + peak < 3 * one
 
 
+def test_a_stage_boundary_holds_two_banks_two_blocks_the_operator_and_tiles(monkeypatch):
+    # from the end of stage 1 to the end of re-propagation, a two-stage
+    # Legendre run whose products run in tiles on two kernel blocks
+    # allocates Z^(s+1), the recurrence's two float64 blocks, the operator
+    # and one tile of product rows per block; a separate (n, d) array of
+    # hidden states would be 5 MB more
+    monkeypatch.setattr(graph, "_CORES", 2)
+    n, d, hops = 20_000, 64, 6
+    g = build_graph(rng_for(3, "boundary").integers(0, n, size=(5 * n, 2)), n)
+    op = make_operator(g, "shifted")
+    assert op._w.size * d >= graph._WORK_FLOOR and len(op._cuts) == 3
+    bank = legendre_bank(op, seeded_features(g, d, 1).astype(np.float32), hops)
+    split = rng_for(0, "boundary").integers(0, 3, size=n)
+    lv = LabelVector(labels=rng_for(1, "boundary").integers(0, 2, size=n),
+                     train_mask=split == 0, val_mask=split == 1,
+                     test_mask=split == 2, num_classes=2)
+    marks = {}
+    train, repropagate_ = hrp.train_stage, hrp.repropagate
+
+    def end_of_training(*args, **kwargs):
+        out = train(*args, **kwargs)
+        if kwargs["stage"] == 1:
+            marks["entry"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return out
+
+    def end_of_repropagation(*args, **kwargs):
+        out = repropagate_(*args, **kwargs)
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(hrp, "train_stage", end_of_training)
+    monkeypatch.setattr(hrp, "repropagate", end_of_repropagation)
+    tracemalloc.start()
+    try:
+        res = run_hrp_training(StagePlan(stages=2, epochs=1, lambda0=0.5), bank, g, lv,
+                               small_cfg(batch_size=1024, epochs=1))
+    finally:
+        tracemalloc.stop()
+    assert [s.diffusion_spmm for s in res.stages] == [hops, 0]
+    tiles = (len(op._cuts) - 1) * min(graph._TILE_ROWS, n) * d * 8
+    budget = (bank.slabs.nbytes + 2 * n * d * 8
+              + op._ptr.nbytes + op._idx.nbytes + op._w.nbytes + tiles)
+    # 256 KiB for Python objects: chunk results, closures, coefficients
+    assert marks["peak"] - marks["entry"] <= budget + 2**18
+
+
+BOUNDARY_RECIPES = {
+    "monomial": ("dad", {}),
+    "legendre": ("shifted", {}),
+    "chebyshev": ("shifted", {}),
+    "jacobi": ("shifted", {"alpha": 0.3, "beta": -0.4}),
+    "krylov": ("shifted", {"order": 5}),
+}
+
+
+@pytest.mark.parametrize("basis", sorted(BOUNDARY_RECIPES))
+def test_the_stage_2_bank_is_a_manual_boundary_bit_for_bit(monkeypatch, basis):
+    # the staged run writes hidden states into Z^(s+1)'s hop-0 slab and
+    # diffuses and blends them in place; a manual extract, repropagate and
+    # blend allocates each step's output. Feature column 1 is zero, and a
+    # zeroed hidden unit 2 makes re-propagation skip a Krylov channel too
+    monkeypatch.setattr(graph, "_CORES", 2)
+    monkeypatch.setattr(graph, "_WORK_FLOOR", 0)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    operator, extra = BOUNDARY_RECIPES[basis]
+    rng = rng_for(5, "manual-boundary")
+    g = random_graph(rng, 60, kind="sbm")
+    x = seeded_features(g, 4, 5).astype(np.float32)
+    x[:, 1] = 0.0
+    hops = 3
+    bank = diffuse(make_operator(g, operator), x, hops, {"basis": basis, **extra})
+    split = rng.permutation(np.repeat([0, 1, 2], [30, 15, 15]))
+    lv = LabelVector(labels=rng.integers(0, 2, size=60), train_mask=split == 0,
+                     val_mask=split == 1, test_mask=split == 2, num_classes=2)
+    seen = {}
+    train = hrp.train_stage
+
+    def spy(model, params, adam, stage_bank, *args, stage, **kwargs):
+        seen[stage] = stage_bank.slabs.copy()
+        out = train(model, params, adam, stage_bank, *args, stage=stage, **kwargs)
+        best = out["best"]["params"]
+        best["pre.w"][:, 2] = 0.0
+        best["pre.b"][2] = 0.0
+        seen["params", stage] = copy.deepcopy(best)
+        return out
+
+    monkeypatch.setattr(hrp, "train_stage", spy)
+    plan = StagePlan(stages=2, epochs=2, lambda0=0.5)
+    res = run_hrp_training(plan, bank, g, lv, small_cfg(epochs=2))
+    assert np.array_equal(seen[1].view(np.uint32), bank.slabs.view(np.uint32))
+
+    hidden = extract_hidden(res.model, seen["params", 1], bank)
+    assert not hidden[:, 2].any()
+    htilde = repropagate(g, hidden, hops, family=basis, operator=operator,
+                         jacobi_alpha=extra.get("alpha", 0.0),
+                         jacobi_beta=extra.get("beta", 0.0),
+                         lanczos_order=extra.get("order"))
+    if basis == "krylov":
+        assert bank.provenance["skipped_channels"] == [1]
+        assert htilde.provenance["skipped_channels"] == [2]
+    want = blend(bank, htilde, blend_alphas(plan, 1, hops))
+    assert np.array_equal(seen[2].view(np.uint32), want.slabs.view(np.uint32))
+
+
 def test_blend_in_place_matches_a_new_blend():
     g, x, bank, lv = make_case(seed=1)
     op = make_operator(g, "shifted")

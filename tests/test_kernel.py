@@ -444,3 +444,42 @@ def test_tiny_bands_and_tiles_are_bit_identical(ragged, monkeypatch, cores):
     ]
     for got, want in pairs:
         assert np.array_equal(_bits(got), _bits(want))
+
+
+BUILDERS = {
+    "monomial": lambda g, x, **kw: monomial_bank(make_operator(g, "dad"), x, 6, **kw),
+    "legendre": lambda g, x, **kw: legendre_bank(make_operator(g, "shifted"), x, 6, **kw),
+    "chebyshev": lambda g, x, **kw: chebyshev_bank(make_operator(g, "shifted"), x, 6, **kw),
+    "jacobi": lambda g, x, **kw: jacobi_bank(make_operator(g, "shifted"), x, 6, 0.3, -0.4,
+                                             **kw),
+    "krylov": lambda g, x, **kw: ritz_bank_as_hopbank(
+        ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, 7)), 6, x, **kw),
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("basis", sorted(BUILDERS))
+def test_a_builder_fills_out_with_the_bytes_it_would_allocate(ragged, monkeypatch,
+                                                              basis, cores):
+    # the ragged features have a zero column, which Krylov skips: its
+    # slabs must be zeroed in an ``out`` that holds garbage
+    g, x = ragged
+    _kernel(monkeypatch, cores)
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
+    build = BUILDERS[basis]
+    want = build(g, x)
+    if basis == "krylov":
+        assert want.provenance["skipped_channels"] == [2]
+    out = np.full_like(want.slabs, np.nan)
+    got = build(g, x, out=out)
+    assert got.slabs is out and got.provenance == want.provenance
+    assert np.array_equal(_bits(out), _bits(want.slabs))
+    # the input as the out's own slab 0, which the builder leaves as it is
+    out = np.full_like(want.slabs, np.nan)
+    out[0] = x
+    got = build(g, out[0], out=out)
+    assert got.slabs is out and np.array_equal(_bits(out), _bits(want.slabs))
+    for bad in (np.empty(want.slabs.shape), np.empty(want.slabs.shape[1:], np.float32),
+                np.empty(want.slabs.shape[::-1], np.float32).T):
+        with pytest.raises(ValueError, match="out must be"):
+            build(g, x, out=bad)

@@ -9,11 +9,15 @@ change first in odd ones, so a slow drift of the host's speed falls on both
 sides alike. Runs are strictly sequential.
 
 It writes ``BENCH_<workload>.json`` into ``--out`` (default the current
-directory), which it makes, if missing, before the first pair. For each
-side it holds the checkout's directory name, its git commit (null for a
+directory), which it makes, if missing, before the first pair, and
+rewrites it after every pair from the pairs run so far, with ``complete``
+false until the last pair is in. A run that prints no result stops the
+tool with a non-zero exit, and the file keeps every pair before it. For
+each side it holds the checkout's directory name, its git commit (null for a
 checkout without ``.git``), its numpy, scipy and python versions, the
 fail rate and, per end-to-end metric, the median, the quartiles and every
-run's value; and the core count, pair count, seconds and seeds. For each metric it holds:
+run's value; and the core count, the count of pairs run, seconds and
+seeds. For each metric it holds:
 
 ``change_wins``
     the number of pairs the change won (ties count for neither side);
@@ -96,33 +100,11 @@ def judge(parent: dict, change: dict, wins: int, pairs: int, better: str,
             "unresolved": width > bound * abs(parent["median"]) and not beats_all}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", required=True, type=Path, help="parent checkout")
-    ap.add_argument("--change", required=True, type=Path, help="changed checkout")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40)
-    ap.add_argument("--seed", type=int, default=2201, help="seed of the first pair")
-    ap.add_argument("--out", type=Path, default=Path("."))
-    args = ap.parse_args(argv)
-    args.out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any run
-
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    sides = {"parent": args.parent, "change": args.change}
-    runs = {side: [] for side in sides}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            r = run_once(sides[side], args.workload, args.seed + i, args.seconds)
-            runs[side].append(r)
-            print(f"pair {i} {side}: " + ", ".join(
-                f"{k} {v:.4g}" for k, v in r["metrics"].items()), flush=True)
-
-    out = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-           "seeds": [args.seed + i for i in range(args.pairs)],
+def summarise(args, sides: dict, runs: dict, better: dict, bound: dict) -> dict:
+    """The file's contents for the pairs in ``runs``, one run per side each."""
+    pairs = len(runs["parent"])
+    out = {"workload": args.workload, "pairs": pairs, "seconds": args.seconds,
+           "seeds": [args.seed + i for i in range(pairs)],
            "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count()}
     for side, rs in runs.items():
@@ -138,22 +120,55 @@ def main(argv=None) -> int:
                for p, c in zip(runs["parent"], runs["change"]))
         for m, b in better.items()}
     verdicts = {m: judge(out["parent"]["metrics"][m], out["change"]["metrics"][m],
-                         out["change_wins"][m], args.pairs, b, bound[m])
+                         out["change_wins"][m], pairs, b, bound[m])
                 for m, b in better.items()}
     for key in ("gain_met", "within_bound", "unresolved"):
         out[key] = {m: v[key] for m, v in verdicts.items()}
     out["fail_rate_ok"] = out["change"]["fail_rate"] <= out["parent"]["fail_rate"]
-    pairs = list(zip(runs["parent"], runs["change"]))
+    both = list(zip(runs["parent"], runs["change"]))
     out["outputs_identical"] = all(p["metrics"].get(k) == c["metrics"].get(k)
-                                   for p, c in pairs for k in OUTPUTS)
+                                   for p, c in both for k in OUTPUTS)
     out["inputs_match"] = all(p["env"].get(k) == c["env"].get(k)
-                              for p, c in pairs for k in INPUTS)
+                              for p, c in both for k in INPUTS)
     out["commits_named"] = all(out[side]["git_sha"] is not None for side in sides)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, type=Path, help="parent checkout")
+    ap.add_argument("--change", required=True, type=Path, help="changed checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=40)
+    ap.add_argument("--seed", type=int, default=2201, help="seed of the first pair")
+    ap.add_argument("--out", type=Path, default=Path("."))
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    args.out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any run
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {side: [] for side in sides}
+    path = args.out / f"BENCH_{args.workload}.json"
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            r = run_once(sides[side], args.workload, args.seed + i, args.seconds)
+            runs[side].append(r)
+            print(f"pair {i} {side}: " + ", ".join(
+                f"{k} {v:.4g}" for k, v in r["metrics"].items()), flush=True)
+        # a run that prints no result raises above; the pairs before it stay
+        out = summarise(args, sides, runs, better, bound)
+        out["complete"] = i == args.pairs - 1
+        path.write_text(json.dumps(out, indent=1) + "\n")
+
     if not out["commits_named"]:
         print("warning: a side names no git commit, so this file cannot say "
               "which code it compared", file=sys.stderr)
-    path = args.out / f"BENCH_{args.workload}.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
     return 0
 
