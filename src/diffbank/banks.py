@@ -47,7 +47,6 @@ from .graph import SparseOperator, spmm
 
 __all__ = [
     "HopBank",
-    "RecurrenceCoeffs",
     "ConditioningReport",
     "jacobi_coefficients",
     "jacobi_endpoint_values",
@@ -79,17 +78,6 @@ class HopBank:
         return int(self.slabs.shape[2])
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Coefficients for X_{k+1} = (a_k S + b_k I) X_k - c_k X_{k-1}."""
-
-    alpha: float
-    beta: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-
 def _check_budget(hops: int) -> None:
     if hops < 0:
         raise ConfigError("hop count must be nonnegative")
@@ -113,29 +101,27 @@ def _check_features(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def jacobi_coefficients(hops: int, alpha: float, beta: float) -> RecurrenceCoeffs:
+def jacobi_coefficients(hops: int, alpha: float, beta: float) -> tuple:
     """Closed-form recurrence coefficients for Jacobi weights (alpha, beta).
 
+    Returns the float64 arrays (a, b, c) of
+    X_{k+1} = (a_k S + b_k I) X_k - c_k X_{k-1}, ``hops`` entries each.
     Weights must exceed -1. Entry k of each array advances degree k to k+1,
     so ``a[0], b[0]`` encode the explicit degree-1 polynomial and c[0] = 0.
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise ConfigError(f"Jacobi weights must exceed -1, got ({alpha}, {beta})")
-    steps = max(hops, 0)
-    a = np.zeros(steps, dtype=np.float64)
-    b = np.zeros(steps, dtype=np.float64)
-    c = np.zeros(steps, dtype=np.float64)
-    if steps == 0:
-        return RecurrenceCoeffs(alpha=alpha, beta=beta, a=a, b=b, c=c)
-    a[0] = 0.5 * (alpha + beta + 2.0)
-    b[0] = 0.5 * (alpha - beta)
-    for k in range(1, steps):
+    a, b, c = np.zeros((3, max(hops, 0)))
+    # the explicit degree-1 start, when there is a step
+    a[:1] = 0.5 * (alpha + beta + 2.0)
+    b[:1] = 0.5 * (alpha - beta)
+    for k in range(1, hops):
         t = 2.0 * k + alpha + beta
         den = 2.0 * (k + 1.0) * (k + alpha + beta + 1.0) * t
         a[k] = t * (t + 1.0) * (t + 2.0) / den
         b[k] = (t + 1.0) * (alpha * alpha - beta * beta) / den
         c[k] = 2.0 * (k + alpha) * (k + beta) * (t + 2.0) / den
-    return RecurrenceCoeffs(alpha=alpha, beta=beta, a=a, b=b, c=c)
+    return a, b, c
 
 
 def jacobi_endpoint_values(hops: int, alpha: float, beta: float) -> np.ndarray:
@@ -227,8 +213,8 @@ def _jacobi_family(op: SparseOperator, x: np.ndarray, hops: int, alpha: float,
                    out: np.ndarray | None = None) -> HopBank:
     if op.kind != "shifted":
         raise ValueError(f"{basis} banks require the 'shifted' operator, got {op.kind!r}")
-    rc = jacobi_coefficients(hops, alpha, beta)
-    return _bank(op, x, hops, rc.a, rc.b, rc.c, basis, scale, out, alpha=alpha, beta=beta)
+    return _bank(op, x, hops, *jacobi_coefficients(hops, alpha, beta), basis, scale, out,
+                 alpha=alpha, beta=beta)
 
 
 def jacobi_bank(op: SparseOperator, x: np.ndarray, hops: int,

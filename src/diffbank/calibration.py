@@ -28,7 +28,7 @@ import numpy as np
 
 from .banks import recurrence
 from .errors import ConfigError, NumericalError
-# spmm is imported only for perfbench's tracer binding (ROADMAP item 6,
+# spmm is imported only for perfbench's tracer binding (ROADMAP item 7,
 # "a per-phase cost meter"); recurrence multiplies
 from .graph import SparseOperator, check_fits, row_chunks, spmm  # noqa: F401
 from .rng import rng_for

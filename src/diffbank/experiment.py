@@ -34,14 +34,15 @@ import numpy as np
 
 from .backbone import label_features
 # imported only for perfbench's tracer bindings, as are the krylov names (ROADMAP
-# item 6, "a per-phase cost meter"); hrp.diffuse builds banks
+# item 7, "a per-phase cost meter"); hrp.diffuse builds banks
 from .banks import chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank  # noqa: F401
 from .calibration import calibrate
 from .config import (config_hash, to_stage_plan, to_synthetic_spec, to_train_config,
                      validate_config)
 from .errors import ConfigError, DataError
 from .graph import check_fits, graph_hash, make_operator, spmm_call_count
-from .hrp import RunResult, StageResult, diffuse, evaluate_split, run_hrp_training
+from .hrp import (RunResult, StageResult, diffuse, evaluate_split, krylov_order,
+                  run_hrp_training)
 from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank  # noqa: F401
 from .synth import generate
@@ -165,7 +166,10 @@ def build_bank(cfg: dict, graph, x):
     a ``krylov`` bank's provenance. Every basis but ``monomial`` runs on the
     shifted operator. A bank whose float32 slabs, (hops + 1) * n * d * 4
     bytes, would not fit in physical memory raises DataError before any
-    product.
+    product; so does a multi-stage run whose stage boundary would not fit,
+    counted as the ``hrp`` module docstring has it: two banks, two float64
+    (n, d) blocks (for Krylov the (order, n, d) basis tensor and one
+    block) and the operator's 12 bytes per entry.
     """
     basis = cfg["basis"]
     hops = cfg["hops"]
@@ -174,8 +178,13 @@ def build_bank(cfg: dict, graph, x):
         raise ConfigError(f"the {basis} basis runs on the shifted operator, "
                           f"config says {cfg['operator']!r}")
     d = np.shape(x)[1]
-    check_fits(4 * (hops + 1) * graph.n * d,
-               f"a {hops}-hop bank of {graph.n} x {d} features")
+    need = 4 * (hops + 1) * graph.n * d
+    what = f"a {hops}-hop bank of {graph.n} x {d} features"
+    if to_stage_plan(cfg).stages > 1:
+        blocks = krylov_order(hops, cfg["krylov"]["order"]) + 1 if basis == "krylov" else 2
+        need = 2 * need + 8 * blocks * graph.n * d + 12 * graph.num_edges
+        what += " at a stage boundary"
+    check_fits(need, what)
     spmm0 = spmm_call_count()
     t0 = time.perf_counter()
     op = make_operator(graph, cfg["operator"])

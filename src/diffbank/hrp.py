@@ -28,6 +28,8 @@ Z^(s+1), copying hop 0 from Z^(s). Besides, a re-propagation holds the
 operator it builds and one tile of product rows per kernel block (see
 ``graph``). A Krylov re-propagation holds its Lanczos basis tensor and
 one product block (see ``krylov``) instead of the working blocks.
+``experiment.build_bank`` checks that sum against physical memory before
+a multi-stage run's first product.
 
 A bank's provenance is the recipe that rebuilds it (basis, operator, Jacobi
 weights, Lanczos order), and ``diffuse`` builds every bank from a recipe, so
@@ -46,9 +48,9 @@ from .backbone import (ConcatMLP, HopGRU, TrainConfig, accuracy, adam_step,
                        init_adam, model_scores, roc_auc, softmax_xent)
 from .banks import HopBank, chebyshev_bank, jacobi_bank, legendre_bank, monomial_bank
 from .errors import ConfigError, NumericalError
-# spmm is imported only for perfbench's tracer bindings (ROADMAP item 6)
+# spmm and ritz_bank are imported only for perfbench's tracer bindings (ROADMAP item 7)
 from .graph import Graph, check_fits, make_operator, spmm, spmm_call_count  # noqa: F401
-from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
+from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank  # noqa: F401
 from .rng import rng_for
 
 __all__ = [
@@ -68,6 +70,9 @@ __all__ = [
 ]
 
 MAX_STAGES = 7
+# rows per eval-mode forward of ``extract_hidden`` and ``evaluate_split``;
+# the logits depend on it (see ``evaluate_split``)
+_FORWARD_ROWS = 8192
 RECIPE_BASES = ("monomial", "chebyshev", "legendre", "jacobi", "krylov")
 
 
@@ -157,25 +162,25 @@ def build_model(kind: str, hops: int, width: int, num_classes: int, cfg: TrainCo
     return model
 
 
-def extract_hidden(model, params, bank: HopBank, chunk: int = 8192, *,
+def extract_hidden(model, params, bank: HopBank, *,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Full-graph hidden states in eval mode, detached float32 copy.
 
     ``out``, a float32 (n, width) array such as the hop-0 slab of the bank
     they will be diffused into, receives them and is returned; by default
-    a new array does. The forward runs ``chunk`` rows at a time, and its
-    logits depend on that (see ``evaluate_split``). The hidden states of a
-    100k-node, width-64 bank were bit-identical at 8192, 2048 and 1000
-    rows, but a matmul may switch kernels with its row count at other
-    shapes, so the default stays 8192.
+    a new array does. The forward runs ``_FORWARD_ROWS`` rows at a time,
+    and its logits depend on that (see ``evaluate_split``). The hidden
+    states of a 100k-node, width-64 bank were bit-identical at 8192, 2048
+    and 1000 rows, but a matmul may switch kernels with its row count at
+    other shapes.
     """
     n = bank.n
     if out is None:
         out = np.empty((n, bank.width), dtype=np.float32)
     elif out.shape != (n, bank.width) or out.dtype != np.float32:
         raise ValueError(f"out must be a float32 array of shape {(n, bank.width)}")
-    for lo in range(0, n, chunk):
-        ids = np.arange(lo, min(lo + chunk, n))
+    for lo in range(0, n, _FORWARD_ROWS):
+        ids = np.arange(lo, min(lo + _FORWARD_ROWS, n))
         _, hidden, _ = model.forward(params, bank.slabs, ids, train=False)
         out[lo:lo + len(ids)] = hidden.astype(np.float32, copy=False)
     return out
@@ -211,7 +216,7 @@ def diffuse(op, x: np.ndarray, hops: int, recipe: dict, *,
         return jacobi_bank(op, x, hops, recipe["alpha"], recipe["beta"], out=out)
     if basis == "krylov":
         fact = batched_lanczos(op, x, krylov_order(hops, recipe.get("order")))
-        return ritz_bank_as_hopbank(ritz_bank(fact), hops, raw_hop0=x, out=out)
+        return ritz_bank_as_hopbank(fact, hops, raw_hop0=x, out=out)
     raise ConfigError(f"no bank recipe for basis {basis!r}")
 
 
@@ -263,21 +268,21 @@ def blend(bank: HopBank, htilde: HopBank, alphas, *, out: np.ndarray | None = No
     return HopBank(hops=bank.hops, slabs=slabs, provenance=prov)
 
 
-def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accuracy",
-                   chunk: int = 8192) -> float:
+def evaluate_split(model, params, bank: HopBank, lv, mask, metric: str = "accuracy") -> float:
     """Deterministic eval-mode metric over an arbitrary node mask.
 
-    The logits, and so the metric, depend on ``chunk``: the BLAS may pick
-    another kernel for a matmul with fewer rows. With numpy 2.4.6's
-    OpenBLAS 0.3.31 (Haswell kernels) the (M x 64) @ (64 x 4) logits
-    matmul switches kernels below M of about 4096: on a 100k-node, width-64
-    bank, 4096-row chunks gave the 8192-row logits, and 2048- and 1000-row
-    chunks changed those of 97,700 rows. So the default stays 8192.
+    The forward runs ``_FORWARD_ROWS`` rows at a time, and the logits, and
+    so the metric, depend on that: the BLAS may pick another kernel for a
+    matmul with fewer rows. With numpy 2.4.6's OpenBLAS 0.3.31 (Haswell
+    kernels) the (M x 64) @ (64 x 4) logits matmul switches kernels below M
+    of about 4096: on a 100k-node, width-64 bank, 4096-row chunks gave the
+    8192-row logits, and 2048- and 1000-row chunks changed those of 97,700
+    rows. So the row count is one constant that no caller sets.
     """
     ids = np.nonzero(np.asarray(mask))[0]
     logits = np.empty((ids.size, model.num_classes), dtype=np.float64)
-    for lo in range(0, ids.size, chunk):
-        sel = ids[lo:lo + chunk]
+    for lo in range(0, ids.size, _FORWARD_ROWS):
+        sel = ids[lo:lo + _FORWARD_ROWS]
         lg, _, _ = model.forward(params, bank.slabs, sel, train=False)
         logits[lo:lo + len(sel)] = lg
     if metric == "accuracy":

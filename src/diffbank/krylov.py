@@ -3,14 +3,14 @@
 Each nonzero feature column x_c seeds its own Krylov space of the shifted
 operator. The c nonzero columns share one float64 basis tensor Q of shape
 (order, n, c), and a Lanczos step is whole-block arithmetic on Q[j]: one
-sparse product over the live columns, all alphas and betas at once, and two
+sparse product over the c columns, all alphas and betas at once, and two
 batched full reorthogonalization passes against Q[:j+1]. A column whose
 residual norm falls below ``BREAKDOWN_TOL`` (an invariant subspace was
-found) leaves the live set with zero basis vectors after it; the others
-keep iterating. A Krylov bank holds that tensor, 8 * order * n * c bytes,
-plus its float32 slabs: slab 0 is the raw features and slab k >= 1 is
-Q contracted with component k's (order, c) coefficients, written straight
-into the (n, d) slab.
+found) stays in the block with zero basis vectors, alphas and betas to the
+end; the others keep iterating. A Krylov bank holds that tensor,
+8 * order * n * c bytes, plus its float32 slabs: slab 0 is the raw
+features and slab k >= 1 is Q contracted with component k's (order, c)
+coefficients, written straight into the (n, d) slab.
 Per-channel objects are views of the tensor.
 
 Everything but the product runs as ``graph.row_chunks`` passes over fixed
@@ -21,11 +21,10 @@ with the norm partials; and the normalization. Each pass works on a
 chunk's rows while they are in cache, and reductions add the chunks'
 partials in chunk order, so a factorization is the same at any thread
 count; a build too small to split is one chunk, bit for bit the plain
-whole-array expressions. The residual is built in Q[j+1] (in a separate
-block once a column has broken down), and one (n, c) block on a mapping
-of its own holds each step's product and then serves as the passes'
-scratch rows, so a build with no zero or broken-down column allocates no
-other temporary of that size.
+whole-array expressions. The residual is always built in Q[j+1], and one
+(n, c) block on a mapping of its own holds each step's product and then
+serves as the passes' scratch rows, so a build with no zero column
+allocates no other temporary of that size.
 The slabs are filled in one pass that writes every slab's rows of a chunk
 from one read of Q's rows.
 
@@ -59,7 +58,6 @@ from .graph import SparseOperator, row_chunks, spmm
 __all__ = [
     "ChannelFactorization",
     "LanczosFactorization",
-    "RitzBank",
     "batched_lanczos",
     "tridiag_eig",
     "ritz_components",
@@ -108,11 +106,6 @@ class LanczosFactorization:
         return int(self.ids.size + self.skipped.size)
 
     @property
-    def cols(self):
-        """Index of the basis channels among the feature columns."""
-        return self.ids if self.skipped.size else slice(None)
-
-    @property
     def channels(self) -> list:
         """Per-channel views into the basis tensor, in column order."""
         return [ChannelFactorization(
@@ -126,8 +119,9 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
                     reorth: str = "full") -> LanczosFactorization:
     """Run ``order`` Lanczos steps on every nonzero feature column.
 
-    One sparse product per step over the live columns, ``order`` products
-    total unless every column breaks down first. Each step re-projects the
+    One sparse product per step over the c nonzero columns, ``order``
+    products total unless every column breaks down first; ``steps`` counts
+    a column's steps until its breakdown. Each step re-projects the
     residuals against the whole basis twice; at the fixed budget of 15
     steps that full reorthogonalization costs little, and ``full`` is the
     only ``reorth`` mode. The rest of a step runs in four row-chunked passes
@@ -163,62 +157,48 @@ def batched_lanczos(op: SparseOperator, x: np.ndarray, order: int,
     # each step's product, then scratch rows for the passes after it, on a
     # mapping of its own: freed, it goes back to the system instead of
     # staying in the heap under the slabs the Ritz components fill next
-    w_flat = np.frombuffer(mmap.mmap(-1, 8 * max(n * c, 1)), np.float64, n * c)
+    w = np.frombuffer(mmap.mmap(-1, 8 * max(n * c, 1)), np.float64, n * c).reshape(n, c)
 
-    live = np.arange(c)
+    live = np.ones(c, dtype=bool)
     for j in range(order):
-        if live.size == 0:
+        if not live.any():
             break
-        width = live.size
-        every = width == c
-        # a view while every column is live, a gathered copy after a breakdown
-        cols = slice(None) if every else live
-        qj = q[j][:, cols]
-        w = spmm(op, qj, out=w_flat[:n * width].reshape(n, width))
-        a = _summed(row_chunks(op, width, lambda lo, hi: np.einsum(
+        qj = q[j]
+        spmm(op, qj, out=w)
+        a = _summed(row_chunks(op, c, lambda lo, hi: np.einsum(
             "nc,nc->c", qj[lo:hi], w[lo:hi])))
-        alphas[j, cols] = a
-        steps[cols] += 1
+        alphas[j] = a
+        steps += live
         if j == order - 1:
             break
-        # the residual r is built in q[j + 1] while every column is live
-        r = q[j + 1] if every else np.empty((n, width))
-
-        def rows(k, lo, hi):
-            return q[k, lo:hi] if every else q[k, lo:hi][..., cols]
+        r = q[j + 1]  # the residual, built in place
 
         def update(lo, hi):
             # r = w - a q_j - b q_{j-1}, then the first projection onto the basis
             rr, ww = r[lo:hi], w[lo:hi]
             np.subtract(ww, np.multiply(a, qj[lo:hi], out=rr), out=rr)
             if j:
-                rr -= np.multiply(betas[j - 1, cols], rows(j - 1, lo, hi), out=ww)
-            return np.einsum("knc,nc->kc", rows(slice(0, j + 1), lo, hi), rr)
+                rr -= np.multiply(betas[j - 1], q[j - 1, lo:hi], out=ww)
+            return np.einsum("knc,nc->kc", q[:j + 1, lo:hi], rr)
 
         def project(h, last):
             def chunk(lo, hi):
                 # r -= basis h, then the next projection or the norm partials
-                rr, ww, basis = r[lo:hi], w[lo:hi], rows(slice(0, j + 1), lo, hi)
+                rr, ww, basis = r[lo:hi], w[lo:hi], q[:j + 1, lo:hi]
                 rr -= np.einsum("knc,kc->nc", basis, h, out=ww)
                 if last:
                     return np.add.reduce(np.multiply(rr, rr, out=ww), axis=0)
                 return np.einsum("knc,nc->kc", basis, rr)
-            return _summed(row_chunks(op, width, chunk))
+            return _summed(row_chunks(op, c, chunk))
 
-        h = _summed(row_chunks(op, width, update))
+        h = _summed(row_chunks(op, c, update))
         b = np.sqrt(project(project(h, False), True))
         keep = b >= BREAKDOWN_TOL
-        betas[j, cols] = np.where(keep, b, 0.0)
+        betas[j] = np.where(keep, b, 0.0)
+        # a broken-down column's residual over inf is its zero next vector
         scale = np.where(keep, b, np.inf)
-
-        def normalize(lo, hi):
-            if every:
-                np.divide(r[lo:hi], scale, out=r[lo:hi])
-            else:
-                q[j + 1, lo:hi][:, cols] = r[lo:hi] / scale
-
-        row_chunks(op, width, normalize)
-        live = live[keep]
+        row_chunks(op, c, lambda lo, hi: np.divide(r[lo:hi], scale, out=r[lo:hi]))
+        live &= keep
 
     return LanczosFactorization(order=order, q=q, alphas=alphas, betas=betas,
                                 steps=steps, ids=ids, x_norms=norms, skipped=skipped,
@@ -274,24 +254,6 @@ class RitzChannel:
     components: np.ndarray  # (n, m_c) float64, z_i columns
 
 
-@dataclass(frozen=True)
-class RitzBank:
-    """Ritz coefficients of every channel; component k of basis channel i is
-    sum_j fact.q[j, :, i] * coeffs[k, j, i]. Entries past a channel's steps
-    are zero."""
-
-    fact: LanczosFactorization
-    coeffs: np.ndarray  # (order, order, c): component, basis vector, channel
-
-    @property
-    def width(self) -> int:
-        return self.fact.width
-
-    @property
-    def order(self) -> int:
-        return self.fact.order
-
-
 def ritz_components(fact: ChannelFactorization) -> RitzChannel:
     """Ritz values, weights and components for one factorized channel."""
     values, weights, coeffs = _ritz(fact.alphas, fact.betas, fact.x_norm)
@@ -301,22 +263,26 @@ def ritz_components(fact: ChannelFactorization) -> RitzChannel:
                        weights=weights, components=components)
 
 
-def ritz_bank(fact: LanczosFactorization) -> RitzBank:
-    """Solve each channel's tridiagonal eigenproblem into a coefficient tensor."""
+def ritz_bank(fact: LanczosFactorization) -> np.ndarray:
+    """Solve each channel's tridiagonal eigenproblem into an (order, order, c)
+    coefficient tensor: component k of basis channel i is
+    sum_j fact.q[j, :, i] * coeffs[k, j, i]. Entries past a channel's steps
+    are zero."""
     coeffs = np.zeros((fact.order,) + fact.alphas.shape)
     for i, cf in enumerate(fact.channels):
         m = cf.steps
         coeffs[:m, :m, i] = _ritz(cf.alphas, cf.betas, cf.x_norm)[2]
-    return RitzBank(fact=fact, coeffs=coeffs)
+    return coeffs
 
 
-def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray, *,
+def ritz_bank_as_hopbank(fact: LanczosFactorization, hops: int, raw_hop0: np.ndarray, *,
                          out: np.ndarray | None = None):
-    """Lay Ritz components out as hop slabs behind the raw features.
+    """Lay the Ritz components of ``fact`` out as hop slabs behind the raw features.
 
     Slab 0 is ``raw_hop0``, the input features, as in every polynomial
     bank, so the bank keeps the unblended 0-hop contract of staged training.
-    Slab k >= 1 carries each channel's (k+1)-th ascending component.
+    Slab k >= 1 carries each channel's (k+1)-th ascending component, from
+    the coefficients of ``ritz_bank``.
     Channels that broke down early pad their missing slabs with zeros; zero
     channels stay zero everywhere. The provenance lists both, as
     ``breakdown_channels`` and ``skipped_channels``. A slab that is not
@@ -327,27 +293,27 @@ def ritz_bank_as_hopbank(rb: RitzBank, hops: int, raw_hop0: np.ndarray, *,
     slab 0 may be ``raw_hop0`` itself, which is then left as it is.
     """
     _check_budget(hops)
-    if hops + 1 > rb.order:
+    if hops + 1 > fact.order:
         raise ConfigError(f"bank needs {hops + 1} components per channel but the "
-                          f"factorization order is {rb.order}")
-    fact = rb.fact
-    if np.shape(raw_hop0) != (fact.op.n, rb.width):
+                          f"factorization order is {fact.order}")
+    if np.shape(raw_hop0) != (fact.op.n, fact.width):
         raise ValueError("raw hop-0 features do not match the bank shape")
+    coeffs = ritz_bank(fact)
     slabs = _slabs(out, hops, np.asarray(raw_hop0))
     # the fill writes every basis channel; a skipped one is zero in each slab
     slabs[1:, :, fact.skipped] = 0.0
+    cols = fact.ids if fact.skipped.size else slice(None)
 
     def fill(lo, hi):
         # every slab's rows lo:hi from one read of the basis rows
         q = fact.q[:, lo:hi]
         part = np.empty(q.shape[1:])
         for k in range(1, hops + 1):
-            slabs[k, lo:hi][:, fact.cols] = np.einsum("jnc,jc->nc", q, rb.coeffs[k],
-                                                      out=part)
+            slabs[k, lo:hi][:, cols] = np.einsum("jnc,jc->nc", q, coeffs[k], out=part)
             _check_slab(slabs, k, "krylov", slice(lo, hi))
 
     row_chunks(fact.op, fact.ids.size, fill)
     prov = {"basis": "krylov", "operator": "shifted", "hops": hops,
-            "order": rb.order, "skipped_channels": fact.skipped.tolist(),
-            "breakdown_channels": fact.ids[fact.steps < rb.order].tolist()}
+            "order": fact.order, "skipped_channels": fact.skipped.tolist(),
+            "breakdown_channels": fact.ids[fact.steps < fact.order].tolist()}
     return HopBank(hops=hops, slabs=slabs, provenance=prov)

@@ -98,12 +98,12 @@ def test_recurrence_coefficients_reproduce_scalar_jacobi():
     for trial in range(10):
         alpha = float(rng.uniform(-0.95, 1.5))
         beta = float(rng.uniform(-0.95, 1.5))
-        rc = jacobi_coefficients(9, alpha, beta)
+        a, b, c = jacobi_coefficients(9, alpha, beta)
         p_prev = np.ones_like(t)
-        p_cur = rc.a[0] * t + rc.b[0]
+        p_cur = a[0] * t + b[0]
         assert np.max(np.abs(p_cur - eval_jacobi(1, alpha, beta, t))) < 1e-10
         for k in range(1, 9):
-            p_next = (rc.a[k] * t + rc.b[k]) * p_cur - rc.c[k] * p_prev
+            p_next = (a[k] * t + b[k]) * p_cur - c[k] * p_prev
             p_prev, p_cur = p_cur, p_next
             ref = eval_jacobi(k + 1, alpha, beta, t)
             scale = max(1.0, np.max(np.abs(ref)))

@@ -592,6 +592,24 @@ def test_graph_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert "physical memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stages,code", [(2, 3), (1, 0)])
+def test_stage_boundary_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch,
+                                                     stages, code):
+    # 1.2 banks of 40 x 32 features over 7 hops: the bank, the graph and the
+    # model fit, and a 2-stage run's boundary does not
+    synthetic = {"generator": "sbm", "n": 40, "blocks": 2, "p_intra": 0.2,
+                 "p_inter": 0.05, "feature_dim": 32}
+    cfg = write_config(tmp_path, dataset={"synthetic": synthetic}, hops=6,
+                       hrp={"stages": stages, "epochs": 3})
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 6 * 4 * 7 * 40 * 32 // 5)
+    before = graph.spmm_call_count()
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert rc == code
+    if code:
+        assert "stage boundary" in capsys.readouterr().err
+        assert graph.spmm_call_count() == before
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_error_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, train={"epochs": 3, "batch_size": 8,

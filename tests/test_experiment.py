@@ -209,6 +209,20 @@ def test_build_bank_refuses_a_bank_past_physical_memory(monkeypatch):
     assert build_bank(cfg, g, x)[1]["spmm"] == 3
 
 
+@pytest.mark.parametrize("basis,products", [("legendre", 3), ("krylov", 4)])
+def test_build_bank_refuses_a_stage_boundary_past_physical_memory(monkeypatch, basis,
+                                                                   products):
+    # 1.2 banks: the bank fits, a 2-stage run's boundary does not
+    two = tiny_cfg(basis=basis, hops=3, hrp={"stages": 2, "epochs": 2})
+    g, x, _, _ = prepare_dataset(two, 0)
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 6 * 4 * 4 * g.n * x.shape[1] // 5)
+    before = spmm_call_count()
+    with pytest.raises(DataError, match="stage boundary"):
+        build_bank(two, g, x)
+    assert spmm_call_count() == before
+    assert build_bank(tiny_cfg(basis=basis, hops=3), g, x)[1]["spmm"] == products
+
+
 def test_krylov_bank_details_are_json():
     cfg = tiny_cfg(basis="krylov")
     g, x, lv, _ = prepare_dataset(cfg, 0)

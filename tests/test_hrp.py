@@ -17,7 +17,7 @@ from diffbank.config import validate_config
 from diffbank.experiment import build_bank, prepare_dataset, run_seed
 from diffbank.graph import LabelVector, build_graph, spmm_call_count
 from diffbank.hrp import build_model, diffuse, evaluate_split
-from diffbank.krylov import ritz_bank, ritz_bank_as_hopbank
+from diffbank.krylov import ritz_bank_as_hopbank
 from diffbank.rng import rng_for
 
 from conftest import random_graph, seeded_features
@@ -129,9 +129,9 @@ def test_repropagate_dispatches_to_bank_builders():
     assert np.array_equal(got.slabs,
                           monomial_bank(make_operator(g, "dad"), hidden, 3).slabs)
     got = repropagate(g, hidden, 3, family="krylov")
-    rb = ritz_bank(batched_lanczos(op, hidden, 4))
+    fact = batched_lanczos(op, hidden, 4)
     assert np.array_equal(got.slabs,
-                          ritz_bank_as_hopbank(rb, 3, raw_hop0=hidden).slabs)
+                          ritz_bank_as_hopbank(fact, 3, raw_hop0=hidden).slabs)
     with pytest.raises(ConfigError):
         repropagate(g, hidden, 3, family="fourier")
 
@@ -189,12 +189,13 @@ def test_a_bank_no_recipe_rebuilds_fails_before_stage_1(monkeypatch):
             run_hrp_training(plan, bare, g, lv, small_cfg())
 
 
-def test_extract_hidden_matches_direct_forward():
+def test_extract_hidden_matches_direct_forward(monkeypatch):
     g, x, bank, lv = make_case(seed=5)
     cfg = small_cfg()
     model = build_model("mlp", bank.hops, bank.width, 2, cfg)
     params = model.init(seed=0)
-    hid = extract_hidden(model, params, bank, chunk=7)
+    monkeypatch.setattr(hrp, "_FORWARD_ROWS", 7)
+    hid = extract_hidden(model, params, bank)
     _, direct, _ = model.forward(params, bank.slabs, np.arange(g.n), train=False)
     assert hid.dtype == np.float32
     assert np.array_equal(hid, direct.astype(np.float32))
@@ -428,12 +429,14 @@ def test_cold_restart_matches_fresh_training():
     assert res.stages[1].val_metric == manual["best"]["val"]
 
 
-def test_evaluate_split_chunking_and_auc():
+def test_evaluate_split_chunking_and_auc(monkeypatch):
     g, x, bank, lv = make_case(seed=13)
     cfg = small_cfg()
     model = build_model("mlp", bank.hops, bank.width, 2, cfg)
     params = model.init(seed=0)
-    a = evaluate_split(model, params, bank, lv, lv.val_mask, "accuracy", chunk=3)
+    monkeypatch.setattr(hrp, "_FORWARD_ROWS", 3)
+    a = evaluate_split(model, params, bank, lv, lv.val_mask, "accuracy")
+    monkeypatch.undo()
     b = evaluate_split(model, params, bank, lv, lv.val_mask, "accuracy")
     assert a == b
     auc = evaluate_split(model, params, bank, lv, lv.val_mask, "roc_auc")

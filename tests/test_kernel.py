@@ -24,7 +24,7 @@ from diffbank.calibration import estimate_moments
 from diffbank.experiment import build_bank
 from diffbank.graph import (OPERATOR_KINDS, build_graph, make_operator, row_chunks, spmm,
                             spmm_call_count)
-from diffbank.krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank
+from diffbank.krylov import batched_lanczos, ritz_bank_as_hopbank
 
 from conftest import dense_shifted, random_graph, seeded_features
 from diffbank.rng import rng_for
@@ -142,7 +142,7 @@ def test_an_error_in_one_block_waits_for_the_others(soup, monkeypatch):
 
 
 def _krylov_slabs(op, x, hops):
-    return ritz_bank_as_hopbank(ritz_bank(batched_lanczos(op, x, hops + 1)), hops,
+    return ritz_bank_as_hopbank(batched_lanczos(op, x, hops + 1), hops,
                                 raw_hop0=x).slabs
 
 
@@ -211,7 +211,7 @@ def test_chunked_krylov_and_moments_do_not_depend_on_kernel_threads(soup, monkey
         _kernel(monkeypatch, cores)
         op = make_operator(g, "shifted")
         fact = batched_lanczos(op, x, 8)
-        bank = ritz_bank_as_hopbank(ritz_bank(fact), 6, raw_hop0=x)
+        bank = ritz_bank_as_hopbank(fact, 6, raw_hop0=x)
         moments = estimate_moments(op, order=9, probes=7, seed=2).values
         runs.append((fact.q, fact.alphas, fact.betas, fact.steps, bank.slabs, moments))
     assert list(runs[0][3]) == [8] * 5 + [1]
@@ -222,11 +222,11 @@ def test_chunked_krylov_and_moments_do_not_depend_on_kernel_threads(soup, monkey
 def test_chunked_ritz_slabs_match_the_one_chunk_path(soup, monkeypatch):
     g, x = soup
     _kernel(monkeypatch, 2)
-    rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, 7))
+    fact = batched_lanczos(make_operator(g, "shifted"), x, 7)
     monkeypatch.setattr(graph, "_CHUNK_ROWS", 16)
-    chunked = ritz_bank_as_hopbank(rb, 6, raw_hop0=x).slabs
+    chunked = ritz_bank_as_hopbank(fact, 6, raw_hop0=x).slabs
     monkeypatch.setattr(graph, "_WORK_FLOOR", 10**12)
-    whole = ritz_bank_as_hopbank(rb, 6, raw_hop0=x).slabs
+    whole = ritz_bank_as_hopbank(fact, 6, raw_hop0=x).slabs
     assert np.array_equal(_bits(chunked), _bits(whole))
 
 
@@ -251,17 +251,17 @@ def test_then_gets_each_chunks_product_rows_in_chunk_order(soup, monkeypatch):
 # They are the oracles the chunked builds must match bit for bit.
 
 def _whole_array_jacobi(op, x, hops, alpha, beta, rescale=None):
-    rc = jacobi_coefficients(hops, alpha, beta)
+    a, b, c = jacobi_coefficients(hops, alpha, beta)
     slabs = np.empty((hops + 1,) + x.shape, dtype=np.float32)
     slabs[0] = x
     prev, cur = None, np.array(x, dtype=np.float64)
     for k in range(hops):
         y = op._matrix @ cur
-        y *= rc.a[k]
-        if rc.b[k] != 0.0:
-            y += cur * rc.b[k]
-        if rc.c[k] != 0.0:
-            y -= prev * rc.c[k]
+        y *= a[k]
+        if b[k] != 0.0:
+            y += cur * b[k]
+        if c[k] != 0.0:
+            y -= prev * c[k]
         slabs[k + 1] = y if rescale is None else y / rescale[k + 1]
         prev, cur = cur, y
     return slabs
@@ -453,7 +453,7 @@ BUILDERS = {
     "jacobi": lambda g, x, **kw: jacobi_bank(make_operator(g, "shifted"), x, 6, 0.3, -0.4,
                                              **kw),
     "krylov": lambda g, x, **kw: ritz_bank_as_hopbank(
-        ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, 7)), 6, x, **kw),
+        batched_lanczos(make_operator(g, "shifted"), x, 7), 6, x, **kw),
 }
 
 

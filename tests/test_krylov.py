@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -128,7 +130,7 @@ def test_hopbank_layout_and_conditioning():
     g = random_graph(rng, 13)
     x = seeded_features(g, 3, 4)
     fact = batched_lanczos(make_operator(g, "shifted"), x, order=7)
-    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=6, raw_hop0=x)
+    bank = ritz_bank_as_hopbank(fact, hops=6, raw_hop0=x)
     assert bank.slabs.shape == (7, 13, 3)
     for rc in map(ritz_components, fact.channels):
         take = min(7, rc.components.shape[1])
@@ -147,11 +149,10 @@ def test_hopbank_raw_hop0_override():
     g = random_graph(rng, 10)
     x = seeded_features(g, 4, 5)
     fact = batched_lanczos(make_operator(g, "shifted"), x, order=5)
-    rb = ritz_bank(fact)
-    bank = ritz_bank_as_hopbank(rb, hops=4, raw_hop0=x)
+    bank = ritz_bank_as_hopbank(fact, hops=4, raw_hop0=x)
     assert np.array_equal(bank.slabs[0], x.astype(np.float32))
     # the components do not depend on what slab 0 holds
-    other = ritz_bank_as_hopbank(rb, hops=4, raw_hop0=np.zeros_like(x))
+    other = ritz_bank_as_hopbank(fact, hops=4, raw_hop0=np.zeros_like(x))
     assert np.all(other.slabs[0] == 0.0)
     assert np.array_equal(bank.slabs[1:], other.slabs[1:])
 
@@ -165,7 +166,7 @@ def test_eigenvector_start_breaks_down_after_one_step(p2):
     assert cf.breakdown and cf.steps == 1
     rc = ritz_components(cf)
     assert rc.values[0] == pytest.approx(-1.0, abs=1e-12)
-    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=1, raw_hop0=x)
+    bank = ritz_bank_as_hopbank(fact, hops=1, raw_hop0=x)
     assert np.array_equal(bank.slabs[0], x)
     assert np.allclose(rc.components[:, 0], [1.0, 1.0], atol=1e-7)
     assert np.all(bank.slabs[1] == 0.0)
@@ -180,7 +181,7 @@ def test_zero_channels_are_skipped():
     assert list(fact.skipped) == [1]
     assert fact.width == 3
     assert sorted(cf.channel for cf in fact.channels) == [0, 2]
-    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=3, raw_hop0=x)
+    bank = ritz_bank_as_hopbank(fact, hops=3, raw_hop0=x)
     assert np.all(bank.slabs[:, :, 1] == 0.0)
 
 
@@ -209,9 +210,9 @@ def test_argument_validation(k3):
         batched_lanczos(op, x[:, 0], order=2)
     fact = batched_lanczos(op, x, order=3)
     with pytest.raises(ConfigError):
-        ritz_bank_as_hopbank(ritz_bank(fact), hops=3, raw_hop0=x)
+        ritz_bank_as_hopbank(fact, hops=3, raw_hop0=x)
     with pytest.raises(ValueError):
-        ritz_bank_as_hopbank(ritz_bank(fact), hops=2,
+        ritz_bank_as_hopbank(fact, hops=2,
                              raw_hop0=np.ones((4, 2), dtype=np.float32))
 
 
@@ -219,8 +220,7 @@ def test_all_zero_features_cannot_infer_node_count(k3):
     fact = batched_lanczos(make_operator(k3, "shifted"),
                            np.zeros((3, 2), dtype=np.float32), order=2)
     # the node count is the operator's, so no feature column is needed
-    rb = ritz_bank(fact)
-    assert rb.width == 2 and rb.coeffs.size == 0
+    assert fact.width == 2 and ritz_bank(fact).size == 0
 
 
 def reference_lanczos(s, col, order):
@@ -258,7 +258,7 @@ def test_mixed_batch_matches_single_column_runs():
     assert list(fact.skipped) == [2] and list(fact.ids) == [0, 1, 3]
     assert list(fact.steps) == [order, 1, order]
     assert [cf.breakdown for cf in fact.channels] == [False, True, False]
-    bank = ritz_bank_as_hopbank(ritz_bank(fact), hops=order - 1, raw_hop0=x)
+    bank = ritz_bank_as_hopbank(fact, hops=order - 1, raw_hop0=x)
     assert np.all(bank.slabs[1:, :, 1] == 0.0)
     assert np.all(bank.slabs[:, :, 2] == 0.0)
     for cf, rc in zip(fact.channels, map(ritz_components, fact.channels)):
@@ -289,14 +289,35 @@ def test_breakdown_does_not_depend_on_the_input_scale(scale):
     assert list(batched_lanczos(op, scale * x, order).steps) == [order, 1]
 
 
+def test_a_breakdown_costs_no_copy_of_the_basis():
+    # on a ring every node has degree 2, so a constant column is an
+    # eigenvector and breaks down after one step; the other columns go on
+    n, order = 20_000, 8
+    ring = build_graph(np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), n)
+    op = make_operator(ring, "shifted")
+    x = rng_for(15, "ring").standard_normal((n, 4))
+    x[:, 0] = 1.0
+    batched_lanczos(op, x, order)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fact = batched_lanczos(op, x, order)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert list(fact.steps) == [1, order, order, order]
+    # the basis tensor, plus less than half of one (n, c) block of its rows
+    assert peak < fact.q.nbytes + fact.q[0].nbytes // 2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_krylov_slabs_raise_numerical_error():
     rng = rng_for(13, "overflow")
     g = random_graph(rng, 10)
     x = 1e39 * seeded_features(g, 2, 4).astype(np.float64)
-    rb = ritz_bank(batched_lanczos(make_operator(g, "shifted"), x, order=3))
+    fact = batched_lanczos(make_operator(g, "shifted"), x, order=3)
     with pytest.raises(NumericalError, match="krylov bank slab 1 is not finite"):
-        ritz_bank_as_hopbank(rb, hops=2, raw_hop0=x)
+        ritz_bank_as_hopbank(fact, hops=2, raw_hop0=x)
 
 
 def whole_array_lanczos(op, x, order):
@@ -352,9 +373,9 @@ def test_unsplit_builds_match_the_whole_array_passes_bit_for_bit():
     assert list(fact.steps) == [order, 1, order, order]
     for got, ref in zip((fact.q, fact.alphas, fact.betas, fact.steps), want):
         assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
-    rb = ritz_bank(fact)
-    bank = ritz_bank_as_hopbank(rb, order - 1, raw_hop0=x)
+    coeffs = ritz_bank(fact)
+    bank = ritz_bank_as_hopbank(fact, order - 1, raw_hop0=x)
     for k in range(1, order):
         slab = np.zeros((g.n, x.shape[1]), dtype=np.float32)
-        slab[:, fact.ids] = np.einsum("jnc,jc->nc", want[0], rb.coeffs[k])
+        slab[:, fact.ids] = np.einsum("jnc,jc->nc", want[0], coeffs[k])
         assert np.array_equal(bank.slabs[k].view(np.uint32), slab.view(np.uint32))

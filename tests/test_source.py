@@ -35,3 +35,31 @@ def test_no_module_reads_the_environment(stem):
              or isinstance(node, ast.ImportFrom) and node.module == "os"
              and {a.name for a in node.names} & {"environ", "getenv"}]
     assert not reads
+
+
+# names a module imports only so that perfbench's tracer can rebind them in
+# that module (``BINDINGS`` in perfbench/spans.py); ROADMAP item 7's cost
+# meter is what removes them
+TRACER_ONLY = {
+    "experiment": {"chebyshev_bank", "jacobi_bank", "legendre_bank", "monomial_bank",
+                   "batched_lanczos", "ritz_bank", "ritz_bank_as_hopbank"},
+    "calibration": {"spmm"},
+    "hrp": {"spmm", "ritz_bank"},
+}
+
+
+def test_the_only_unused_imports_are_the_tracer_bindings():
+    unused = {}
+    for stem in MODULES:
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # a name in __all__ is used by whoever imports it from the module
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        if imported - used - exported:
+            unused[stem] = imported - used - exported
+    assert unused == TRACER_ONLY
