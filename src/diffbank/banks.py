@@ -23,12 +23,12 @@ Every family runs on ``recurrence``, the one three-term loop, which
 coefficients (1, 0, 0), the Jacobi families ``jacobi_coefficients``.
 Every bank build issues exactly K sparse products. The recurrence runs in
 float64 working precision and slabs are stored as float32. A build holds
-two float64 (n, d) working blocks, X_{k-1} and X_k, besides the slabs:
-each step's product arrives one row chunk at a time (``spmm``'s
-``then``), and the chunk's rows of X_{k+1} are computed there, written
-over the same rows of X_{k-1}, stored and checked. A slab that is not
-finite in float32 (overflow at high K or with extreme Jacobi weights)
-raises NumericalError. Slab 0 is the input itself and is not checked.
+two float64 working blocks, X_{k-1} and X_k, besides the slabs (see
+``experiment.memory_plan``): each step's product arrives a row chunk at a
+time (``spmm``'s ``then``), and the chunk's rows of X_{k+1} are computed
+there, written over the rows of X_{k-1}, stored and checked. A slab that
+is not finite in float32 (overflow at high K or with extreme Jacobi
+weights) raises NumericalError. Slab 0 is the input and is not checked.
 
 Every builder takes ``out``, a C-contiguous float32 (K+1, n, d) array, and
 fills it in place of new slabs: the bank's bytes are the same either way.
@@ -150,8 +150,9 @@ def recurrence(op: SparseOperator, x: np.ndarray, a, b, c, emit) -> list:
 
         def step(lo, hi, y):
             y *= ak
-            if bk != 0.0:
-                y += cur[lo:hi] * bk
+            if bk != 0.0:  # b_k X_k in 128-row pieces: 64 KB at width 64, whatever the chunk
+                for s in range(lo, hi, 128):
+                    y[s - lo:s - lo + 128] += cur[s:min(s + 128, hi)] * bk
             rows = prev[lo:hi]
             if ck != 0.0:
                 rows *= ck

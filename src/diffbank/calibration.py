@@ -30,7 +30,7 @@ from .banks import recurrence
 from .errors import ConfigError, NumericalError
 # spmm is imported only for perfbench's tracer binding (ROADMAP item 7,
 # "a per-phase cost meter"); recurrence multiplies
-from .graph import SparseOperator, check_fits, row_chunks, spmm  # noqa: F401
+from .graph import SparseOperator, row_chunks, spmm  # noqa: F401
 from .rng import rng_for
 
 __all__ = [
@@ -92,8 +92,8 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     Gaussian probe vectors z with ``banks.recurrence`` and averages <z, v_k>
     over probes. Each chunk's rows of v_{k+1} are dotted with z as they
     are written, and each <z, v_k> adds those per-chunk sums in chunk
-    order, so the moments do not depend on the thread count; besides z the
-    recurrence holds two (n, probes) blocks. Exactly ``order`` sparse
+    order, so the moments do not depend on the thread count (see
+    ``experiment.memory_plan`` for what it holds). Exactly ``order`` sparse
     products are issued. m_0 concentrates near n with standard error about
     n * sqrt(2/n) / sqrt(probes).
     """
@@ -103,8 +103,6 @@ def estimate_moments(op: SparseOperator, order: int = DEFAULT_ORDER,
     if probes < 1:
         raise ConfigError("probe count must be >= 1")
 
-    # z and the recurrence's two working blocks, float64
-    check_fits(3 * 8 * op.n * probes, f"{probes:,} calibration probes on {op.n:,} nodes")
     z = rng_for(seed, "chebyshev-probes", "gaussian").standard_normal((op.n, probes))
 
     def mean(parts):

@@ -30,6 +30,7 @@ failure. Anything else is a bug.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ from .config import (CONFIG_SCHEMA, config_hash, load_config, to_synthetic_spec,
                      to_train_config, validate_config)
 from .errors import ConfigError, DataError, DiffbankError, NumericalError
 from .experiment import (build_bank, check_auc_labels, load_feature_file, load_graph,
-                         run_ablation, run_experiment, run_seed)
+                         memory_plan, run_ablation, run_experiment, run_seed)
 from .graph import make_operator
 from .hrp import build_model, evaluate_split
 from .synth import SyntheticSpec, generate
@@ -103,19 +104,11 @@ def _cmd_calibrate(args) -> int:
     raw = _given(args)
     out = raw.pop("out", None)
     cfg = validate_config(raw)
-    op = make_operator(load_graph(cfg["dataset"]), "shifted")
-    weights, density, moments = calibrate(op, **cfg["calibration"])
-    payload = {
-        "delta": weights.delta,
-        "alpha": weights.alpha,
-        "beta": weights.beta,
-        "gamma": weights.gamma,
-        "moments": [float(m) for m in moments.values],
-        "density": {
-            "grid": [float(v) for v in density.grid],
-            "rho": [float(v) for v in density.rho],
-        },
-    }
+    g = load_graph(cfg["dataset"])
+    memory_plan(cfg, g.n, g.num_edges, 0)  # exits 3 before the operator if it cannot fit
+    weights, density, moments = calibrate(make_operator(g, "shifted"), **cfg["calibration"])
+    payload = {**dataclasses.asdict(weights), "moments": moments.values.tolist(),
+               "density": {"grid": density.grid.tolist(), "rho": density.rho.tolist()}}
     text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -323,10 +316,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

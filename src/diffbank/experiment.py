@@ -24,6 +24,7 @@ run on the ``graph`` kernel's threads, one per core, which give every row
 the serial sum: no number depends on the thread count.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -41,14 +42,15 @@ from .config import (config_hash, to_stage_plan, to_synthetic_spec, to_train_con
                      validate_config)
 from .errors import ConfigError, DataError
 from .graph import check_fits, graph_hash, make_operator, spmm_call_count
-from .hrp import (RunResult, StageResult, diffuse, evaluate_split, krylov_order,
-                  run_hrp_training)
+from .hrp import (_FORWARD_ROWS, RunResult, StageResult, diffuse, evaluate_split,
+                  krylov_order, run_hrp_training)
 from .io import load_edge_list, load_features, load_features_csv, load_labels
 from .krylov import batched_lanczos, ritz_bank, ritz_bank_as_hopbank  # noqa: F401
 from .synth import generate
 
 __all__ = ["prepare_dataset", "check_auc_labels", "load_graph", "load_feature_file",
-           "build_bank", "run_seed", "run_experiment", "run_ablation", "summarize"]
+           "memory_plan", "build_bank", "run_seed", "run_experiment",
+           "run_ablation", "summarize"]
 
 
 def _array_hash(a: np.ndarray) -> str:
@@ -158,33 +160,58 @@ def prepare_dataset(cfg: dict, seed: int):
     return g, x, lv, info
 
 
+def memory_plan(cfg: dict, n: int, entries: int, d: int) -> dict:
+    """Bytes held at the peak of each preprocessing phase of ``cfg`` on a
+    graph of ``n`` nodes and ``entries`` stored entries with ``d`` features;
+    DataError naming the largest phase if it would not fit in physical memory.
+    Every phase holds the CSR graph, the float32 features and the operator
+    (an index and a float64 weight per entry and diagonal term, at most one
+    band row pointer each). ``operator`` adds ``make_operator``'s transients;
+    ``calibration`` (basis ``auto``) the probes, two working blocks and the
+    product rows; ``bank`` the slabs and three float64 (n, d) blocks, or the
+    Krylov basis and one; ``stage boundary`` (``hrp.stages`` > 1) two banks
+    and the largest of the operator's transients, the bank's blocks and the
+    hidden-state extraction's forward (the model's own activations aside).
+    """
+    hops, basis = cfg["hops"], cfg["basis"]
+    ib = 4 if entries + n < 2**31 else 8  # bytes per index: int32 wherever they fit
+    held = ib * (n + 1 + entries) + 4 * n * d + (2 * ib + 8) * (entries + n) + ib
+    slabs = 4 * (hops + 1) * n * d
+    work = 8 * n * d * (krylov_order(hops, cfg["krylov"]["order"]) + 1 if basis == "krylov" else 3)
+    transients = 24 * (entries + 3 * n)  # the weights, their temporaries, the degrees
+    plan = {"operator": held + transients}
+    if basis == "auto":
+        plan["calibration"] = held + 4 * 8 * n * cfg["calibration"]["probes"]
+    plan["bank"] = held + slabs + work
+    if to_stage_plan(cfg).stages > 1:
+        # a forward chunk's gathered rows, hidden states and their biased copy,
+        # and the chunk before's, whose forward cache lives until the next one
+        rows = min(n, _FORWARD_ROWS)
+        forward = 4 * (hops + 3) * d * (rows + min(n - rows, rows))
+        plan["stage boundary"] = held + 2 * slabs + max(transients, work, forward)
+    phase = max(plan, key=plan.get)
+    what = f"the {phase} phase of a {hops}-hop {basis} bank of {n:,} x {d} features"
+    if phase == "calibration":
+        what = f"{cfg['calibration']['probes']:,} calibration probes on {n:,} nodes"
+    check_fits(plan[phase], what)
+    return plan
+
+
 def build_bank(cfg: dict, graph, x):
     """Construct the hop bank named by the config with ``hrp.diffuse``.
 
-    Returns (bank, details) where details carries the calibrated Jacobi
-    weights of the ``auto`` basis and the skipped and breakdown channels of
-    a ``krylov`` bank's provenance. Every basis but ``monomial`` runs on the
-    shifted operator. A bank whose float32 slabs, (hops + 1) * n * d * 4
-    bytes, would not fit in physical memory raises DataError before any
-    product; so does a multi-stage run whose stage boundary would not fit,
-    counted as the ``hrp`` module docstring has it: two banks, two float64
-    (n, d) blocks (for Krylov the (order, n, d) basis tensor and one
-    block) and the operator's 12 bytes per entry.
+    Returns (bank, details) where details carries the ``memory_plan``, the
+    calibrated Jacobi weights of the ``auto`` basis and the skipped and
+    breakdown channels of a ``krylov`` bank's provenance. Every basis but
+    ``monomial`` runs on the shifted operator. A run whose plan does not
+    fit in physical memory raises DataError before the operator is made.
     """
-    basis = cfg["basis"]
-    hops = cfg["hops"]
-    details = {"basis": basis}
+    basis, hops = cfg["basis"], cfg["hops"]
     if basis != "monomial" and cfg["operator"] != "shifted":
         raise ConfigError(f"the {basis} basis runs on the shifted operator, "
                           f"config says {cfg['operator']!r}")
-    d = np.shape(x)[1]
-    need = 4 * (hops + 1) * graph.n * d
-    what = f"a {hops}-hop bank of {graph.n} x {d} features"
-    if to_stage_plan(cfg).stages > 1:
-        blocks = krylov_order(hops, cfg["krylov"]["order"]) + 1 if basis == "krylov" else 2
-        need = 2 * need + 8 * blocks * graph.n * d + 12 * graph.num_edges
-        what += " at a stage boundary"
-    check_fits(need, what)
+    details = {"basis": basis,
+               "memory_plan": memory_plan(cfg, graph.n, graph.num_edges, np.shape(x)[1])}
     spmm0 = spmm_call_count()
     t0 = time.perf_counter()
     op = make_operator(graph, cfg["operator"])
@@ -192,11 +219,8 @@ def build_bank(cfg: dict, graph, x):
     recipe = {"basis": basis, **cfg["jacobi"], **cfg["krylov"]}
     if basis == "auto":
         weights, density, moments = calibrate(op, **cfg["calibration"])
-        details["calibration"] = {
-            "delta": weights.delta, "alpha": weights.alpha,
-            "beta": weights.beta, "gamma": weights.gamma,
-            "moments": [float(m) for m in moments.values],
-        }
+        details["calibration"] = {**dataclasses.asdict(weights),
+                                  "moments": moments.values.tolist()}
         recipe = {"basis": "jacobi", "alpha": weights.alpha, "beta": weights.beta}
     bank = diffuse(op, x, hops, recipe)
     if basis == "krylov":

@@ -62,9 +62,9 @@ hands ``spmm`` a ``then`` instead of an output block: each block computes
 a tile of its chunks' product rows into a tile-sized scratch it reuses,
 and ``then`` gets each chunk's rows of it, in chunk order, and turns them
 into the chunk's rows of the next term, written over the term before
-last. So above ``_WORK_FLOOR`` a recurrence keeps its two latest terms and
-one tile of product rows per block (8 MB at width 64), no (n, d) product;
-below it, the one chunk's scratch is a whole (n, d) block.
+last. A block's scratch holds its own chunks' rows, at most a tile (8 MB
+at width 64), so all blocks' scratch is one (n, d) block at most, at any
+thread count; below ``_WORK_FLOOR`` the one chunk's scratch is that block.
 
 ``build_graph`` refuses a graph whose CSR arrays would not fit in physical
 memory before it allocates them.
@@ -439,9 +439,11 @@ def _chunked(op: SparseOperator, width: int, fn, cols: int, fill=None) -> list:
     per_tile = max(1, _TILE_ROWS // _CHUNK_ROWS)
 
     def block(lo, hi):
-        scratch = np.empty((min(per_tile * _CHUNK_ROWS, n), cols))
-        last = -(-hi // _CHUNK_ROWS)
-        for t in range(-(-lo // _CHUNK_ROWS), last, per_tile):
+        first, last = -(-lo // _CHUNK_ROWS), -(-hi // _CHUNK_ROWS)
+        # the rows of the chunks that start in lo:hi, at most a tile of them
+        rows = min(last * _CHUNK_ROWS, n) - min(first * _CHUNK_ROWS, n)
+        scratch = np.empty((min(per_tile * _CHUNK_ROWS, rows), cols))
+        for t in range(first, last, per_tile):
             t_end = min(t + per_tile, last)
             t_lo, t_hi = t * _CHUNK_ROWS, min(t_end * _CHUNK_ROWS, n)
             if fill is not None:

@@ -19,17 +19,11 @@ Blending at weight exactly 1 or exactly 0 copies the corresponding slab
 instead of multiplying through, so a schedule that degenerates to plain
 training reproduces it bit for bit.
 
-A stage boundary holds two banks, Z^(s) and Z^(s+1), plus the
-recurrence's two float64 working blocks while it runs, and nothing else of
-size (n, d). The staged run allocates Z^(s+1) first and extracts H into
-its hop-0 slab; re-propagation diffuses that slab into the array's other
-slabs, which makes it Htilde, and the blend overwrites Htilde with
-Z^(s+1), copying hop 0 from Z^(s). Besides, a re-propagation holds the
-operator it builds and one tile of product rows per kernel block (see
-``graph``). A Krylov re-propagation holds its Lanczos basis tensor and
-one product block (see ``krylov``) instead of the working blocks.
-``experiment.build_bank`` checks that sum against physical memory before
-a multi-stage run's first product.
+A stage boundary holds two banks, Z^(s) and Z^(s+1), and no third
+(``experiment.memory_plan`` counts what else). The staged run allocates
+Z^(s+1) first and extracts H into its hop-0 slab; re-propagation diffuses
+that slab into the array's other slabs, which makes it Htilde, and the
+blend overwrites Htilde with Z^(s+1), copying hop 0 from Z^(s).
 
 A bank's provenance is the recipe that rebuilds it (basis, operator, Jacobi
 weights, Lanczos order), and ``diffuse`` builds every bank from a recipe, so

@@ -7,10 +7,10 @@ sparse product over the c columns, all alphas and betas at once, and two
 batched full reorthogonalization passes against Q[:j+1]. A column whose
 residual norm falls below ``BREAKDOWN_TOL`` (an invariant subspace was
 found) stays in the block with zero basis vectors, alphas and betas to the
-end; the others keep iterating. A Krylov bank holds that tensor,
-8 * order * n * c bytes, plus its float32 slabs: slab 0 is the raw
-features and slab k >= 1 is Q contracted with component k's (order, c)
-coefficients, written straight into the (n, d) slab.
+end; the others keep iterating. A Krylov bank's build holds that tensor
+besides its float32 slabs (``experiment.memory_plan`` counts both): slab
+0 is the raw features and slab k >= 1 is Q contracted with component k's
+(order, c) coefficients, written straight into the (n, d) slab.
 Per-channel objects are views of the tensor.
 
 Everything but the product runs as ``graph.row_chunks`` passes over fixed

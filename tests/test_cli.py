@@ -181,6 +181,9 @@ def test_train_artifacts_are_the_run_seed_results(tmp_path, capsys):
     assert report.pop("config_hash") == config_hash(cfg)
     assert list(report) == list(row)
     assert _untimed(report) == _untimed(json.loads(json.dumps(row)))
+    plan = report["bank"]["memory_plan"]
+    assert set(plan) == {"operator", "bank", "stage boundary"}
+    assert all(isinstance(v, int) and v > 0 for v in plan.values())
     lines = (run_dir / "epochs.jsonl").read_text().splitlines()
     assert [json.loads(line) for line in lines] == [
         epoch for stage in result.stages for epoch in stage.history]
@@ -595,13 +598,17 @@ def test_graph_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("stages,code", [(2, 3), (1, 0)])
 def test_stage_boundary_past_physical_memory_exits_3(tmp_path, capsys, monkeypatch,
                                                      stages, code):
-    # 1.2 banks of 40 x 32 features over 7 hops: the bank, the graph and the
-    # model fit, and a 2-stage run's boundary does not
+    # the largest phase of a 1-stage run's memory plan, 40 x 32 features over
+    # 7 hops: the bank, the graph and the model fit, and a 2-stage run's
+    # boundary does not
     synthetic = {"generator": "sbm", "n": 40, "blocks": 2, "p_intra": 0.2,
                  "p_inter": 0.05, "feature_dim": 32}
     cfg = write_config(tmp_path, dataset={"synthetic": synthetic}, hops=6,
                        hrp={"stages": stages, "epochs": 3})
-    monkeypatch.setattr(graph, "_physical_bytes", lambda: 6 * 4 * 7 * 40 * 32 // 5)
+    one = validate_config({**json.loads(cfg.read_text()), "hrp": {"stages": 1, "epochs": 3}})
+    g, x, _, _ = prepare_dataset(one, 0)
+    fits = max(experiment.memory_plan(one, g.n, g.num_edges, x.shape[1]).values())
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: fits)
     before = graph.spmm_call_count()
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == code

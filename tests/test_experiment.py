@@ -1,13 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diffbank import ConfigError, DataError, validate_config
 from diffbank import experiment, graph
+from diffbank.cli import main
+from diffbank.config import to_stage_plan, to_train_config
 from diffbank.experiment import (build_bank, prepare_dataset, run_ablation,
                                  run_experiment, run_seed, summarize)
-from diffbank.graph import build_graph, spmm_call_count
+from diffbank.graph import LabelVector, build_graph, spmm_call_count
+from diffbank.hrp import run_hrp_training
+from diffbank.rng import rng_for
 from diffbank.io import save_edge_list, save_features, save_labels
 
 
@@ -199,7 +204,7 @@ def test_build_bank_dispatch_and_spmm_accounting():
 def test_build_bank_refuses_a_bank_past_physical_memory(monkeypatch):
     cfg = tiny_cfg(hops=3)
     g, x, _, _ = prepare_dataset(cfg, 0)
-    need = 4 * 4 * g.n * x.shape[1]
+    need = max(experiment.memory_plan(cfg, g.n, g.num_edges, x.shape[1]).values())
     monkeypatch.setattr(graph, "_physical_bytes", lambda: need - 1)
     before = spmm_call_count()
     with pytest.raises(DataError, match="physical memory"):
@@ -212,15 +217,68 @@ def test_build_bank_refuses_a_bank_past_physical_memory(monkeypatch):
 @pytest.mark.parametrize("basis,products", [("legendre", 3), ("krylov", 4)])
 def test_build_bank_refuses_a_stage_boundary_past_physical_memory(monkeypatch, basis,
                                                                    products):
-    # 1.2 banks: the bank fits, a 2-stage run's boundary does not
+    # a 1-stage run's largest phase: the bank fits, a 2-stage run's boundary does not
     two = tiny_cfg(basis=basis, hops=3, hrp={"stages": 2, "epochs": 2})
     g, x, _, _ = prepare_dataset(two, 0)
-    monkeypatch.setattr(graph, "_physical_bytes", lambda: 6 * 4 * 4 * g.n * x.shape[1] // 5)
+    fits = max(experiment.memory_plan(tiny_cfg(basis=basis, hops=3), g.n, g.num_edges,
+                                      x.shape[1]).values())
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: fits)
     before = spmm_call_count()
     with pytest.raises(DataError, match="stage boundary"):
         build_bank(two, g, x)
     assert spmm_call_count() == before
     assert build_bank(tiny_cfg(basis=basis, hops=3), g, x)[1]["spmm"] == products
+
+
+def test_build_bank_refuses_a_krylov_basis_past_physical_memory(tmp_path, monkeypatch):
+    # the slabs and half the float64 (order, n, d) basis tensor of order 4:
+    # the basis does not fit, so neither build_bank nor a 1-stage train runs
+    cfg = tiny_cfg(basis="krylov", hops=3)
+    g, x, _, _ = prepare_dataset(cfg, 0)
+    n, d = g.n, x.shape[1]
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 4 * 4 * n * d + 8 * 4 * n * d // 2)
+    before = spmm_call_count()
+    with pytest.raises(DataError, match="physical memory"):
+        build_bank(cfg, g, x)
+    assert spmm_call_count() == before
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 3
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+@pytest.mark.parametrize("basis", ["legendre", "auto", "krylov"])
+@pytest.mark.parametrize("n", [20_000, 3_000])  # above and below the work floor at d = 64
+def test_the_memory_plan_bounds_the_traced_peak(monkeypatch, n, basis, stages):
+    # build_bank, and for 2 stages the staged run through its boundary,
+    # allocate at most the plan's largest phase beside the graph and the
+    # features; the plan is no more than 1.5 times that, so it refuses no
+    # run that fits
+    monkeypatch.setattr(graph, "_CORES", 2)
+    d = 64
+    g = build_graph(rng_for(3, "plan").integers(0, n, size=(5 * n, 2)), n)
+    assert (g.num_edges * d >= graph._WORK_FLOOR) == (n > 3_000)
+    x = rng_for(4, "plan").standard_normal((n, d)).astype(np.float32)
+    split = rng_for(0, "plan").integers(0, 3, size=n)
+    lv = LabelVector(labels=rng_for(1, "plan").integers(0, 2, size=n),
+                     train_mask=split == 0, val_mask=split == 1, test_mask=split == 2,
+                     num_classes=2)
+    cfg = tiny_cfg(basis=basis, hops=6, hrp={"stages": stages, "epochs": 1},
+                   train={"epochs": 1, "batch_size": 1024, "trunk": [8], "lr": 0.05})
+    tracemalloc.start()
+    try:
+        bank, details = build_bank(cfg, g, x)
+        if stages > 1:
+            run_hrp_training(to_stage_plan(cfg), bank, g, lv, to_train_config(cfg, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plan = details["memory_plan"]
+    assert plan == experiment.memory_plan(cfg, n, g.num_edges, d)
+    assert ("stage boundary" in plan) == (stages > 1)
+    traced = peak + g.row_ptr.nbytes + g.col_idx.nbytes + x.nbytes
+    assert traced <= max(plan.values()) + 2**18
+    assert max(plan.values()) <= 1.5 * traced
 
 
 def test_krylov_bank_details_are_json():

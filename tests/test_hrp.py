@@ -14,7 +14,7 @@ from diffbank import graph, hrp
 from diffbank.backbone import adam_step
 from diffbank.banks import HopBank
 from diffbank.config import validate_config
-from diffbank.experiment import build_bank, prepare_dataset, run_seed
+from diffbank.experiment import build_bank, memory_plan, prepare_dataset, run_seed
 from diffbank.graph import LabelVector, build_graph, spmm_call_count
 from diffbank.hrp import build_model, diffuse, evaluate_split
 from diffbank.krylov import ritz_bank_as_hopbank
@@ -298,8 +298,8 @@ def test_a_stage_boundary_holds_two_banks_two_blocks_the_operator_and_tiles(monk
     # from the end of stage 1 to the end of re-propagation, a two-stage
     # Legendre run whose products run in tiles on two kernel blocks
     # allocates Z^(s+1), the recurrence's two float64 blocks, the operator
-    # and one tile of product rows per block; a separate (n, d) array of
-    # hidden states would be 5 MB more
+    # and the blocks' product rows; a separate (n, d) array of hidden
+    # states would be 5 MB more
     monkeypatch.setattr(graph, "_CORES", 2)
     n, d, hops = 20_000, 64, 6
     g = build_graph(rng_for(3, "boundary").integers(0, n, size=(5 * n, 2)), n)
@@ -334,9 +334,12 @@ def test_a_stage_boundary_holds_two_banks_two_blocks_the_operator_and_tiles(monk
     finally:
         tracemalloc.stop()
     assert [s.diffusion_spmm for s in res.stages] == [hops, 0]
-    tiles = (len(op._cuts) - 1) * min(graph._TILE_ROWS, n) * d * 8
-    budget = (bank.slabs.nbytes + 2 * n * d * 8
-              + op._ptr.nbytes + op._idx.nbytes + op._w.nbytes + tiles)
+    # the plan's boundary less what it counts as held before: the graph, the
+    # features and the input bank
+    cfg = validate_config({"dataset": {"edges": "g.tsv", "labels": "y.tsv"},
+                           "basis": "legendre", "hops": hops, "hrp": {"stages": 2}})
+    budget = (memory_plan(cfg, n, g.num_edges, d)["stage boundary"] - g.row_ptr.nbytes
+              - g.col_idx.nbytes - 4 * n * d - bank.slabs.nbytes)
     # 256 KiB for Python objects: chunk results, closures, coefficients
     assert marks["peak"] - marks["entry"] <= budget + 2**18
 

@@ -356,6 +356,26 @@ def test_a_recurrence_holds_two_working_blocks(monkeypatch, build):
     assert peak <= kept + 2 * block + 2 * (tile + chunk) + chunk
 
 
+def test_the_blocks_product_rows_are_one_block_at_most(monkeypatch):
+    # two kernel blocks of about 10,000 rows: each block's scratch holds its
+    # own chunks' rows, not a whole 16,384-row tile, so together they are at
+    # most one (n, d) block beside the slabs and the two working blocks
+    monkeypatch.setattr(graph, "_CORES", 2)
+    n, d, hops = 20_000, 64, 6
+    g = build_graph(rng_for(3, "scratch").integers(0, n, size=(5 * n, 2)), n)
+    op = make_operator(g, "shifted")
+    assert op._w.size * d >= graph._WORK_FLOOR and len(op._cuts) == 3
+    x = seeded_features(g, d, 1).astype(np.float32)
+    block = n * d * 8
+    tracemalloc.start()
+    try:
+        slabs = legendre_bank(op, x, hops).slabs.nbytes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - slabs - 2 * block <= block + 2**18
+
+
 @pytest.mark.parametrize("kind", ["dad", "lap"])  # without and with diagonal terms
 def test_an_operator_stores_its_entries_once(monkeypatch, kind):
     # three bands; a copy of the entries as one CSR matrix would be another

@@ -63,3 +63,19 @@ def test_the_only_unused_imports_are_the_tracer_bindings():
         if imported - used - exported:
             unused[stem] = imported - used - exported
     assert unused == TRACER_ONLY
+
+
+def test_physical_memory_is_checked_where_each_size_is_first_known():
+    # the CSR arrays, the synthetic pre-draw and the model each check their
+    # own size; experiment.memory_plan counts and checks every operator,
+    # calibration, bank and stage-boundary byte, so a new hand sum fails here
+    callers = set()
+    for stem in MODULES:
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_fits"
+                    for node in ast.walk(func)):
+                callers.add(f"{stem}.{func.name}")
+    assert callers == {"graph.build_graph", "synth._sbm_edges", "hrp.build_model",
+                       "experiment.memory_plan"}
